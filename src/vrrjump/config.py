@@ -91,22 +91,43 @@ def _check_keys(node: dict, allowed: set, path: str) -> None:
                               f"unknown key '{key}'")
 
 
+class _NonFinite:
+    """A NaN, Infinity or -Infinity token of the JSON text.
+
+    json.loads would turn these into floats; keeping them as this marker
+    makes every reader reject them, naming the key.
+    """
+
+    def __init__(self, token: str):
+        self.token = token
+
+    def __repr__(self) -> str:
+        return self.token
+
+
+def _is_number(val) -> bool:
+    """A finite JSON number (literals such as 1e999 overflow to inf)."""
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and math.isfinite(val))
+
+
 def _number(node: dict, key: str, path: str, default=None):
     if key not in node:
         if default is None:
             raise ConfigError(f"missing required key '{path}.{key}'")
         return default
     val = node[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"'{path}.{key}': expected a number, got {val!r}")
+    if not _is_number(val):
+        raise ConfigError(f"'{path}.{key}': expected a finite number, got {val!r}")
     return float(val)
 
 
 def _triple(node: dict, key: str, path: str, default: list) -> list:
     val = node.get(key, default)
     if (not isinstance(val, list) or len(val) != 3
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in val)):
-        raise ConfigError(f"'{path}.{key}': expected [min, max, step] numbers")
+            or not all(_is_number(v) for v in val)):
+        raise ConfigError(f"'{path}.{key}': expected [min, max, step] finite "
+                          f"numbers, got {val!r}")
     return [float(v) for v in val]
 
 
@@ -197,9 +218,9 @@ def _resolve(doc: dict) -> dict:
     }
 
     angles = doc.get("angles_rad")
-    if (not isinstance(angles, list) or not angles
-            or any(isinstance(a, bool) or not isinstance(a, (int, float)) for a in angles)):
-        raise ConfigError("'angles_rad': expected a non-empty list of numbers")
+    if not isinstance(angles, list) or not angles or not all(map(_is_number, angles)):
+        raise ConfigError("'angles_rad': expected a non-empty list of finite "
+                          f"numbers, got {angles!r}")
 
     out_dir = doc.get("output_dir", "out")
     if not isinstance(out_dir, str) or not out_dir:
@@ -294,7 +315,7 @@ def load_config(path: str | Path, jacobian_mode: str | None = None) -> RunConfig
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_NonFinite)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

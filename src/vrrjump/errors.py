@@ -4,6 +4,9 @@ The CLI maps these onto process exit codes (see cli.EXIT_*), so new error
 conditions should reuse or subclass one of the classes below.
 """
 
+import dataclasses
+import math
+
 
 class VrrJumpError(Exception):
     """Base class for all package errors."""
@@ -23,6 +26,16 @@ class SingularityError(DomainError):
             f"knee angle q2={q2:.6g} rad is at or above the singularity cap "
             f"{cap:.6g} rad; the knee-to-CoM ratio diverges at full extension"
         )
+
+
+def require_finite(obj) -> None:
+    """Raise DomainError naming the first numeric field of a dataclass
+    instance that is NaN or infinite."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and not math.isfinite(value)):
+            raise DomainError(f"{f.name}={value} must be finite")
 
 
 class MechanismRangeError(DomainError):

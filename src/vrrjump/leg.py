@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError, SingularityError, require_finite
 
 DEFAULT_Q2_CAP = -0.05
 """Default guard angle: the knee-to-CoM ratio is treated as singular above it."""
@@ -57,6 +57,7 @@ class LegModel:
     jacobian_mode: JacobianMode = JacobianMode.GEOMETRIC
 
     def __post_init__(self):
+        require_finite(self)
         if self.l1 <= 0 or self.l2 <= 0:
             raise DomainError(f"link lengths must be positive, got l1={self.l1}, l2={self.l2}")
         if not (0 <= self.a1 <= self.l1):

@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateGeometryError, DomainError, MechanismRangeError
+from .errors import (DegenerateGeometryError, DomainError, MechanismRangeError,
+                     require_finite)
 from .leg import DEFAULT_Q2_CAP, LegModel, knee_to_com_ratio
 
 THETA_MIN = 0.01
@@ -48,6 +49,7 @@ class VrrParams:
     lead: float = 0.010
 
     def __post_init__(self):
+        require_finite(self)
         if self.r <= 0:
             raise DomainError(f"crank length r={self.r} must be positive")
         if self.s0 <= self.r:
@@ -67,6 +69,7 @@ class FrrParams:
     k_fixed: float
 
     def __post_init__(self):
+        require_finite(self)
         if self.k_fixed <= 0:
             raise DomainError(f"k_fixed={self.k_fixed} must be positive")
 
@@ -145,8 +148,9 @@ def peak_crank_angle(params: VrrParams) -> float:
 def ratio_curve(params: VrrParams, q2_lo: float, q2_hi: float, n: int) -> RatioCurve:
     """Uniformly sample k over [q2_lo, q2_hi] and locate its maximum.
 
-    The coarse argmax is refined by a golden-section pass to 1e-6 rad.
-    Sampling errors carry the offending sample index.
+    The maximum is the closed-form peak (see peak_crank_angle) when it lies
+    in the range, else the nearer endpoint, since k is unimodal. Sampling
+    errors carry the offending sample index.
     """
     if n < 2:
         raise DomainError(f"need at least 2 samples, got n={n}")
@@ -161,32 +165,9 @@ def ratio_curve(params: VrrParams, q2_lo: float, q2_hi: float, n: int) -> RatioC
         except DomainError as exc:
             raise MechanismRangeError(f"sample {i} (q2={q2:.6g}): {exc}") from exc
 
-    i_best = max(range(n), key=lambda i: samples[i][1])
-    lo = samples[max(i_best - 1, 0)][0]
-    hi = samples[min(i_best + 1, n - 1)][0]
-    argmax_q2, k_max = _golden_max(lambda q2: reduction_ratio(params, q2), lo, hi)
-    if k_max < samples[i_best][1]:
-        argmax_q2, k_max = samples[i_best]
-    return RatioCurve(samples=samples, argmax_q2=argmax_q2, k_max=k_max)
-
-
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-6) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+    argmax_q2 = min(max(joint_angle(params, peak_crank_angle(params)), q2_lo), q2_hi)
+    return RatioCurve(samples=samples, argmax_q2=argmax_q2,
+                      k_max=reduction_ratio(params, argmax_q2))
 
 
 def effective_overall_ratio(params: VrrParams | FrrParams, model: LegModel,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 RADS_PER_RPM = math.pi / 30.0
 
@@ -49,6 +49,7 @@ class MotorParams:
     omega_hpl: float = field(default=0.0)
 
     def __post_init__(self):
+        require_finite(self)
         if self.omega_hpl == 0.0:
             object.__setattr__(self, "omega_hpl", 0.75 * self.omega_max)
         if self.tau_peak <= 0 or self.p_peak <= 0:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -27,6 +28,10 @@ from .sim import SimConfig, TakeoffResult, simulate_jump
 log = logging.getLogger(__name__)
 
 DEG = math.pi / 180.0
+
+MAX_CANDIDATES = 1_000_000
+"""Largest grid a SearchBox may span, per joint type, checked before any
+candidate list is built."""
 
 
 @dataclass(frozen=True)
@@ -41,10 +46,21 @@ class SearchBox:
     def __post_init__(self):
         for name in ("r_range", "s0_range", "dtheta_range", "frr_range"):
             lo, hi, step = getattr(self, name)
+            if not all(map(math.isfinite, (lo, hi, step))):
+                raise DomainError(f"{name}: {(lo, hi, step)} must be finite")
             if lo > hi:
                 raise DomainError(f"{name}: min {lo} exceeds max {hi}")
             if step <= 0:
                 raise DomainError(f"{name}: step {step} must be positive")
+        for names in (("r_range", "s0_range", "dtheta_range"), ("frr_range",)):
+            count = 1.0
+            for name in names:
+                lo, hi, step = getattr(self, name)
+                count *= (hi - lo) / step + 1.0
+            if not count <= MAX_CANDIDATES:
+                raise DomainError(
+                    f"{' x '.join(names)} span about {count:.3g} candidates, "
+                    f"more than the limit of {MAX_CANDIDATES}")
 
 
 def default_search_box() -> SearchBox:
@@ -96,11 +112,21 @@ def _eval_chunk(leg, motor, cfg, mechs):
     return [_evaluate(leg, motor, cfg, m) for m in mechs]
 
 
+def _pool_plan(n_mechs: int, workers: int) -> tuple[int, int]:
+    """(processes, chunks) for a grid: workers clamped to the CPUs and to the
+    chunks. One process means the grid runs in this one."""
+    workers = min(workers, os.cpu_count() or 1)
+    if workers <= 1 or n_mechs < 2:
+        return 1, 1
+    n_chunks = min(n_mechs, workers * 8)
+    return min(workers, n_chunks), n_chunks
+
+
 def _run_grid(leg, motor, cfg, mechs, workers: int) -> list[EvalRecord]:
-    if workers <= 1 or len(mechs) < 2:
+    workers, n_chunks = _pool_plan(len(mechs), workers)
+    if workers == 1:
         outs = [_evaluate(leg, motor, cfg, m) for m in mechs]
     else:
-        n_chunks = min(len(mechs), workers * 8)
         size = (len(mechs) + n_chunks - 1) // n_chunks
         chunks = [mechs[i:i + size] for i in range(0, len(mechs), size)]
         outs = []

@@ -7,29 +7,50 @@ vertical by the knee through the CoM Jacobian J(q2):
     tau_m   = max_torque(|omega_m|)        maximum-effort command
     tau_J   = tau_m * k(q2) * eta_j        joint torque
     m ydd   = tau_J / J(q2) - m g          CoM dynamics
-    qdd     = (ydd - J'(q2) dq2^2) / J(q2) joint acceleration
 
-Link rotational inertia and reflected actuator inertia are neglected. The
-state (q2, dq2, w_motor) is integrated with classic fixed-step RK4; motor
-work w_motor accumulates tau_m * omega_m.
+Link rotational inertia and reflected actuator inertia are neglected.
+
+The model has one degree of freedom and the knee only extends, so the knee
+angle serves as the independent variable. Work and energy give, for the CoM
+kinetic energy K = m v^2 / 2 with v = J dq2,
+
+    dK/dq2 = eta_j k tau_env(k v / J) - m g J
+
+on the fixed interval [q2_init, cap]. The kernel substitutes
+q2 = q2_init + u^2 and integrates the state (p = sqrt(K), t, w_motor) with
+classic RK4 on U_STEPS uniform steps in u:
+
+    dp/du     = u f / p         f = dK/dq2
+    dt/du     = 2 u J / v       v = sqrt(2/m) p
+    dw_m/du   = 2 u tau_m k     motor work
+
+At u = 0 the knee is at rest (p = 0) and the derivatives take their limits
+dp/du = sqrt(f0) and dt/du = 2 J0 / (sqrt(2/m) sqrt(f0)), so the square-root
+singularity of the start never enters a step, and the 1/J growth of dq2 near
+full extension does not shrink the steps. A step also ends wherever
+|omega_m| = k v / J crosses a kink of the envelope (omega_break, omega_hpl,
+omega_max), so RK4 only ever integrates a smooth right-hand side.
 
 Takeoff events:
 
-* AngleCap -- q2 reaches the configured extension cap. Because dq2 grows like
-  1/J near full extension, steps shrink as the cap approaches (each step
-  covers at most a quarter of the remaining gap) so stage evaluations never
-  cross the kinematic singularity; the loop lands on the cap within 1e-9 rad.
-* ContactForceZero -- the ground reaction m*(ydd + g) = tau_J/J crosses zero
-  while extending; the crossing is located by bisecting the step size. The
-  event is disarmed at rest so a torqueless motor holds the pose instead of
-  "taking off" with zero force.
+* AngleCap -- q2 reaches the configured extension cap, which is the last
+  grid point u = sqrt(cap - q2_init).
+* ContactForceZero -- the ground reaction tau_J / J reaches zero, which
+  happens first where |omega_m| reaches omega_max and the envelope torque
+  vanishes. It is located inside its step.
 
-If the commanded torque cannot lift the CoM at the initial pose the state is
-held at rest until t_max (Timeout): the crouch posture is assumed supported,
-which also keeps under-actuated optimizer candidates well defined. A state
-that leaves the valid range mid-flight (knee collapsing past -pi, or the
-crank angle leaving its working range) raises SimulationRangeError carrying
-the last valid state.
+If the commanded torque cannot lift the CoM at the initial pose
+(eta_j k tau_peak <= m g J) the state is held at rest until t_max (Timeout):
+the crouch posture is assumed supported, which also keeps under-actuated
+optimizer candidates well defined. A run still moving at t_max ends in a
+Timeout located to well under 1e-9 s. A run whose kinetic energy falls to
+zero mid-stroke (a stall) is held at the stall pose with dq2 = 0 until t_max
+by the same reasoning. Reaching the cap under a rule that only accepts a
+contact-force crossing raises SimulationRangeError carrying the state at the
+cap.
+
+A recorded trajectory holds one sample per u-step plus one at each kink and
+event. SimConfig.dt is validated but not read: the u-steps replace it.
 """
 
 from __future__ import annotations
@@ -38,13 +59,17 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import DomainError, MechanismRangeError, SimulationRangeError
+from .errors import DomainError, SimulationRangeError, require_finite
 from .leg import KneeState, LegModel, com_height
 from .mechanism import FrrParams, VrrParams, check_working_range
 from .motor import MotorParams
 
-_CAP_TOL = 1e-9
-_MIN_SPEED = 1e-9
+U_STEPS = 250
+"""Uniform RK4 steps in u per takeoff, before kink and event splits."""
+
+
+class _Stall(Exception):
+    """The kinetic energy reached zero inside a step."""
 
 
 class TakeoffRule(str, Enum):
@@ -61,7 +86,10 @@ class Termination(str, Enum):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Initial pose, step size, horizon and takeoff detection rule."""
+    """Initial pose, step size, horizon and takeoff detection rule.
+
+    dt is validated but not read by simulate_jump, which steps in u.
+    """
 
     q2_init: float
     dt: float = 1e-4
@@ -70,6 +98,7 @@ class SimConfig:
     takeoff_rule: TakeoffRule = TakeoffRule.EITHER
 
     def __post_init__(self):
+        require_finite(self)
         if self.dt <= 0:
             raise DomainError(f"dt={self.dt} must be positive")
         if self.t_max < 10 * self.dt:
@@ -144,9 +173,9 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         check_working_range(mech, cfg.q2_init, cfg.q2_takeoff_cap)
 
     m_tot = leg.total_mass()
-    g = leg.g
+    mg = m_tot * leg.g
+    c_v = math.sqrt(2.0 / m_tot)
     jfac = leg.jacobian_scale
-    jfac_half = 0.5 * jfac
     eta = motor.eta_j
     tau_peak = motor.tau_peak
     p_peak = motor.p_peak
@@ -154,7 +183,11 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     w_max = motor.omega_max
     w_hpl = motor.omega_hpl
     derate = 1.0 / (w_max - w_hpl)
+    kinks = (w_break, w_hpl, w_max)
+    q2_init = cfg.q2_init
     cap = cfg.q2_takeoff_cap
+    t_max = cfg.t_max
+    u_cap = math.sqrt(cap - q2_init)
     sin = math.sin
     cos = math.cos
     sqrt = math.sqrt
@@ -164,168 +197,216 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         a_cos = 2.0 * mech.r * (mech.s0 + mech.r)
         k_num = math.pi * a_cos / mech.lead
         th_off = math.pi - mech.delta_theta
-        k_const = 0.0
+
+        def ratio(q2: float) -> float:
+            th = q2 + th_off
+            return k_num * sin(th) / sqrt(a_sq - a_cos * cos(th))
     else:
-        k_const = mech.k_fixed
+        k_fixed = mech.k_fixed
 
-    def ratio(q2: float) -> float:
-        if not vrr:
-            return k_const
-        th = q2 + th_off
-        if th <= 0.0 or th >= math.pi:
-            raise MechanismRangeError(
-                f"crank angle theta={th:.6g} left (0, pi) at q2={q2:.6g}")
-        return k_num * sin(th) / sqrt(a_sq - a_cos * cos(th))
+        def ratio(q2: float) -> float:
+            return k_fixed
 
-    def envelope(aw: float) -> float:
-        if aw <= w_break:
+    def envelope(om: float) -> float:
+        if om <= w_break:
             return tau_peak
-        if aw >= w_max:
+        if om >= w_max:
             return 0.0
-        tau = p_peak / aw
-        if aw > w_hpl:
-            tau *= (w_max - aw) * derate
+        tau = p_peak / om
+        if om > w_hpl:
+            tau *= (w_max - om) * derate
         return tau
 
-    def derivs(q2: float, dq2: float) -> tuple[float, float]:
-        """(qdd, motor power) at a state."""
+    def piece_of(om: float) -> int:
+        """Smooth piece of the envelope at speed om: 0 up to w_break, 3 from
+        w_max on."""
+        return (om > w_break) + (om > w_hpl) + (om >= w_max)
+
+    def rhs(u: float, p: float) -> tuple[float, float, float, float]:
+        """(dp/du, dt/du, dw_m/du, omega_m) at u > 0."""
+        if p <= 0.0:
+            raise _Stall
+        q2 = q2_init + u * u
         k = ratio(q2)
-        om = k * dq2
-        tau = envelope(-om if om < 0.0 else om)
         jj = -jfac * sin(0.5 * q2)
-        jp = -jfac_half * cos(0.5 * q2)
-        ydd = tau * k * eta / (jj * m_tot) - g
-        return (ydd - jp * dq2 * dq2) / jj, tau * om
+        v = c_v * p
+        om = k * v / jj
+        tau = envelope(om)
+        return (u * (eta * k * tau - mg * jj) / p, 2.0 * u * jj / v,
+                2.0 * u * tau * k, om)
 
-    def joint_force(q2: float, dq2: float) -> float:
-        """Contact force tau_J/J = tau_J * lambda, equal to m*(ydd + g)."""
-        k = ratio(q2)
-        tau = envelope(abs(k * dq2))
-        return tau * k * eta / (-jfac * sin(0.5 * q2))
+    # A state is (u, p, t, w_motor, rhs at the state).
+    def advance(s: tuple, ue: float) -> tuple:
+        """One RK4 step from state s to u = ue."""
+        u, p, t, w, (a1, b1, c1, _) = s
+        h = ue - u
+        h2 = 0.5 * h
+        um = u + h2
+        a2, b2, c2, _ = rhs(um, p + h2 * a1)
+        a3, b3, c3, _ = rhs(um, p + h2 * a2)
+        a4, b4, c4, _ = rhs(ue, p + h * a3)
+        h6 = h / 6.0
+        pe = p + h6 * (a1 + 2.0 * (a2 + a3) + a4)
+        return (ue, pe, t + h6 * (b1 + 2.0 * (b2 + b3) + b4),
+                w + h6 * (c1 + 2.0 * (c2 + c3) + c4), rhs(ue, pe))
 
-    def snapshot(t: float, q2: float, dq2: float, wm: float) -> SimState:
+    def locate(s: tuple, end: tuple, phi, tol: float) -> tuple:
+        """The first state past the root of phi on the step from s to end.
+
+        phi < 0 before the root and phi(end) >= 0. Illinois regula falsi on
+        u; the state returned has 0 <= phi <= tol, or lies within 1e-12
+        relative in u of the last state before the root.
+        """
+        lo, flo = s[0], phi(s)
+        if flo >= 0.0:
+            return s
+        hi, fhi, best = end[0], phi(end), end
+        side = 0
+        while fhi > tol and hi - lo > 1e-12 * hi:
+            x = hi - fhi * (hi - lo) / (fhi - flo)
+            if not lo < x < hi:
+                x = 0.5 * (lo + hi)
+            trial = advance(s, x)
+            fx = phi(trial)
+            if fx >= 0.0:
+                hi, fhi, best = x, fx, trial
+                if side == 1:
+                    flo *= 0.5
+                side = 1
+            else:
+                lo, flo = x, fx
+                if side == -1:
+                    fhi *= 0.5
+                side = -1
+        return best
+
+    def q2_of(s: tuple) -> float:
+        return cap if s[0] == u_cap else q2_init + s[0] * s[0]
+
+    def snapshot(s: tuple) -> SimState:
+        q2 = q2_of(s)
         k = ratio(q2)
-        om = k * dq2
-        tau_m = envelope(abs(om))
+        jj = -jfac * sin(0.5 * q2)
+        v = c_v * s[1]
+        om = k * v / jj
+        tau_m = envelope(om)
         tau_j = tau_m * k * eta
-        jj = -jfac * sin(0.5 * q2)
         return SimState(
-            t=t, q2=q2, dq2=dq2,
-            y_com=2.0 * jfac * cos(0.5 * q2),
-            dy_com=jj * dq2,
+            t=s[2], q2=q2, dq2=v / jj,
+            y_com=2.0 * jfac * cos(0.5 * q2), dy_com=v,
             tau_m=tau_m, tau_j=tau_j, omega_m=om,
             p_m=tau_m * om, p_j=eta * tau_m * om,
-            f_contact=tau_j / jj,
-            w_motor=wm,
+            f_contact=tau_j / jj, w_motor=s[3],
         )
 
-    def rk4(q2: float, dq2: float, wm: float, h: float):
-        h2 = 0.5 * h
-        a1, w1 = derivs(q2, dq2)
-        v2 = dq2 + h2 * a1
-        a2, w2 = derivs(q2 + h2 * dq2, v2)
-        v3 = dq2 + h2 * a2
-        a3, w3 = derivs(q2 + h2 * v2, v3)
-        v4 = dq2 + h * a3
-        a4, w4 = derivs(q2 + h * v3, v4)
-        h6 = h / 6.0
-        return (q2 + h6 * (dq2 + 2.0 * (v2 + v3) + v4),
-                dq2 + h6 * (a1 + 2.0 * (a2 + a3) + a4),
-                wm + h6 * (w1 + 2.0 * (w2 + w3) + w4))
+    def finish(s: tuple, how: Termination) -> TakeoffResult:
+        q2 = q2_of(s)
+        w = takeoff_energy(leg, q2, c_v * s[1])
+        return TakeoffResult(
+            w_takeoff=w, h_jump=jump_height(leg, w), t_takeoff=s[2],
+            q2_at_takeoff=q2, terminated_by=how, trajectory=trajectory)
+
+    def stall(s: tuple, ue: float) -> TakeoffResult:
+        """End a run whose kinetic energy reaches zero between s and ue.
+
+        Bisection finds the last state before the stall or t_max, whichever
+        comes first. After a stall the knee holds its pose until t_max, as
+        in a static hold; K falls linearly to zero at the stall pose.
+        """
+        lo, hi, last, stalled = s[0], ue, s, True
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            try:
+                trial = advance(s, mid)
+            except _Stall:
+                hi, stalled = mid, True
+                continue
+            if trial[2] > t_max:
+                hi, stalled = mid, False
+            else:
+                lo, last = mid, trial
+        if record and last is not s:
+            trajectory.append(snapshot(last))
+        if not stalled:
+            return finish(last, Termination.TIMEOUT)
+        u, p = last[0], last[1]
+        f = last[4][0] * p / u if u > 0.0 else 0.0
+        u_stop = min(sqrt(u * u + p * p / -f), hi) if f < 0.0 else u
+        stop = (u_stop, 0.0, t_max, last[3], None)
+        if record:
+            trajectory.append(snapshot(stop))
+        return finish(stop, Termination.TIMEOUT)
 
     rule = cfg.takeoff_rule
     cap_armed = rule in (TakeoffRule.ANGLE_CAP, TakeoffRule.EITHER)
     force_armed = rule in (TakeoffRule.CONTACT_FORCE_ZERO, TakeoffRule.EITHER)
-
-    q2, dq2, wm = cfg.q2_init, 0.0, 0.0
-    t = 0.0
     trajectory: list[SimState] = []
 
-    # Static hold: the commanded torque cannot start lifting the CoM.
-    if joint_force(q2, 0.0) <= m_tot * g:
+    k0 = ratio(q2_init)
+    j0 = -jfac * sin(0.5 * q2_init)
+    if eta * k0 * tau_peak <= mg * j0:
+        # Static hold: the commanded torque cannot start lifting the CoM.
+        held = (0.0, 0.0, t_max, 0.0, None)
         if record:
-            trajectory.append(snapshot(0.0, q2, 0.0, 0.0))
-            trajectory.append(snapshot(cfg.t_max, q2, 0.0, 0.0))
-        w = takeoff_energy(leg, q2, 0.0)
-        return TakeoffResult(
-            w_takeoff=w, h_jump=jump_height(leg, w), t_takeoff=cfg.t_max,
-            q2_at_takeoff=q2, terminated_by=Termination.TIMEOUT,
-            trajectory=trajectory)
+            trajectory += [snapshot((0.0, 0.0, 0.0, 0.0, None)), snapshot(held)]
+        return finish(held, Termination.TIMEOUT)
+    # At rest K ~ f0 u^2, which gives the limits dp/du = sqrt(f0) and
+    # dt/du = 2 J0 / (sqrt(2/m) sqrt(f0)).
+    rate = sqrt(eta * k0 * tau_peak - mg * j0)
+    state = (0.0, 0.0, 0.0, 0.0, (rate, 2.0 * j0 / (c_v * rate), 0.0, 0.0))
+    if record:
+        trajectory.append(snapshot(state))
 
-    terminated = Termination.TIMEOUT
-    force_hit = False
-    try:
-        while True:
-            if q2 < -math.pi:
-                raise MechanismRangeError(
-                    f"knee collapsed past -pi (q2={q2:.6g})")
-            if record:
-                trajectory.append(snapshot(t, q2, dq2, wm))
-            if force_hit:
-                terminated = Termination.CONTACT_FORCE_ZERO
-                break
-            gap = cap - q2
-            if gap <= _CAP_TOL:
-                if cap_armed:
-                    terminated = Termination.ANGLE_CAP
-                    break
-                raise MechanismRangeError(
-                    f"knee reached the extension cap {cap:.6g} rad but the "
-                    "takeoff rule only accepts a contact-force crossing")
-            if t >= cfg.t_max - 1e-15:
-                terminated = Termination.TIMEOUT
-                break
-            h = cfg.dt if cfg.t_max - t > cfg.dt else cfg.t_max - t
-            if dq2 > 0.0:
-                h_cap = 0.25 * gap / dq2
-                if h_cap < h:
-                    h = h_cap
-            nq2, ndq2, nwm = rk4(q2, dq2, wm, h)
-            if force_armed and dq2 > _MIN_SPEED and joint_force(nq2, ndq2) <= 0.0:
-                lo, hi = 0.0, h
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    mq2, mdq2, _ = rk4(q2, dq2, wm, mid)
-                    if joint_force(mq2, mdq2) <= 0.0:
-                        hi = mid
-                    else:
-                        lo = mid
-                nq2, ndq2, nwm = rk4(q2, dq2, wm, hi)
-                h = hi
-                force_hit = True
-            q2, dq2, wm = nq2, ndq2, nwm
-            t += h
-    except MechanismRangeError as exc:
-        last_state = None
-        try:
-            last_state = snapshot(t, q2, dq2, wm)
-        except MechanismRangeError:
-            if trajectory:
-                last_state = trajectory[-1]
+    piece = 0
+    for i in range(1, U_STEPS + 1):
+        ue = u_cap if i == U_STEPS else u_cap * i / U_STEPS
+        while state[0] < ue:
+            ended = None
+            try:
+                new = advance(state, ue)
+                now = piece_of(new[4][3])
+                if now != piece:
+                    # End the step at the first envelope kink crossed;
+                    # reaching w_max is the contact-force-zero event.
+                    up = now > piece
+                    level = kinks[piece if up else piece - 1]
+                    sign = 1.0 if up else -1.0
+                    new = locate(state, new,
+                                 lambda s: sign * (s[4][3] - level),
+                                 1e-10 * level)
+                    if force_armed and up and piece == 2:
+                        ended = Termination.CONTACT_FORCE_ZERO
+                    piece += 1 if up else -1
+                if new[2] > t_max:
+                    new = locate(state, new, lambda s: s[2] - t_max, 1e-11)
+                    ended = Termination.TIMEOUT
+            except _Stall:
+                return stall(state, ue)
+            if record and new is not state:
+                trajectory.append(snapshot(new))
+            state = new
+            if ended is not None:
+                return finish(state, ended)
+
+    if not cap_armed:
         raise SimulationRangeError(
-            f"simulation left the valid range at t={t:.6g} s: {exc}",
-            last_state=last_state) from exc
-
-    jj = -jfac * math.sin(0.5 * q2)
-    w = takeoff_energy(leg, q2, jj * dq2)
-    return TakeoffResult(
-        w_takeoff=w,
-        h_jump=jump_height(leg, w),
-        t_takeoff=t,
-        q2_at_takeoff=q2,
-        terminated_by=terminated,
-        trajectory=trajectory,
-    )
+            f"simulation left the valid range at t={state[2]:.6g} s: knee "
+            f"reached the extension cap {cap:.6g} rad but the takeoff rule "
+            "only accepts a contact-force crossing",
+            last_state=snapshot(state))
+    return finish(state, Termination.ANGLE_CAP)
 
 
 def ballistic_check(leg: LegModel, state: KneeState, duration: float,
                     dt: float = 1e-4) -> float:
     """Integrate the torqueless dynamics and return max |dE|/E over the window.
 
-    Uses the same RK4 scheme as simulate_jump with tau = 0, for which the
-    exact CoM motion is free fall and total mechanical energy is conserved;
-    the return value measures pure integrator drift. Integration stops early
-    if the knee leaves (-pi + 1e-3, -0.01).
+    Uses classic fixed-step RK4 in time on (q2, dq2) with tau = 0, for which
+    the exact CoM motion is free fall and total mechanical energy is
+    conserved; the return value measures pure integrator drift. Integration
+    stops early if the knee leaves (-pi + 1e-3, -0.01).
     """
     if duration < 0 or dt <= 0:
         raise DomainError("duration must be >= 0 and dt > 0")

@@ -16,6 +16,7 @@ import pytest
 from vrrjump import (KneeState, SimConfig, VrrParams, ballistic_check,
                      com_height, compare_designs, load_config, optimize_vrr,
                      reduction_ratio, simulate_jump)
+from vrrjump import sim
 from vrrjump.cli import main
 from vrrjump.optimize import _axis
 from vrrjump.sim import Termination
@@ -190,18 +191,20 @@ def test_criterion_5_ratio_curve_sensitivities():
 
 # ------------------------------------------------------------ criterion 6 ----
 
-def test_criterion_6_integrator_quality(fullscale):
+def test_criterion_6_integrator_quality(fullscale, monkeypatch):
     drift = ballistic_check(fullscale.leg, KneeState(q2=-2.0, dq2=1.0),
                             duration=0.5, dt=1e-4)
     mech = VrrParams(r=0.047, s0=0.150)
-    h1 = simulate_jump(fullscale.leg, fullscale.motor, mech,
-                       SimConfig(q2_init=-2.618, dt=1e-4), record=False).h_jump
-    h2 = simulate_jump(fullscale.leg, fullscale.motor, mech,
-                       SimConfig(q2_init=-2.618, dt=5e-5), record=False).h_jump
-    ok = drift < 1e-8 and abs(h1 - h2) < 1e-3
+    cfg = SimConfig(q2_init=-2.618)
+    h1 = simulate_jump(fullscale.leg, fullscale.motor, mech, cfg,
+                       record=False).h_jump
+    monkeypatch.setattr(sim, "U_STEPS", 2 * sim.U_STEPS)
+    h2 = simulate_jump(fullscale.leg, fullscale.motor, mech, cfg,
+                       record=False).h_jump
+    ok = drift < 1e-8 and abs(h1 - h2) <= 1e-6
     check("criterion 6", ok,
-          f"ballistic drift {drift:.3g} (< 1e-8); step-halving dH = "
-          f"{abs(h1 - h2):.3g} m (< 1e-3)")
+          f"ballistic drift {drift:.3g} (< 1e-8); u-step-halving dH = "
+          f"{abs(h1 - h2):.3g} m (<= 1e-6)")
 
 
 # ------------------------------------------------------------ criterion 7 ----

@@ -143,6 +143,39 @@ def test_bad_takeoff_rule(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("sim.dt_s", math.nan), ("leg.m3_kg", math.inf),
+    ("motor.tau_peak_nm", -math.inf), ("mechanism.r_mm", math.nan),
+    ("search.s0_mm", [100.0, math.inf, 5.0]), ("angles_rad", [math.nan]),
+])
+def test_non_finite_numbers_rejected(tmp_path, key, value):
+    path = write_config(tmp_path, **{key: value})
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        load_config(path)
+
+
+def test_overflowing_literal_rejected(tmp_path):
+    path = write_config(tmp_path, **{"sim.t_max_s": 0.123456})
+    with open(path) as fh:
+        text = fh.read().replace("0.123456", "1e999")
+    with open(path, "w") as fh:
+        fh.write(text)
+    with pytest.raises(ConfigError, match=r"sim\.t_max_s"):
+        load_config(path)
+
+
+def test_non_finite_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path, **{"sim.dt_s": math.nan})
+    assert main(["simulate", "--config", cfg]) == 2
+    assert "sim.dt_s" in capsys.readouterr().err
+
+
+def test_oversized_search_box_rejected(tmp_path):
+    path = write_config(tmp_path, **{"search.r_mm": [25.0, 75.0, 1e-9]})
+    with pytest.raises(ConfigError, match="search.*r_range.*limit"):
+        load_config(path)
+
+
 # ------------------------------------------------------------- formatting ----
 
 def test_csv_number_formatting():

@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from vrrjump import (ConfigError, FrrParams, SimConfig, TakeoffRule,
-                     Termination, VrrParams, load_config, ratio_curve,
-                     simulate_jump)
+from vrrjump import (ConfigError, DomainError, FrrParams, LegModel,
+                     SimConfig, TakeoffRule, Termination, VrrParams,
+                     default_motor, load_config, ratio_curve, simulate_jump)
 
 
 def test_takeoff_from_just_below_cap(leg, motor, mech_opt):
@@ -99,3 +99,19 @@ def test_custom_takeoff_cap(leg, motor, mech_opt):
 def test_cap_default_consistency():
     from vrrjump import DEFAULT_Q2_CAP
     assert SimConfig(q2_init=-2.0).q2_takeoff_cap == DEFAULT_Q2_CAP
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LegModel(0.45, 0.45, 0.225, 0.225, 2.5, 5.0, math.inf),
+    lambda: LegModel(0.45, 0.45, 0.225, 0.225, 2.5, 5.0, 20.0, g=math.nan),
+    lambda: dataclasses.replace(default_motor(), eta_j=math.nan),
+    lambda: dataclasses.replace(default_motor(), omega_hpl=math.inf),
+    lambda: dataclasses.replace(default_motor(), c_iron1=math.inf),
+    lambda: VrrParams(0.047, 0.150, delta_theta=math.nan),
+    lambda: VrrParams(0.047, math.inf),
+    lambda: FrrParams(math.inf),
+    lambda: SimConfig(q2_init=-2.0, dt=math.nan),
+])
+def test_models_reject_non_finite_numbers(make):
+    with pytest.raises(DomainError, match="must be finite"):
+        make()

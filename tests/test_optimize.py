@@ -7,7 +7,7 @@ from vrrjump import (DomainError, EvalRecord, FrrParams, NoFeasibleDesignError,
                      SearchBox, VrrParams, compare_designs,
                      default_search_box, optimize_frr, optimize_vrr,
                      select_best, simulate_jump)
-from vrrjump.optimize import _axis
+from vrrjump.optimize import MAX_CANDIDATES, _axis, _pool_plan
 
 DEG = math.pi / 180.0
 
@@ -165,3 +165,28 @@ def test_search_box_validation():
     with pytest.raises(DomainError):
         SearchBox((0.04, 0.05, 0.0), (0.1, 0.2, 0.01), (0.0, 0.0, 1.0),
                   (10.0, 40.0, 1.0))
+
+
+def test_search_box_limit_checked_before_allocation():
+    """A 1e-12 step would build 5e10 candidates; the box is refused first."""
+    with pytest.raises(DomainError, match="limit"):
+        SearchBox((0.025, 0.075, 1e-12), (0.1, 0.2, 0.01), (0.0, 0.0, 1.0),
+                  (10.0, 40.0, 1.0))
+    with pytest.raises(DomainError, match="frr_range"):
+        SearchBox((0.04, 0.05, 0.001), (0.1, 0.2, 0.01), (0.0, 0.0, 1.0),
+                  (10.0, 40.0, 1e-300))
+    with pytest.raises(DomainError, match="finite"):
+        SearchBox((0.04, 0.05, math.nan), (0.1, 0.2, 0.01), (0.0, 0.0, 1.0),
+                  (10.0, 40.0, 1.0))
+    assert len(_axis(default_search_box().r_range)) ** 3 < MAX_CANDIDATES
+
+
+def test_pool_plan_clamps_workers(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert _pool_plan(1581, 10 ** 6) == (4, 32)
+    assert _pool_plan(3, 8) == (3, 3)
+    assert _pool_plan(100, 2) == (2, 16)
+    assert _pool_plan(100, 1) == (1, 1)
+    assert _pool_plan(1, 4) == (1, 1)
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert _pool_plan(100, 8) == (1, 1)

@@ -7,6 +7,7 @@ from vrrjump import (DomainError, FrrParams, KneeState, SimConfig,
                      SimulationRangeError, TakeoffRule, Termination,
                      VrrParams, ballistic_check, com_height, contact_force,
                      jump_height, simulate_jump, takeoff_energy)
+from vrrjump import sim
 from conftest import motor_variant
 
 
@@ -56,9 +57,10 @@ def test_reference_takeoff(leg, motor, mech_opt, deep_crouch):
 
 
 def test_reference_takeoff_regression(leg, motor, mech_opt, deep_crouch):
+    """Converged values: RK4 in time at dt = 5e-6 s gives 359.45730 J."""
     res = simulate_jump(leg, motor, mech_opt, deep_crouch)
-    assert res.h_jump == pytest.approx(0.534755, abs=2e-5)
-    assert res.w_takeoff == pytest.approx(359.470, abs=0.01)
+    assert res.h_jump == pytest.approx(0.5347064, abs=1e-6)
+    assert res.w_takeoff == pytest.approx(359.45730, abs=1e-4)
 
 
 def test_frr_takeoff_by_force_zero(leg, motor, deep_crouch):
@@ -115,12 +117,18 @@ def test_monotone_in_peak_power(leg, motor, mech_opt, deep_crouch):
     assert heights[0] < heights[1] < heights[2]
 
 
-def test_step_halving_convergence(leg, motor, mech_opt):
-    h1 = simulate_jump(leg, motor, mech_opt,
-                       SimConfig(q2_init=-2.6180, dt=1e-4), record=False).h_jump
-    h2 = simulate_jump(leg, motor, mech_opt,
-                       SimConfig(q2_init=-2.6180, dt=5e-5), record=False).h_jump
-    assert abs(h1 - h2) < 1e-3
+def test_step_halving_convergence(leg, motor, mech_opt, monkeypatch):
+    cfg = SimConfig(q2_init=-2.6180)
+    h1 = simulate_jump(leg, motor, mech_opt, cfg, record=False).h_jump
+    monkeypatch.setattr(sim, "U_STEPS", 2 * sim.U_STEPS)
+    h2 = simulate_jump(leg, motor, mech_opt, cfg, record=False).h_jump
+    assert abs(h1 - h2) <= 1e-6
+
+
+def test_dt_is_not_read(leg, motor, mech_opt):
+    a = simulate_jump(leg, motor, mech_opt, SimConfig(q2_init=-2.618, dt=1e-4))
+    b = simulate_jump(leg, motor, mech_opt, SimConfig(q2_init=-2.618, dt=1e-2))
+    assert a == b
 
 
 def test_record_flag_matches_scalar_outputs(leg, motor, mech_opt, deep_crouch):
@@ -131,14 +139,59 @@ def test_record_flag_matches_scalar_outputs(leg, motor, mech_opt, deep_crouch):
     assert a.t_takeoff == b.t_takeoff
 
 
+@pytest.mark.parametrize("mech,t_max", [
+    (VrrParams(0.047, 0.150), 1.0), (FrrParams(22.0), 1.0),
+    (VrrParams(0.047, 0.150), 0.05)])
+def test_record_flag_bitwise_at_every_ending(leg, motor, mech, t_max):
+    cfg = SimConfig(q2_init=-2.618, t_max=t_max)
+    a = simulate_jump(leg, motor, mech, cfg, record=True)
+    b = simulate_jump(leg, motor, mech, cfg, record=False)
+    assert b.trajectory == []
+    assert dataclasses.replace(a, trajectory=[]) == b
+    assert a.trajectory[-1].t == a.t_takeoff
+    assert a.trajectory[-1].q2 == a.q2_at_takeoff
+
+
+def test_trajectory_has_one_row_per_u_step(leg, motor, mech_opt, deep_crouch):
+    """Plus the start and one row at each envelope kink crossed."""
+    res = simulate_jump(leg, motor, mech_opt, deep_crouch)
+    assert sim.U_STEPS + 1 < len(res.trajectory) <= sim.U_STEPS + 1 + 6
+    ts = [s.t for s in res.trajectory]
+    assert all(b > a for a, b in zip(ts, ts[1:]))
+
+
 def test_static_hold_on_insufficient_torque(leg, motor, mech_opt, deep_crouch):
     weak = motor_variant(motor, tau_peak=1e-6, p_peak=1e-6 * 160.0)
     res = simulate_jump(leg, weak, mech_opt, deep_crouch)
     assert res.terminated_by is Termination.TIMEOUT
+    assert res.q2_at_takeoff == deep_crouch.q2_init
+    assert res.t_takeoff == deep_crouch.t_max
     assert res.w_takeoff == pytest.approx(
         leg.total_mass() * leg.g * com_height(leg, -2.618), rel=1e-12)
+    assert [s.t for s in res.trajectory] == [0.0, deep_crouch.t_max]
     assert all(s.dq2 == 0.0 for s in res.trajectory)
     assert res.h_jump < 0.0
+
+
+def test_stall_holds_the_stall_pose(leg, motor):
+    """The knee starts to extend, but the ratio falls toward zero before the
+    cap (negative offset) and a weak motor stops it mid-stroke."""
+    weak = motor_variant(motor, tau_peak=3.0, p_peak=3.0 * 160.0)
+    mech = VrrParams(0.047, 0.150, delta_theta=math.radians(-2.5))
+    cfg = SimConfig(q2_init=-0.3)
+    res = simulate_jump(leg, weak, mech, cfg)
+    assert res.terminated_by is Termination.TIMEOUT
+    assert res.t_takeoff == cfg.t_max
+    # RK45 in time at rtol 1e-12 stops the knee at q2 = -0.2355195 rad.
+    assert res.q2_at_takeoff == pytest.approx(-0.2355195, abs=1e-4)
+    assert res.w_takeoff == leg.total_mass() * leg.g * com_height(
+        leg, res.q2_at_takeoff)
+    last = res.trajectory[-1]
+    assert (last.t, last.q2, last.dq2) == (cfg.t_max, res.q2_at_takeoff, 0.0)
+    assert all(s.dq2 >= 0.0 for s in res.trajectory)
+    scalars = simulate_jump(leg, weak, mech, cfg, record=False)
+    assert (scalars.w_takeoff, scalars.q2_at_takeoff) == \
+        (res.w_takeoff, res.q2_at_takeoff)
 
 
 def test_angle_cap_rule_only(leg, motor, deep_crouch):
@@ -192,6 +245,8 @@ def test_paper_mode_consistency(leg_paper, motor):
 @pytest.mark.parametrize("bad", [
     dict(dt=0.0), dict(t_max=1e-4), dict(q2_takeoff_cap=0.0),
     dict(q2_init=-0.01), dict(q2_init=-4.0),
+    dict(dt=math.nan), dict(t_max=math.inf), dict(q2_takeoff_cap=-math.inf),
+    dict(q2_init=math.nan),
 ])
 def test_sim_config_invariants(bad):
     fields = dict(q2_init=-2.618)

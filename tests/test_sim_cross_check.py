@@ -1,8 +1,10 @@
 """Cross-validation of the takeoff integration against an independent solver.
 
-The same dynamics closure is integrated with scipy's adaptive RK45 at tight
-tolerance, with takeoff located by event detection; energies must agree with
-the fixed-step production integrator to within the discretization budget.
+The same dynamics closure is integrated in the time domain with scipy's
+adaptive RK45 at tight tolerance, with takeoff located by event detection.
+The production integrator steps in the knee angle instead, so agreement to
+1e-6 in energy and 1e-5 in time checks both the formulation and its
+convergence.
 """
 
 import math
@@ -10,12 +12,16 @@ import math
 import pytest
 from scipy.integrate import solve_ivp
 
-from vrrjump import (FrrParams, SimConfig, VrrParams, com_height,
-                     com_jacobian, com_jacobian_derivative, max_torque,
-                     reduction_ratio, simulate_jump)
+from vrrjump import (FrrParams, SimConfig, Termination, VrrParams,
+                     com_height, com_jacobian, com_jacobian_derivative,
+                     max_torque, reduction_ratio, simulate_jump)
+
+W_REL = 1e-6
+T_REL = 1e-5
 
 
-def independent_takeoff_energy(leg, motor, mech, q2_init, cap=-0.05):
+def independent_takeoff(leg, motor, mech, q2_init, cap=-0.05, t_max=1.0):
+    """(energy, time, termination) of a time-domain RK45 run."""
     m = leg.total_mass()
 
     def k_of(q2):
@@ -38,19 +44,34 @@ def independent_takeoff_energy(leg, motor, mech, q2_init, cap=-0.05):
     hit_cap.direction = 1.0
 
     def force_zero(t, y):
+        # The envelope torque, and with it the contact force, vanishes where
+        # the motor speed reaches omega_max.
         q2, dq2 = y
-        if dq2 <= 1e-6:
-            return 1.0
-        k = k_of(q2)
-        return max_torque(motor, abs(k * dq2)) * k * motor.eta_j
+        return motor.omega_max - k_of(q2) * dq2
     force_zero.terminal = True
+    force_zero.direction = -1.0
 
-    sol = solve_ivp(rhs, (0.0, 1.0), [q2_init, 0.0], rtol=1e-10, atol=1e-12,
-                    events=(hit_cap, force_zero), max_step=1e-2)
-    assert sol.status == 1, "independent solver must terminate on an event"
+    sol = solve_ivp(rhs, (0.0, t_max), [q2_init, 0.0], rtol=1e-11,
+                    atol=1e-12, events=(hit_cap, force_zero), max_step=1e-2)
+    assert sol.status in (0, 1), sol.message
+    if sol.status == 0:
+        how = Termination.TIMEOUT
+    elif sol.t_events[0].size:
+        how = Termination.ANGLE_CAP
+    else:
+        how = Termination.CONTACT_FORCE_ZERO
     q2, dq2 = sol.y[0][-1], sol.y[1][-1]
     dy = com_jacobian(leg, q2) * dq2
-    return 0.5 * m * dy * dy + m * leg.g * com_height(leg, q2), sol.t[-1]
+    return 0.5 * m * dy * dy + m * leg.g * com_height(leg, q2), sol.t[-1], how
+
+
+def assert_agrees(leg, motor, mech, cfg):
+    res = simulate_jump(leg, motor, mech, cfg, record=False)
+    w_ref, t_ref, how = independent_takeoff(leg, motor, mech, cfg.q2_init,
+                                            t_max=cfg.t_max)
+    assert res.terminated_by is how
+    assert res.w_takeoff == pytest.approx(w_ref, rel=W_REL)
+    assert res.t_takeoff == pytest.approx(t_ref, rel=T_REL)
 
 
 @pytest.mark.parametrize("mech", [VrrParams(r=0.047, s0=0.150),
@@ -58,8 +79,21 @@ def independent_takeoff_energy(leg, motor, mech, q2_init, cap=-0.05):
                                   FrrParams(22.0), FrrParams(28.0)])
 @pytest.mark.parametrize("q2_init", [-2.6180, -1.9199])
 def test_energy_matches_independent_integrator(leg, motor, mech, q2_init):
-    res = simulate_jump(leg, motor, mech, SimConfig(q2_init=q2_init),
-                        record=False)
-    w_ref, t_ref = independent_takeoff_energy(leg, motor, mech, q2_init)
-    assert res.w_takeoff == pytest.approx(w_ref, rel=2e-4)
-    assert res.t_takeoff == pytest.approx(t_ref, rel=2e-3, abs=1e-3)
+    assert_agrees(leg, motor, mech, SimConfig(q2_init=q2_init))
+
+
+@pytest.mark.parametrize("q2_init", [-2.6180, -2.2689, -1.9199])
+def test_frr_force_zero_matches_independent_integrator(leg, motor, q2_init):
+    res = simulate_jump(leg, motor, FrrParams(23.0),
+                        SimConfig(q2_init=q2_init), record=False)
+    assert res.terminated_by is Termination.CONTACT_FORCE_ZERO
+    assert_agrees(leg, motor, FrrParams(23.0), SimConfig(q2_init=q2_init))
+
+
+@pytest.mark.parametrize("mech", [VrrParams(r=0.047, s0=0.150), FrrParams(22.0)])
+def test_moving_timeout_matches_independent_integrator(leg, motor, mech):
+    cfg = SimConfig(q2_init=-2.6180, t_max=0.05)
+    assert_agrees(leg, motor, mech, cfg)
+    res = simulate_jump(leg, motor, mech, cfg, record=False)
+    assert res.q2_at_takeoff > cfg.q2_init
+    assert math.isclose(res.t_takeoff, cfg.t_max, abs_tol=1e-9)
