@@ -16,7 +16,6 @@ from __future__ import annotations
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .errors import DomainError, NoFeasibleDesignError, SimulationRangeError
@@ -127,6 +126,9 @@ def _run_grid(leg, motor, cfg, mechs, workers: int) -> list[EvalRecord]:
     if workers == 1:
         outs = [_evaluate(leg, motor, cfg, m) for m in mechs]
     else:
+        # Imported here: the pool pulls in multiprocessing, which a run
+        # on one process never needs.
+        from concurrent.futures import ProcessPoolExecutor
         size = (len(mechs) + n_chunks - 1) // n_chunks
         chunks = [mechs[i:i + size] for i in range(0, len(mechs), size)]
         outs = []

@@ -31,6 +31,19 @@ full extension does not shrink the steps. A step also ends wherever
 |omega_m| = k v / J crosses a kink of the envelope (omega_break, omega_hpl,
 omega_max), so RK4 only ever integrates a smooth right-hand side.
 
+Every candidate at one angle walks the same u-grid, and the geometry at a
+grid step does not depend on the design: the Jacobian J and, for the
+crank angle theta = q2 + pi - delta_theta, sin(theta) and cos(theta).
+_u_grid tabulates them once per (q2_init, cap, U_STEPS, jacobian scale,
+delta_theta) at each step's midpoint and endpoint, from the same float
+expressions the kernel would use, in a bounded cache that each process
+(each pool worker too) fills on first use. A full grid step reads the
+table and computes only k from it, once at the midpoint and once at the
+endpoint; the fixed-ratio kernel reads only J. A step that starts off the
+grid (after a kink or event split, and the trial steps of event location
+and stall bisection) computes its geometry from u. Either way the results
+are bit for bit those of computing everything per step.
+
 Takeoff events:
 
 * AngleCap -- q2 reaches the configured extension cap, which is the last
@@ -55,6 +68,7 @@ event. SimConfig.dt is validated but not read: the u-steps replace it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -70,6 +84,37 @@ U_STEPS = 250
 
 class _Stall(Exception):
     """The kinetic energy reached zero inside a step."""
+
+
+def _geometry(q2: float, jfac: float,
+              th_off: float) -> tuple[float, float, float]:
+    """(J, sin theta, cos theta) at knee angle q2: the CoM Jacobian
+    -jfac sin(q2/2) and the crank angle theta = q2 + th_off."""
+    th = q2 + th_off
+    return -jfac * math.sin(0.5 * q2), math.sin(th), math.cos(th)
+
+
+@functools.lru_cache(maxsize=32)
+def _u_grid(q2_init: float, cap: float, n: int, jfac: float,
+            th_off: float) -> tuple[tuple[float, ...], ...]:
+    """The n uniform u-steps of a takeoff with their geometry.
+
+    One tuple per step: (u, ue, J, sin theta, cos theta at the midpoint
+    u + (ue - u)/2, and the same three at ue). It depends on no design
+    parameter but the crank offset th_off, so every candidate of a grid at
+    one angle shares it. 32 tables hold the default box's 7 offsets at
+    three angles.
+    """
+    u_cap = math.sqrt(cap - q2_init)
+    steps = []
+    u = 0.0
+    for i in range(1, n + 1):
+        ue = u_cap if i == n else u_cap * i / n
+        um = u + 0.5 * (ue - u)
+        steps.append((u, ue, *_geometry(q2_init + um * um, jfac, th_off),
+                      *_geometry(q2_init + ue * ue, jfac, th_off)))
+        u = ue
+    return tuple(steps)
 
 
 class TakeoffRule(str, Enum):
@@ -139,7 +184,7 @@ class TakeoffResult:
     trajectory: list[SimState] = field(default_factory=list)
 
 
-def contact_force(leg: LegModel, q2: float, dq2: float, ddy_com: float) -> float:
+def contact_force(leg: LegModel, ddy_com: float) -> float:
     """Ground reaction m_tot*(ydd + g); takeoff once it reaches zero."""
     return leg.total_mass() * (ddy_com + leg.g)
 
@@ -188,7 +233,6 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     cap = cfg.q2_takeoff_cap
     t_max = cfg.t_max
     u_cap = math.sqrt(cap - q2_init)
-    sin = math.sin
     cos = math.cos
     sqrt = math.sqrt
 
@@ -198,14 +242,20 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         k_num = math.pi * a_cos / mech.lead
         th_off = math.pi - mech.delta_theta
 
-        def ratio(q2: float) -> float:
-            th = q2 + th_off
-            return k_num * sin(th) / sqrt(a_sq - a_cos * cos(th))
+        def ratio(sin_th: float, cos_th: float) -> float:
+            return k_num * sin_th / sqrt(a_sq - a_cos * cos_th)
     else:
         k_fixed = mech.k_fixed
+        # A fixed ratio reads only J, so it shares the delta_theta = 0 table.
+        th_off = math.pi
 
-        def ratio(q2: float) -> float:
+        def ratio(sin_th: float, cos_th: float) -> float:
             return k_fixed
+
+    def geom(q2: float) -> tuple[float, float]:
+        """(k, J) at knee angle q2."""
+        jj, sin_th, cos_th = _geometry(q2, jfac, th_off)
+        return ratio(sin_th, cos_th), jj
 
     def envelope(om: float) -> float:
         if om <= w_break:
@@ -222,13 +272,12 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         w_max on."""
         return (om > w_break) + (om > w_hpl) + (om >= w_max)
 
-    def rhs(u: float, p: float) -> tuple[float, float, float, float]:
-        """(dp/du, dt/du, dw_m/du, omega_m) at u > 0."""
+    def rhs(u: float, p: float, k: float,
+            jj: float) -> tuple[float, float, float, float]:
+        """(dp/du, dt/du, dw_m/du, omega_m) at u > 0, where the ratio is k
+        and the Jacobian jj."""
         if p <= 0.0:
             raise _Stall
-        q2 = q2_init + u * u
-        k = ratio(q2)
-        jj = -jfac * sin(0.5 * q2)
         v = c_v * p
         om = k * v / jj
         tau = envelope(om)
@@ -236,19 +285,29 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                 2.0 * u * tau * k, om)
 
     # A state is (u, p, t, w_motor, rhs at the state).
-    def advance(s: tuple, ue: float) -> tuple:
-        """One RK4 step from state s to u = ue."""
+    def advance(s: tuple, ue: float, km: float, jm: float, ke: float,
+                je: float) -> tuple:
+        """One RK4 step from state s to u = ue; (km, jm) are (k, J) at the
+        midpoint and (ke, je) at ue."""
         u, p, t, w, (a1, b1, c1, _) = s
         h = ue - u
         h2 = 0.5 * h
         um = u + h2
-        a2, b2, c2, _ = rhs(um, p + h2 * a1)
-        a3, b3, c3, _ = rhs(um, p + h2 * a2)
-        a4, b4, c4, _ = rhs(ue, p + h * a3)
+        a2, b2, c2, _ = rhs(um, p + h2 * a1, km, jm)
+        a3, b3, c3, _ = rhs(um, p + h2 * a2, km, jm)
+        a4, b4, c4, _ = rhs(ue, p + h * a3, ke, je)
         h6 = h / 6.0
         pe = p + h6 * (a1 + 2.0 * (a2 + a3) + a4)
         return (ue, pe, t + h6 * (b1 + 2.0 * (b2 + b3) + b4),
-                w + h6 * (c1 + 2.0 * (c2 + c3) + c4), rhs(ue, pe))
+                w + h6 * (c1 + 2.0 * (c2 + c3) + c4), rhs(ue, pe, ke, je))
+
+    def step(s: tuple, ue: float) -> tuple:
+        """One RK4 step from s to ue, with the geometry computed from u:
+        for steps that do not start on a grid point."""
+        u = s[0]
+        um = u + 0.5 * (ue - u)
+        return advance(s, ue, *geom(q2_init + um * um),
+                       *geom(q2_init + ue * ue))
 
     def locate(s: tuple, end: tuple, phi, tol: float) -> tuple:
         """The first state past the root of phi on the step from s to end.
@@ -266,7 +325,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             x = hi - fhi * (hi - lo) / (fhi - flo)
             if not lo < x < hi:
                 x = 0.5 * (lo + hi)
-            trial = advance(s, x)
+            trial = step(s, x)
             fx = phi(trial)
             if fx >= 0.0:
                 hi, fhi, best = x, fx, trial
@@ -285,8 +344,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
 
     def snapshot(s: tuple) -> SimState:
         q2 = q2_of(s)
-        k = ratio(q2)
-        jj = -jfac * sin(0.5 * q2)
+        k, jj = geom(q2)
         v = c_v * s[1]
         om = k * v / jj
         tau_m = envelope(om)
@@ -319,7 +377,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             if not lo < mid < hi:
                 break
             try:
-                trial = advance(s, mid)
+                trial = step(s, mid)
             except _Stall:
                 hi, stalled = mid, True
                 continue
@@ -344,8 +402,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     force_armed = rule in (TakeoffRule.CONTACT_FORCE_ZERO, TakeoffRule.EITHER)
     trajectory: list[SimState] = []
 
-    k0 = ratio(q2_init)
-    j0 = -jfac * sin(0.5 * q2_init)
+    k0, j0 = geom(q2_init)
     if eta * k0 * tau_peak <= mg * j0:
         # Static hold: the commanded torque cannot start lifting the CoM.
         held = (0.0, 0.0, t_max, 0.0, None)
@@ -360,12 +417,18 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         trajectory.append(snapshot(state))
 
     piece = 0
-    for i in range(1, U_STEPS + 1):
-        ue = u_cap if i == U_STEPS else u_cap * i / U_STEPS
+    grid = _u_grid(q2_init, cap, U_STEPS, jfac, th_off)
+    for u0, ue, jm, sin_m, cos_m, je, sin_e, cos_e in grid:
         while state[0] < ue:
             ended = None
             try:
-                new = advance(state, ue)
+                # The table holds the geometry of a step from u0 only; a
+                # split left the state between grid points.
+                if state[0] == u0:
+                    new = advance(state, ue, ratio(sin_m, cos_m), jm,
+                                  ratio(sin_e, cos_e), je)
+                else:
+                    new = step(state, ue)
                 now = piece_of(new[4][3])
                 if now != piece:
                     # End the step at the first envelope kink crossed;

@@ -1,8 +1,12 @@
 import dataclasses
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vrrjump
 from vrrjump import (DomainError, EvalRecord, FrrParams, NoFeasibleDesignError,
                      SearchBox, VrrParams, compare_designs,
                      default_search_box, optimize_frr, optimize_vrr,
@@ -190,3 +194,15 @@ def test_pool_plan_clamps_workers(monkeypatch):
     assert _pool_plan(1, 4) == (1, 1)
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert _pool_plan(100, 8) == (1, 1)
+
+
+def test_package_import_leaves_the_pool_unloaded():
+    """The process pool is imported only by a grid that uses it."""
+    src = str(Path(vrrjump.__file__).resolve().parents[1])
+    config = Path(vrrjump.__file__).parent / "configs" / "fullscale.json"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import vrrjump; "
+            "vrrjump.load_config(sys.argv[2]); "
+            "print('concurrent.futures.process' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src, str(config)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

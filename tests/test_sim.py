@@ -3,19 +3,20 @@ import math
 
 import pytest
 
-from vrrjump import (DomainError, FrrParams, KneeState, SimConfig,
+from vrrjump import (DomainError, FrrParams, KneeState, SearchBox, SimConfig,
                      SimulationRangeError, TakeoffRule, Termination,
                      VrrParams, ballistic_check, com_height, contact_force,
-                     jump_height, simulate_jump, takeoff_energy)
+                     jump_height, optimize_frr, optimize_vrr, simulate_jump,
+                     takeoff_energy)
 from vrrjump import sim
 from conftest import motor_variant
 
 
 def test_contact_force_free_fall_boundary(leg):
     m = leg.total_mass()
-    assert contact_force(leg, -1.0, 2.0, -leg.g) == pytest.approx(0.0, abs=1e-12)
-    assert contact_force(leg, -1.0, 0.0, 0.0) == pytest.approx(m * leg.g, rel=1e-14)
-    assert contact_force(leg, -1.0, 0.0, leg.g) == pytest.approx(2 * m * leg.g, rel=1e-14)
+    assert contact_force(leg, -leg.g) == pytest.approx(0.0, abs=1e-12)
+    assert contact_force(leg, 0.0) == pytest.approx(m * leg.g, rel=1e-14)
+    assert contact_force(leg, leg.g) == pytest.approx(2 * m * leg.g, rel=1e-14)
 
 
 def test_takeoff_energy_fixture(leg):
@@ -123,6 +124,91 @@ def test_step_halving_convergence(leg, motor, mech_opt, monkeypatch):
     monkeypatch.setattr(sim, "U_STEPS", 2 * sim.U_STEPS)
     h2 = simulate_jump(leg, motor, mech_opt, cfg, record=False).h_jump
     assert abs(h1 - h2) <= 1e-6
+
+
+@pytest.mark.parametrize("angle, w_ref, w_frr", [
+    (-2.618, 359.4572970111797, 327.3413865703526),
+    (-2.2689, 349.09019236093684, 314.33617951792814),
+    (-1.9199, 331.8965978675727, 300.2701958122105),
+])
+def test_pinned_energies(leg, motor, mech_opt, angle, w_ref, w_frr):
+    """Exact energies of the reference design and of k = 23; any change to
+    the kernel's arithmetic shows here."""
+    cfg = SimConfig(q2_init=angle)
+    res = simulate_jump(leg, motor, mech_opt, cfg, record=False)
+    assert res.w_takeoff == w_ref
+    res = simulate_jump(leg, motor, FrrParams(23.0), cfg, record=False)
+    assert res.w_takeoff == w_frr
+
+
+def _outcome(res):
+    return (res.w_takeoff, res.h_jump, res.t_takeoff, res.q2_at_takeoff,
+            res.terminated_by, res.trajectory)
+
+
+@pytest.mark.parametrize("double_steps", [False, True])
+def test_shared_u_grid_is_bitwise_neutral(leg, motor, deep_crouch,
+                                          monkeypatch, double_steps):
+    """Every grid evaluation equals, bit for bit, a lone run that built its
+    own u-grid table, and warm-cache runs match in either candidate order.
+    With the step count doubled after the cache is warm, a table not keyed
+    on it would be stale and the results would differ."""
+    box = SearchBox(r_range=(0.040, 0.050, 0.005),
+                    s0_range=(0.140, 0.160, 0.010),
+                    dtheta_range=(-math.radians(1.0), math.radians(1.0),
+                                  math.radians(1.0)),
+                    frr_range=(20.0, 24.0, 2.0))
+
+    def grid():
+        return (optimize_vrr(leg, motor, deep_crouch, box).evaluations
+                + optimize_frr(leg, motor, deep_crouch, box).evaluations)
+
+    def run(mech, record):
+        return _outcome(simulate_jump(leg, motor, mech, deep_crouch,
+                                      record=record))
+
+    sim._u_grid.cache_clear()
+    if double_steps:
+        before = grid()
+        monkeypatch.setattr(sim, "U_STEPS", 2 * sim.U_STEPS)
+    evals = grid()
+    assert all(rec.feasible for rec in evals)
+    if double_steps:
+        assert [r.w_takeoff for r in evals] != [r.w_takeoff for r in before]
+    mechs = [rec.params for rec in evals]
+    cold = {}
+    for mech in mechs:
+        for record in (False, True):
+            sim._u_grid.cache_clear()
+            cold[mech, record] = run(mech, record)
+    for rec in evals:
+        assert (rec.w_takeoff, rec.h_jump) == cold[rec.params, False][:2]
+    for order in (mechs, mechs[::-1]):
+        sim._u_grid.cache_clear()
+        for mech in order:
+            for record in (False, True):
+                assert run(mech, record) == cold[mech, record]
+
+
+@pytest.mark.parametrize("mech", [VrrParams(0.047, 0.150),
+                                  VrrParams(0.040, 0.140, math.radians(2.0)),
+                                  FrrParams(23.0)])
+def test_u_grid_table_matches_geometry_from_u(leg, motor, deep_crouch,
+                                              monkeypatch, mech):
+    """A table whose start points never match sends every step down the
+    off-grid path, which computes the geometry from u; the results agree
+    bit for bit."""
+    table = sim._u_grid
+
+    def unmatched(*key):
+        return tuple((math.nan, *row[1:]) for row in table(*key))
+
+    expected = [_outcome(simulate_jump(leg, motor, mech, deep_crouch, record))
+                for record in (False, True)]
+    monkeypatch.setattr(sim, "_u_grid", unmatched)
+    for record, want in zip((False, True), expected):
+        got = _outcome(simulate_jump(leg, motor, mech, deep_crouch, record))
+        assert got == want
 
 
 def test_dt_is_not_read(leg, motor, mech_opt):
