@@ -148,11 +148,11 @@ def cmd_compare(args) -> int:
     base = cfg.sim.make(cfg.angles[0])
     report = compare_designs(cfg.leg, cfg.motor, base, cfg.search,
                              list(cfg.angles), workers=args.workers)
-    report.metadata = {
+    report.metadata.update({
         "config_sha256": cfg.config_hash,
         "resolved_config": cfg.resolved_doc,
         "wall_time_s": round(time.perf_counter() - t0, 3),
-    }
+    })
     out = _out_dir(args, cfg)
     manifest = emit_report(report, out)
     if args.dump_grid:

@@ -6,9 +6,9 @@ Candidates whose crank angle leaves the working range, or whose simulation
 leaves the valid state range mid-flight, are recorded infeasible and excluded
 from the argmax. Ties break toward the smallest (r, S0, |delta_theta|).
 
-Evaluations are independent; with workers > 1 they run on a process pool in
-deterministic chunks, and the aggregated result is identical to a sequential
-run.
+Evaluations are independent; with workers > 1 they run on one process pool
+per command, in deterministic chunks that never span two grids, and the
+aggregated result is identical to a sequential run.
 """
 
 from __future__ import annotations
@@ -17,8 +17,10 @@ import logging
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 
-from .errors import DomainError, NoFeasibleDesignError, SimulationRangeError
+from .errors import (DomainError, NoFeasibleDesignError, SimulationRangeError,
+                     VrrJumpError)
 from .leg import LegModel
 from .mechanism import FrrParams, MechanismRangeError, VrrParams
 from .motor import MotorParams
@@ -113,7 +115,7 @@ def _eval_chunk(leg, motor, cfg, mechs):
 
 def _pool_plan(n_mechs: int, workers: int) -> tuple[int, int]:
     """(processes, chunks) for a grid: workers clamped to the CPUs and to the
-    chunks. One process means the grid runs in this one."""
+    chunks. One process means the grid needs no pool."""
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or n_mechs < 2:
         return 1, 1
@@ -121,22 +123,43 @@ def _pool_plan(n_mechs: int, workers: int) -> tuple[int, int]:
     return min(workers, n_chunks), n_chunks
 
 
-def _run_grid(leg, motor, cfg, mechs, workers: int) -> list[EvalRecord]:
-    workers, n_chunks = _pool_plan(len(mechs), workers)
-    if workers == 1:
-        outs = [_evaluate(leg, motor, cfg, m) for m in mechs]
-    else:
-        # Imported here: the pool pulls in multiprocessing, which a run
-        # on one process never needs.
-        from concurrent.futures import ProcessPoolExecutor
-        size = (len(mechs) + n_chunks - 1) // n_chunks
-        chunks = [mechs[i:i + size] for i in range(0, len(mechs), size)]
-        outs = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_eval_chunk, leg, motor, cfg, c) for c in chunks]
-            for fut in futures:
-                outs.extend(fut.result())
+def _records(mechs, parts) -> list[EvalRecord] | VrrJumpError:
+    """A grid's records from its evaluated parts (zero-argument callables,
+    read in order), or the package error its evaluation raised."""
+    try:
+        outs = [out for part in parts for out in part()]
+    except VrrJumpError as exc:
+        return exc
     return [EvalRecord(m, w, h, ok) for m, (w, h, ok) in zip(mechs, outs)]
+
+
+def _run_grids(leg, motor, grids: list[tuple[SimConfig, list]],
+               workers: int) -> tuple[list[list[EvalRecord] | VrrJumpError], int]:
+    """Evaluate every (cfg, candidates) grid of a command.
+
+    Returns each grid's outcome, in order, and the number of processes used.
+    With one process every grid runs here. Otherwise one pool serves all
+    grids: each grid is cut into its own chunks (_pool_plan), and every
+    chunk is submitted before the first result is read, so no grid waits
+    for the one before it to drain.
+    """
+    plans = [_pool_plan(len(mechs), workers) for _, mechs in grids]
+    processes = max((p for p, _ in plans), default=1)
+    if processes == 1:
+        return [_records(mechs, [partial(_eval_chunk, leg, motor, cfg, mechs)])
+                for cfg, mechs in grids], 1
+    # Imported here: the pool pulls in multiprocessing, which a run on one
+    # process never needs.
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=processes) as pool:
+        pending = []
+        for (cfg, mechs), (_, n_chunks) in zip(grids, plans):
+            size = -(-len(mechs) // n_chunks)
+            pending.append([pool.submit(_eval_chunk, leg, motor, cfg,
+                                        mechs[i:i + size]).result
+                            for i in range(0, len(mechs), size)])
+        return [_records(mechs, parts)
+                for (_, mechs), parts in zip(grids, pending)], processes
 
 
 def _tie_key(params: VrrParams | FrrParams) -> tuple:
@@ -161,7 +184,9 @@ def select_best(evaluations: list[EvalRecord]) -> EvalRecord:
     return best
 
 
-def _finish(evaluations: list[EvalRecord]) -> OptResult:
+def _finish(evaluations: list[EvalRecord] | VrrJumpError) -> OptResult:
+    if isinstance(evaluations, VrrJumpError):
+        raise evaluations
     best = select_best(evaluations)
     return OptResult(
         best_params=best.params,
@@ -172,25 +197,35 @@ def _finish(evaluations: list[EvalRecord]) -> OptResult:
     )
 
 
+def _vrr_candidates(box: SearchBox) -> list[VrrParams]:
+    return [VrrParams(r=r, s0=s0, delta_theta=dth)
+            for r in _axis(box.r_range)
+            for s0 in _axis(box.s0_range)
+            for dth in _axis(box.dtheta_range)]
+
+
+def _frr_candidates(box: SearchBox) -> list[FrrParams]:
+    return [FrrParams(k_fixed=k) for k in _axis(box.frr_range)]
+
+
 def optimize_vrr(leg: LegModel, motor: MotorParams, cfg: SimConfig,
                  box: SearchBox, workers: int = 1) -> OptResult:
     """Grid-search (r, S0, delta_theta) for maximum takeoff energy."""
-    mechs = [VrrParams(r=r, s0=s0, delta_theta=dth)
-             for r in _axis(box.r_range)
-             for s0 in _axis(box.s0_range)
-             for dth in _axis(box.dtheta_range)]
+    mechs = _vrr_candidates(box)
     log.info("evaluating %d variable-ratio candidates (q2_init=%.4f)",
              len(mechs), cfg.q2_init)
-    return _finish(_run_grid(leg, motor, cfg, mechs, workers))
+    [outcome], _ = _run_grids(leg, motor, [(cfg, mechs)], workers)
+    return _finish(outcome)
 
 
 def optimize_frr(leg: LegModel, motor: MotorParams, cfg: SimConfig,
                  box: SearchBox, workers: int = 1) -> OptResult:
     """Scan the scalar fixed reduction ratio for maximum takeoff energy."""
-    mechs = [FrrParams(k_fixed=k) for k in _axis(box.frr_range)]
+    mechs = _frr_candidates(box)
     log.info("evaluating %d fixed-ratio candidates (q2_init=%.4f)",
              len(mechs), cfg.q2_init)
-    return _finish(_run_grid(leg, motor, cfg, mechs, workers))
+    [outcome], _ = _run_grids(leg, motor, [(cfg, mechs)], workers)
+    return _finish(outcome)
 
 
 @dataclass
@@ -219,26 +254,48 @@ def compare_designs(leg: LegModel, motor: MotorParams, base_cfg: SimConfig,
     """Optimize both joint types at each initial angle and compare heights.
 
     Rows are ordered deepest crouch first. A failure at one angle is recorded
-    in that row's error field and does not abort the remaining angles. The
-    optimal candidates are re-simulated with trajectory recording so reports
-    can emit the per-channel curves.
+    in that row's error field and does not abort the remaining angles. Every
+    angle's grids are evaluated in one batch (one pool when workers > 1)
+    before the first row is finished. The optimal candidates are then
+    re-simulated with trajectory recording so reports can emit the
+    per-channel curves. The report's metadata holds the processes used and
+    the number of candidates evaluated.
     """
-    rows = []
+    row_errors = (DomainError, MechanismRangeError, SimulationRangeError,
+                  NoFeasibleDesignError)
+
+    def fail(row: AngleRow, exc: Exception) -> None:
+        row.error = f"{type(exc).__name__}: {exc}"
+        log.warning("angle %.4f failed: %s", row.angle, row.error)
+
+    vrr_mechs, frr_mechs = _vrr_candidates(box), _frr_candidates(box)
+    rows, pending, grids = [], [], []
     for angle in sorted(angles):
         row = AngleRow(angle=angle)
+        rows.append(row)
         try:
             cfg = replace(base_cfg, q2_init=angle)
-            row.vrr = optimize_vrr(leg, motor, cfg, box, workers)
-            row.frr = optimize_frr(leg, motor, cfg, box, workers)
+        except row_errors as exc:
+            fail(row, exc)
+            continue
+        log.info("angle %.4f: evaluating %d variable-ratio and %d fixed-ratio "
+                 "candidates", angle, len(vrr_mechs), len(frr_mechs))
+        pending.append((row, cfg))
+        grids += [(cfg, vrr_mechs), (cfg, frr_mechs)]
+    outcomes, processes = _run_grids(leg, motor, grids, workers)
+
+    for (row, cfg), vrr, frr in zip(pending, outcomes[0::2], outcomes[1::2]):
+        try:
+            row.vrr = _finish(vrr)
+            row.frr = _finish(frr)
             row.vrr_takeoff = simulate_jump(leg, motor, row.vrr.best_params, cfg)
             row.frr_takeoff = simulate_jump(leg, motor, row.frr.best_params, cfg)
             if row.frr.h_jump != 0:
                 row.improvement_pct = 100.0 * (row.vrr.h_jump - row.frr.h_jump) / row.frr.h_jump
             log.info("angle %.4f: vrr h=%.4f m, frr h=%.4f m",
-                     angle, row.vrr.h_jump, row.frr.h_jump)
-        except (DomainError, MechanismRangeError, SimulationRangeError,
-                NoFeasibleDesignError) as exc:
-            row.error = f"{type(exc).__name__}: {exc}"
-            log.warning("angle %.4f failed: %s", angle, row.error)
-        rows.append(row)
-    return ComparisonReport(rows=rows, leg=leg, metadata={})
+                     row.angle, row.vrr.h_jump, row.frr.h_jump)
+        except row_errors as exc:
+            fail(row, exc)
+    return ComparisonReport(rows=rows, leg=leg, metadata={
+        "workers": processes,
+        "n_candidates": sum(len(mechs) for _, mechs in grids)})

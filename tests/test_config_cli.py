@@ -338,3 +338,23 @@ def test_compare_cli_dump_grid(tmp_path, capsys):
     grid = (out / "grid_vrr_-2.6180.csv").read_text().splitlines()
     assert len(grid) == 10
     assert (out / "grid_frr_-2.6180.csv").exists()
+
+
+def test_compare_dump_grid_same_bytes_with_a_pool(tmp_path, capsys, monkeypatch):
+    """--workers 2 writes the same bytes as --workers 1; only metadata.json,
+    which records the processes used, differs."""
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    cfg = tiny_search(tmp_path, angles_rad=[-2.618, -1.9199])
+    for workers in (1, 2):
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / str(workers)),
+                     "--workers", str(workers), "--dump-grid"]) == 0
+        meta = json.loads((tmp_path / str(workers) / "metadata.json").read_text())
+        assert (meta["workers"], meta["n_candidates"]) == (workers, 2 * (9 + 3))
+    capsys.readouterr()
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+    assert "grid_frr_-1.9199.csv" in names
+    for name in names:
+        if name != "metadata.json":
+            assert (tmp_path / "1" / name).read_bytes() == \
+                (tmp_path / "2" / name).read_bytes(), name

@@ -1,5 +1,8 @@
+import concurrent.futures
 import dataclasses
+import itertools
 import math
+import multiprocessing
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +14,7 @@ from vrrjump import (DomainError, EvalRecord, FrrParams, NoFeasibleDesignError,
                      SearchBox, VrrParams, compare_designs,
                      default_search_box, optimize_frr, optimize_vrr,
                      select_best, simulate_jump)
+from vrrjump import optimize
 from vrrjump.optimize import MAX_CANDIDATES, _axis, _pool_plan
 
 DEG = math.pi / 180.0
@@ -160,6 +164,115 @@ def test_compare_designs_isolates_per_angle_errors(leg, motor, deep_crouch):
     assert len(good) == 1 and len(bad) == 1
     assert bad[0].angle == -0.04
     assert good[0].vrr is not None
+
+
+def row_difference(a, b) -> str | None:
+    """The first difference between two compare rows, or None.
+
+    Every value counts by its repr, so NaN and every float bit count: each
+    field, each evaluation and each trajectory sample.
+    """
+    def lines(row):
+        out = [repr((row.angle, row.error, row.improvement_pct))]
+        for opt in (row.vrr, row.frr):
+            out += [repr(opt)] if opt is None else [
+                repr((opt.best_params, opt.w_takeoff, opt.h_jump,
+                      opt.n_infeasible)),
+                *map(repr, opt.evaluations)]
+        for res in (row.vrr_takeoff, row.frr_takeoff):
+            out += [repr(res)] if res is None else [
+                repr(dataclasses.replace(res, trajectory=[])),
+                *map(repr, res.trajectory)]
+        return out
+
+    for n, (x, y) in enumerate(itertools.zip_longest(lines(a), lines(b))):
+        if x != y:
+            return f"line {n}: {x} != {y}"
+    return None
+
+
+def test_compare_designs_pool_equals_in_process(leg, motor, deep_crouch,
+                                                monkeypatch):
+    """Every field of every row, trajectories and errors included, is the
+    same from the shared pool as in-process."""
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    box = small_box(dtheta=(-3.0 * DEG, 0.0, 1.0 * DEG))
+    angles = [-1.9199, -0.04, -2.6180]
+    seq = compare_designs(leg, motor, deep_crouch, box, angles, workers=1)
+    par = compare_designs(leg, motor, deep_crouch, box, angles, workers=2)
+    assert [r.error is None for r in seq.rows] == [True, True, False]
+    assert seq.rows[-1].error.startswith("DomainError")
+    for a, b in zip(seq.rows, par.rows, strict=True):
+        assert row_difference(a, b) is None
+    assert seq.metadata == {"workers": 1, "n_candidates": 2 * (36 + 3)}
+    assert par.metadata == {"workers": 2, "n_candidates": 2 * (36 + 3)}
+
+
+class CountingPool:
+    """In-thread stand-in for ProcessPoolExecutor that records the size of
+    each pool made."""
+
+    made: list[int] = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = concurrent.futures.Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@pytest.mark.parametrize("workers,used", [(1, 1), (2, 2), (64, 4)])
+def test_one_pool_per_command(leg, motor, deep_crouch, monkeypatch,
+                              workers, used):
+    """At most one pool per command, of the clamped size that the report's
+    metadata states; none with one worker."""
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(CountingPool, "made", [])
+    pools = [] if used == 1 else [used]
+    report = compare_designs(leg, motor, deep_crouch, small_box(),
+                             [-2.6180, -1.9199], workers=workers)
+    assert all(r.error is None for r in report.rows)
+    assert CountingPool.made == pools
+    assert report.metadata["workers"] == used
+    optimize_vrr(leg, motor, deep_crouch, small_box(), workers=workers)
+    assert CountingPool.made == 2 * pools
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_error_marks_only_its_row(leg, motor, deep_crouch, monkeypatch,
+                                       workers):
+    """An error raised inside one angle's grid evaluation fails that row
+    alone; the other rows are those of an undisturbed run."""
+    if workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers see the patched evaluation only under fork")
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    angles = [-2.6180, -2.2689, -1.9199]
+    clean = compare_designs(leg, motor, deep_crouch, small_box(), angles)
+    real = optimize._evaluate
+
+    def failing(leg, motor, cfg, mech):
+        if cfg.q2_init == -2.2689:
+            raise DomainError("injected")
+        return real(leg, motor, cfg, mech)
+
+    monkeypatch.setattr(optimize, "_evaluate", failing)
+    report = compare_designs(leg, motor, deep_crouch, small_box(), angles,
+                             workers=workers)
+    assert report.metadata["workers"] == workers
+    bad = report.rows[1]
+    assert bad.error == "DomainError: injected"
+    assert (bad.vrr, bad.frr, bad.vrr_takeoff) == (None, None, None)
+    for i in (0, 2):
+        assert row_difference(report.rows[i], clean.rows[i]) is None
 
 
 def test_search_box_validation():
