@@ -1,17 +1,18 @@
 """Variable-reduction-ratio knee joint: takeoff simulation and design search."""
 
-from .config import RunConfig, SimTemplate, load_config
-from .errors import (ConfigError, DegenerateGeometryError, DomainError,
-                     MechanismRangeError, NoFeasibleDesignError,
-                     SimulationRangeError, SingularityError, VrrJumpError)
+from .config import RunConfig, load_config
+from .errors import (ConfigError, DomainError, MechanismRangeError,
+                     NoFeasibleDesignError, SimulationRangeError,
+                     SingularityError, VrrJumpError)
 from .leg import (DEFAULT_Q2_CAP, JacobianMode, KneeState, LegModel,
                   com_force, com_height, com_jacobian,
                   com_jacobian_derivative, com_velocity, knee_to_com_ratio)
 from .mechanism import (FrrParams, RatioCurve, VrrParams, check_working_range,
-                        crank_angle, effective_overall_ratio, joint_angle,
-                        peak_crank_angle, ratio_curve, reduction_ratio)
+                        crank_angle, crank_offset, effective_overall_ratio,
+                        joint_angle, peak_crank_angle, ratio_curve, ratio_law,
+                        reduction_ratio)
 from .motor import (EnvelopePoint, MotorParams, default_motor, envelope_table,
-                    joint_torque, max_torque, power_loss)
+                    joint_torque, max_torque, power_loss, torque_envelope)
 from .optimize import (AngleRow, ComparisonReport, EvalRecord, OptResult,
                        SearchBox, compare_designs, default_search_box,
                        optimize_frr, optimize_vrr, select_best)

@@ -14,19 +14,19 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig, load_config
 from .errors import (ConfigError, DomainError, NoFeasibleDesignError,
                      SimulationRangeError, VrrJumpError)
 from .mechanism import VrrParams, crank_angle, ratio_curve
-from .motor import default_motor, envelope_table
+from .motor import RPM_PER_RADS, default_motor, envelope_table
 from .optimize import compare_designs, optimize_frr, optimize_vrr
-from .report import (RPM_PER_RADS, emit_report, fmt, write_csv,
+from .report import (emit_report, fmt, mech_cells, opt_summary, write_csv,
                      write_trajectory_csv)
 from .sim import simulate_jump
 
@@ -80,7 +80,8 @@ def cmd_simulate(args) -> int:
     if cfg.mechanism is None:
         raise ConfigError("simulate requires a 'mechanism' section in the config")
     angle = _pick_angle(cfg, args)
-    result = simulate_jump(cfg.leg, cfg.motor, cfg.mechanism, cfg.sim.make(angle))
+    result = simulate_jump(cfg.leg, cfg.motor, cfg.mechanism,
+                           replace(cfg.sim, q2_init=angle))
     out = _out_dir(args, cfg)
     out.mkdir(parents=True, exist_ok=True)
     traj_path = out / f"trajectory_{angle:.4f}.csv"
@@ -99,16 +100,11 @@ def cmd_simulate(args) -> int:
 
 
 def _write_grid_csv(path: Path, opt) -> None:
-    rows = []
-    for rec in opt.evaluations:
-        if isinstance(rec.params, VrrParams):
-            cells = [fmt(rec.params.r * 1000), fmt(rec.params.s0 * 1000),
-                     fmt(math.degrees(rec.params.delta_theta)), ""]
-        else:
-            cells = ["", "", "", fmt(rec.params.k_fixed)]
-        rows.append(cells + [str(rec.feasible).lower(),
-                             fmt(rec.w_takeoff) if rec.feasible else "nan",
-                             fmt(rec.h_jump) if rec.feasible else "nan"])
+    rows = [mech_cells(rec.params) + [
+                str(rec.feasible).lower(),
+                fmt(rec.w_takeoff) if rec.feasible else "nan",
+                fmt(rec.h_jump) if rec.feasible else "nan"]
+            for rec in opt.evaluations]
     write_csv(path, ["r_mm", "s0_mm", "dtheta_deg", "k_fixed",
                      "feasible", "w_takeoff_j", "h_jump_m"], rows)
     log.info("wrote %s", path)
@@ -117,26 +113,15 @@ def _write_grid_csv(path: Path, opt) -> None:
 def cmd_optimize(args) -> int:
     cfg = _load(args)
     angle = _pick_angle(cfg, args)
-    sim_cfg = cfg.sim.make(angle)
+    sim_cfg = replace(cfg.sim, q2_init=angle)
     fn = optimize_vrr if args.joint == "vrr" else optimize_frr
     opt = fn(cfg.leg, cfg.motor, sim_cfg, cfg.search, workers=args.workers)
     if args.dump_grid:
         out = _out_dir(args, cfg)
         out.mkdir(parents=True, exist_ok=True)
         _write_grid_csv(out / f"grid_{args.joint}_{angle:.4f}.csv", opt)
-    best = opt.best_params
-    summary = {
-        "angle_rad": angle,
-        "w_takeoff_j": opt.w_takeoff,
-        "h_jump_m": opt.h_jump,
-        "n_evaluations": len(opt.evaluations),
-        "n_infeasible": opt.n_infeasible,
-    }
-    if isinstance(best, VrrParams):
-        summary.update(r_mm=best.r * 1000, s0_mm=best.s0 * 1000,
-                       dtheta_deg=math.degrees(best.delta_theta))
-    else:
-        summary.update(k_fixed=best.k_fixed)
+    summary = {"angle_rad": angle, "n_evaluations": len(opt.evaluations),
+               **opt_summary(opt)}
     json.dump(summary, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return EXIT_OK
@@ -145,8 +130,7 @@ def cmd_optimize(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _load(args)
     t0 = time.perf_counter()
-    base = cfg.sim.make(cfg.angles[0])
-    report = compare_designs(cfg.leg, cfg.motor, base, cfg.search,
+    report = compare_designs(cfg.leg, cfg.motor, cfg.sim, cfg.search,
                              list(cfg.angles), workers=args.workers)
     report.metadata.update({
         "config_sha256": cfg.config_hash,

@@ -14,18 +14,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError, DomainError
 from .leg import JacobianMode, LegModel
-from .mechanism import FrrParams, VrrParams
-from .motor import MotorParams, default_motor
+from .mechanism import DEG, FrrParams, VrrParams
+from .motor import RADS_PER_RPM, MotorParams, default_motor
 from .optimize import SearchBox
 from .sim import SimConfig, TakeoffRule
-
-DEG = math.pi / 180.0
-RADS_PER_RPM = math.pi / 30.0
 
 _LEG_KEYS = {"l1_m", "l2_m", "a1_m", "a2_m", "m1_kg", "m2_kg", "m3_kg",
              "g_mps2", "jacobian_mode"}
@@ -43,26 +40,12 @@ _TOP_KEYS = {"leg", "motor", "mechanism", "sim", "search", "angles_rad",
 
 
 @dataclass(frozen=True)
-class SimTemplate:
-    """Simulation settings without the initial angle (supplied per run)."""
-
-    dt: float
-    t_max: float
-    q2_takeoff_cap: float
-    takeoff_rule: TakeoffRule
-
-    def make(self, q2_init: float) -> SimConfig:
-        return SimConfig(q2_init=q2_init, dt=self.dt, t_max=self.t_max,
-                         q2_takeoff_cap=self.q2_takeoff_cap,
-                         takeoff_rule=self.takeoff_rule)
-
-
-@dataclass(frozen=True)
 class RunConfig:
     leg: LegModel
     motor: MotorParams
     mechanism: VrrParams | FrrParams | None
-    sim: SimTemplate
+    sim: SimConfig
+    """The sim section at the first angle; use dataclasses.replace for others."""
     search: SearchBox
     angles: tuple[float, ...]
     output_dir: str
@@ -274,9 +257,13 @@ def _build(resolved: dict) -> RunConfig:
             raise ConfigError(f"mechanism: {exc}") from exc
 
     si = resolved["sim"]
-    sim = SimTemplate(dt=si["dt_s"], t_max=si["t_max_s"],
-                      q2_takeoff_cap=si["q2_takeoff_cap_rad"],
-                      takeoff_rule=TakeoffRule(si["takeoff_rule"]))
+    try:
+        # -pi suits every valid cap, so an error here is the section's own.
+        sim = SimConfig(q2_init=-math.pi, dt=si["dt_s"], t_max=si["t_max_s"],
+                        q2_takeoff_cap=si["q2_takeoff_cap_rad"],
+                        takeoff_rule=TakeoffRule(si["takeoff_rule"]))
+    except DomainError as exc:
+        raise ConfigError(f"sim: {exc}") from exc
 
     se = resolved["search"]
     try:
@@ -292,12 +279,13 @@ def _build(resolved: dict) -> RunConfig:
     angles = tuple(resolved["angles_rad"])
     for a in angles:
         try:
-            sim.make(a)
+            replace(sim, q2_init=a)
         except DomainError as exc:
             raise ConfigError(f"angles_rad: angle {a}: {exc}") from exc
 
     return RunConfig(
-        leg=leg, motor=motor, mechanism=mech, sim=sim, search=search,
+        leg=leg, motor=motor, mechanism=mech,
+        sim=replace(sim, q2_init=angles[0]), search=search,
         angles=angles, output_dir=resolved["output_dir"],
         resolved=json.dumps(resolved, sort_keys=True, indent=1),
     )

@@ -27,6 +27,10 @@ class SingularityError(DomainError):
             f"{cap:.6g} rad; the knee-to-CoM ratio diverges at full extension"
         )
 
+    def __reduce__(self):
+        # args holds the message, not (q2, cap), so the default would fail.
+        return type(self), (self.q2, self.cap)
+
 
 def require_finite(obj) -> None:
     """Raise DomainError naming the first numeric field of a dataclass
@@ -40,10 +44,6 @@ def require_finite(obj) -> None:
 
 class MechanismRangeError(DomainError):
     """Crank angle left the linkage working range."""
-
-
-class DegenerateGeometryError(MechanismRangeError):
-    """Linkage geometry produced a non-positive square-root argument."""
 
 
 class SimulationRangeError(VrrJumpError):

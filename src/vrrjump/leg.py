@@ -18,7 +18,8 @@ Two Jacobian conventions are supported:
   the matching antiderivative 2C*cos(q2/2) used for heights. This variant is
   kept because some published parameter sets are calibrated against it.
 
-All functions are pure; the model object is immutable.
+All functions are pure; the model object is immutable. The unchecked jacobian,
+jacobian_derivative and height of (f, q2) are the one definition of each.
 """
 
 from __future__ import annotations
@@ -104,16 +105,31 @@ def _check_q2(q2: float, include_zero: bool = True) -> None:
         raise DomainError(f"knee angle q2={q2:.6g} rad outside [-pi, 0]")
 
 
+def jacobian(f: float, q2: float) -> float:
+    """CoM Jacobian f*|sin(q2/2)| (bitwise -f*sin(q2/2) for q2 < 0)."""
+    return f * abs(math.sin(0.5 * q2))
+
+
+def jacobian_derivative(f: float, q2: float) -> float:
+    """d(jacobian)/dq2 = -(f/2) cos(q2/2) for q2 < 0."""
+    return -0.5 * f * math.cos(0.5 * q2)
+
+
+def height(f: float, q2: float) -> float:
+    """CoM height 2 f cos(q2/2), the antiderivative of jacobian."""
+    return 2.0 * f * math.cos(0.5 * q2)
+
+
 def com_jacobian(model: LegModel, q2: float) -> float:
     """Vertical CoM Jacobian magnitude dy/dq2 (m/rad); zero at q2 = 0."""
     _check_q2(q2)
-    return model.jacobian_scale * abs(math.sin(0.5 * q2))
+    return jacobian(model.jacobian_scale, q2)
 
 
 def com_jacobian_derivative(model: LegModel, q2: float) -> float:
     """d(com_jacobian)/dq2 on [-pi, 0), where the Jacobian is -f*sin(q2/2)."""
     _check_q2(q2)
-    return -0.5 * model.jacobian_scale * math.cos(0.5 * q2)
+    return jacobian_derivative(model.jacobian_scale, q2)
 
 
 def knee_to_com_ratio(model: LegModel, q2: float, cap: float = DEFAULT_Q2_CAP) -> float:
@@ -130,7 +146,7 @@ def knee_to_com_ratio(model: LegModel, q2: float, cap: float = DEFAULT_Q2_CAP) -
 def com_height(model: LegModel, q2: float) -> float:
     """CoM height above ground (m), maximal at q2 = 0."""
     _check_q2(q2)
-    return 2.0 * model.jacobian_scale * math.cos(0.5 * q2)
+    return height(model.jacobian_scale, q2)
 
 
 def com_velocity(model: LegModel, state: KneeState) -> float:

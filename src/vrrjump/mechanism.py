@@ -24,15 +24,17 @@ theta* in (pi/3, pi/2), i.e. the knee-angle argmax in (-2*pi/3, -pi/2).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .errors import (DegenerateGeometryError, DomainError, MechanismRangeError,
-                     require_finite)
+from .errors import DomainError, MechanismRangeError, require_finite
 from .leg import DEFAULT_Q2_CAP, LegModel, knee_to_com_ratio
 
 THETA_MIN = 0.01
 THETA_MAX = math.pi - 0.001
 """Working-range guard band for the crank angle (rad)."""
+
+DEG = math.pi / 180.0
 
 
 @dataclass(frozen=True)
@@ -83,45 +85,66 @@ class RatioCurve:
     k_max: float
 
 
+def crank_offset(params: VrrParams) -> float:
+    """theta - q2 = pi - delta_theta, the same for every knee angle."""
+    return math.pi - params.delta_theta
+
+
 def crank_angle(params: VrrParams, q2: float) -> float:
     """Crank-to-frame angle theta for a knee angle q2."""
-    return q2 + math.pi - params.delta_theta
+    return q2 + crank_offset(params)
 
 
 def joint_angle(params: VrrParams, theta: float) -> float:
     """Knee angle q2 for a crank angle theta (inverse of crank_angle)."""
-    return theta - math.pi + params.delta_theta
+    return theta - crank_offset(params)
 
 
-def _ratio_at_theta(params: VrrParams, theta: float) -> float:
-    radicand = (params.s0 + params.r) ** 2 + params.r ** 2 \
-        - 2.0 * params.r * (params.s0 + params.r) * math.cos(theta)
-    if radicand <= 0.0:
-        raise DegenerateGeometryError(
-            f"degenerate linkage geometry at theta={theta:.6g}: "
-            f"sqrt argument {radicand:.6g} <= 0 for r={params.r}, s0={params.s0}")
-    num = 2.0 * math.pi * params.r * (params.s0 + params.r) * math.sin(theta)
-    return num / (params.lead * math.sqrt(radicand))
-
-
-def reduction_ratio(params: VrrParams, q2: float) -> float:
-    """Motor-to-joint reduction ratio k(q2), dimensionless and >= 0.
-
-    Vanishes at the range endpoints theta = 0 and theta = pi (sin theta = 0);
-    angles strictly outside [0, pi] are range errors.
+def ratio_law(params: VrrParams | FrrParams) -> Callable[[float, float], float]:
+    """k as a function of (sin theta, cos theta), with the design's constants
+    bound once; unchecked, for the simulator's inner loop. In float form,
+    k = (pi a_cos / Q) sin(theta) / sqrt(a_sq - a_cos cos(theta)) with
+    a_cos = 2 r (S0 + r), a_sq = (S0 + r)^2 + r^2; k_fixed for a fixed ratio.
+    The one definition of k: reduction_ratio and ratio_curve call it.
     """
+    if isinstance(params, FrrParams):
+        k_fixed = params.k_fixed
+        return lambda sin_th, cos_th: k_fixed
+    a_sq = (params.s0 + params.r) ** 2 + params.r ** 2
+    a_cos = 2.0 * params.r * (params.s0 + params.r)
+    k_num = math.pi * a_cos / params.lead
+    sqrt = math.sqrt
+
+    def law(sin_th: float, cos_th: float) -> float:
+        return k_num * sin_th / sqrt(a_sq - a_cos * cos_th)
+    return law
+
+
+def _working_theta(params: VrrParams, q2: float) -> float:
+    """crank_angle, refused outside [0, pi]."""
     theta = crank_angle(params, q2)
     if not (0.0 <= theta <= math.pi):
         raise MechanismRangeError(
             f"crank angle theta={theta:.6g} rad outside the working range [0, pi] "
             f"for q2={q2:.6g}, delta_theta={params.delta_theta:.6g}")
-    return _ratio_at_theta(params, theta)
+    return theta
 
 
-def check_working_range(params: VrrParams, q2_lo: float, q2_hi: float,
-                        theta_min: float = THETA_MIN,
-                        theta_max: float = THETA_MAX) -> None:
-    """Reject configurations whose crank angle leaves (theta_min, theta_max).
+def reduction_ratio(params: VrrParams | FrrParams, q2: float) -> float:
+    """Motor-to-joint reduction ratio k(q2), dimensionless and >= 0.
+
+    Vanishes at the range endpoints theta = 0 and theta = pi (sin theta = 0);
+    angles strictly outside [0, pi] are range errors. A fixed ratio is
+    k_fixed at every q2.
+    """
+    if isinstance(params, FrrParams):
+        return params.k_fixed
+    theta = _working_theta(params, q2)
+    return ratio_law(params)(math.sin(theta), math.cos(theta))
+
+
+def check_working_range(params: VrrParams, q2_lo: float, q2_hi: float) -> None:
+    """Reject configurations whose crank angle leaves (THETA_MIN, THETA_MAX).
 
     theta is affine in q2, so checking the interval endpoints suffices.
     """
@@ -129,10 +152,10 @@ def check_working_range(params: VrrParams, q2_lo: float, q2_hi: float,
         raise DomainError(f"empty knee range [{q2_lo}, {q2_hi}]")
     for q2 in (q2_lo, q2_hi):
         theta = crank_angle(params, q2)
-        if not (theta_min < theta < theta_max):
+        if not (THETA_MIN < theta < THETA_MAX):
             raise MechanismRangeError(
                 f"q2={q2:.6g} maps to theta={theta:.6g} rad outside "
-                f"({theta_min:.6g}, {theta_max:.6g}) for r={params.r}, "
+                f"({THETA_MIN:.6g}, {THETA_MAX:.6g}) for r={params.r}, "
                 f"s0={params.s0}, delta_theta={params.delta_theta:.6g}")
 
 
@@ -157,13 +180,15 @@ def ratio_curve(params: VrrParams, q2_lo: float, q2_hi: float, n: int) -> RatioC
     if q2_lo >= q2_hi:
         raise DomainError(f"require q2_lo < q2_hi, got [{q2_lo}, {q2_hi}]")
     step = (q2_hi - q2_lo) / (n - 1)
+    law = ratio_law(params)
     samples: list[tuple[float, float]] = []
     for i in range(n):
         q2 = q2_hi if i == n - 1 else q2_lo + i * step
         try:
-            samples.append((q2, reduction_ratio(params, q2)))
+            theta = _working_theta(params, q2)
         except DomainError as exc:
             raise MechanismRangeError(f"sample {i} (q2={q2:.6g}): {exc}") from exc
+        samples.append((q2, law(math.sin(theta), math.cos(theta))))
 
     argmax_q2 = min(max(joint_angle(params, peak_crank_angle(params)), q2_lo), q2_hi)
     return RatioCurve(samples=samples, argmax_q2=argmax_q2,
@@ -173,7 +198,4 @@ def ratio_curve(params: VrrParams, q2_lo: float, q2_hi: float, n: int) -> RatioC
 def effective_overall_ratio(params: VrrParams | FrrParams, model: LegModel,
                             q2: float, cap: float = DEFAULT_Q2_CAP) -> float:
     """Motor-to-CoM transmission ratio k(q2) * lambda(q2) in rad/m."""
-    lam = knee_to_com_ratio(model, q2, cap)
-    if isinstance(params, FrrParams):
-        return params.k_fixed * lam
-    return reduction_ratio(params, q2) * lam
+    return knee_to_com_ratio(model, q2, cap) * reduction_ratio(params, q2)

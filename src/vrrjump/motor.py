@@ -17,11 +17,13 @@ electromagnetic power (no net output at top speed); see default_motor().
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import DomainError, require_finite
 
 RADS_PER_RPM = math.pi / 30.0
+RPM_PER_RADS = 30.0 / math.pi
 
 
 @dataclass(frozen=True)
@@ -120,18 +122,32 @@ def default_motor(eta_j: float = 0.90) -> MotorParams:
     )
 
 
+def torque_envelope(params: MotorParams) -> Callable[[float], float]:
+    """The envelope omega -> available torque (Nm) for omega >= 0, with the
+    motor's constants bound once; unchecked, for the simulator's inner loop.
+    The one definition of the envelope: max_torque and envelope_table call it.
+    """
+    tau_peak, p_peak = params.tau_peak, params.p_peak
+    w_break, w_hpl, w_max = params.omega_break, params.omega_hpl, params.omega_max
+    derate = 1.0 / (w_max - w_hpl)
+
+    def envelope(omega: float) -> float:
+        if omega <= w_break:
+            return tau_peak
+        if omega >= w_max:
+            return 0.0
+        tau = p_peak / omega
+        if omega > w_hpl:
+            tau *= (w_max - omega) * derate
+        return tau
+    return envelope
+
+
 def max_torque(params: MotorParams, omega: float) -> float:
     """Available torque at motor speed omega >= 0 (Nm); continuous in omega."""
     if omega < 0:
         raise DomainError(f"omega={omega} must be nonnegative; pass |omega|")
-    if omega <= params.omega_break:
-        return params.tau_peak
-    if omega >= params.omega_max:
-        return 0.0
-    tau = params.p_peak / omega
-    if omega > params.omega_hpl:
-        tau *= (params.omega_max - omega) / (params.omega_max - params.omega_hpl)
-    return tau
+    return torque_envelope(params)(omega)
 
 
 def power_loss(params: MotorParams, i_q: float, omega: float) -> float:
@@ -156,10 +172,11 @@ def envelope_table(params: MotorParams, n: int) -> list[EnvelopePoint]:
     if n < 2:
         raise DomainError(f"need at least 2 samples, got n={n}")
     step = params.omega_max / (n - 1)
+    envelope = torque_envelope(params)
     table = []
     for i in range(n):
         omega = params.omega_max if i == n - 1 else i * step
-        tau = max_torque(params, omega)
+        tau = envelope(omega)
         table.append(EnvelopePoint(
             omega=omega,
             tau_max=tau,

@@ -22,13 +22,11 @@ from functools import partial
 from .errors import (DomainError, NoFeasibleDesignError, SimulationRangeError,
                      VrrJumpError)
 from .leg import LegModel
-from .mechanism import FrrParams, MechanismRangeError, VrrParams
+from .mechanism import DEG, FrrParams, MechanismRangeError, VrrParams
 from .motor import MotorParams
 from .sim import SimConfig, TakeoffResult, simulate_jump
 
 log = logging.getLogger(__name__)
-
-DEG = math.pi / 180.0
 
 MAX_CANDIDATES = 1_000_000
 """Largest grid a SearchBox may span, per joint type, checked before any

@@ -11,16 +11,15 @@ from __future__ import annotations
 import csv
 import datetime
 import json
-import math
 from pathlib import Path
 
 from .leg import LegModel, com_jacobian
-from .mechanism import FrrParams, VrrParams, crank_angle, reduction_ratio
+from .mechanism import DEG, FrrParams, VrrParams, crank_angle, ratio_curve
+from .motor import RPM_PER_RADS
 from .optimize import ComparisonReport, OptResult
 from .sim import TakeoffResult
 
-RPM_PER_RADS = 30.0 / math.pi
-DEG = math.pi / 180.0
+RATIO_SAMPLES = 400
 
 TRAJECTORY_COLUMNS = [
     "t_s", "q2_rad", "dq2_rads", "theta_rad", "k", "lambda_radpm",
@@ -36,12 +35,6 @@ def fmt(value: float | None) -> str:
     return f"{value:.9g}"
 
 
-def _ratio_of(mech: VrrParams | FrrParams, q2: float) -> float:
-    if isinstance(mech, FrrParams):
-        return mech.k_fixed
-    return reduction_ratio(mech, q2)
-
-
 def trajectory_rows(leg: LegModel, mech: VrrParams | FrrParams,
                     result: TakeoffResult) -> list[list[str]]:
     """Render a recorded trajectory as CSV cells in the canonical column order."""
@@ -50,7 +43,7 @@ def trajectory_rows(leg: LegModel, mech: VrrParams | FrrParams,
         theta = crank_angle(mech, s.q2) if isinstance(mech, VrrParams) else None
         rows.append([
             fmt(s.t), fmt(s.q2), fmt(s.dq2), fmt(theta),
-            fmt(_ratio_of(mech, s.q2)), fmt(1.0 / com_jacobian(leg, s.q2)),
+            fmt(s.k), fmt(1.0 / com_jacobian(leg, s.q2)),
             fmt(s.tau_m), fmt(s.tau_j), fmt(s.omega_m * RPM_PER_RADS),
             fmt(s.p_m), fmt(s.p_j), fmt(s.y_com), fmt(s.dy_com),
             fmt(s.f_contact), fmt(s.w_motor),
@@ -71,15 +64,16 @@ def write_trajectory_csv(path: Path, leg: LegModel,
     write_csv(path, TRAJECTORY_COLUMNS, trajectory_rows(leg, mech, result))
 
 
-def _mech_cells(params: VrrParams | FrrParams) -> list[str]:
-    """(r_mm, s0_mm, dtheta_deg, k_fixed) cells for a summary row."""
+def mech_cells(params: VrrParams | FrrParams) -> list[str]:
+    """(r_mm, s0_mm, dtheta_deg, k_fixed) cells for a summary or grid row."""
     if isinstance(params, VrrParams):
         return [fmt(params.r * 1000.0), fmt(params.s0 * 1000.0),
                 fmt(params.delta_theta / DEG), ""]
     return ["", "", "", fmt(params.k_fixed)]
 
 
-def _opt_json(opt: OptResult | None) -> dict | None:
+def opt_summary(opt: OptResult | None) -> dict | None:
+    """JSON fields of an optimum: energy, height, infeasible count, design."""
     if opt is None:
         return None
     out = {"w_takeoff_j": opt.w_takeoff, "h_jump_m": opt.h_jump,
@@ -93,8 +87,7 @@ def _opt_json(opt: OptResult | None) -> dict | None:
     return out
 
 
-def emit_report(report: ComparisonReport, out_dir: str | Path,
-                n_ratio: int = 400) -> list[Path]:
+def emit_report(report: ComparisonReport, out_dir: str | Path) -> list[Path]:
     """Write summary tables and per-optimum channel CSVs; return the manifest.
 
     An empty report (no rows) produces only metadata.json.
@@ -127,8 +120,8 @@ def emit_report(report: ComparisonReport, out_dir: str | Path,
     for row in report.rows:
         json_rows.append({
             "angle_rad": row.angle,
-            "vrr": _opt_json(row.vrr),
-            "frr": _opt_json(row.frr),
+            "vrr": opt_summary(row.vrr),
+            "frr": opt_summary(row.frr),
             "improvement_pct": row.improvement_pct,
             "error": row.error,
         })
@@ -137,11 +130,11 @@ def emit_report(report: ComparisonReport, out_dir: str | Path,
             txt_lines.append(f"evrr   {row.angle:>10.4f}  ERROR: {row.error}")
             continue
         summary_rows.append(
-            ["evrr", fmt(row.angle), *_mech_cells(row.vrr.best_params),
+            ["evrr", fmt(row.angle), *mech_cells(row.vrr.best_params),
              fmt(row.vrr.w_takeoff), fmt(row.vrr.h_jump),
              fmt(row.improvement_pct), ""])
         summary_rows.append(
-            ["frr", fmt(row.angle), *_mech_cells(row.frr.best_params),
+            ["frr", fmt(row.angle), *mech_cells(row.frr.best_params),
              fmt(row.frr.w_takeoff), fmt(row.frr.h_jump), "", ""])
         vp = row.vrr.best_params
         txt_lines.append(
@@ -171,23 +164,19 @@ def emit_report(report: ComparisonReport, out_dir: str | Path,
         if row.error is not None:
             continue
         label = f"{row.angle:.4f}"
-        traj_v = out / f"trajectory_evrr_{label}.csv"
-        write_trajectory_csv(traj_v, report.leg, row.vrr.best_params, row.vrr_takeoff)
-        manifest.append(traj_v)
-        traj_f = out / f"trajectory_frr_{label}.csv"
-        write_trajectory_csv(traj_f, report.leg, row.frr.best_params, row.frr_takeoff)
-        manifest.append(traj_f)
+        for joint, opt, takeoff in (("evrr", row.vrr, row.vrr_takeoff),
+                                    ("frr", row.frr, row.frr_takeoff)):
+            path = out / f"trajectory_{joint}_{label}.csv"
+            write_trajectory_csv(path, report.leg, opt.best_params, takeoff)
+            manifest.append(path)
 
         cap = row.vrr_takeoff.trajectory[-1].q2 if row.vrr_takeoff.trajectory else -0.05
         ratio_path = out / f"ratio_curve_evrr_{label}.csv"
-        rows_ratio = []
-        rows_overall = []
-        n = n_ratio
-        for i in range(n):
-            q2 = row.angle + (cap - row.angle) * i / (n - 1)
-            k_v = reduction_ratio(row.vrr.best_params, q2)
+        vp = row.vrr.best_params
+        rows_ratio, rows_overall = [], []
+        for q2, k_v in ratio_curve(vp, row.angle, cap, RATIO_SAMPLES).samples:
             lam = 1.0 / com_jacobian(report.leg, q2)
-            rows_ratio.append([fmt(q2), fmt(crank_angle(row.vrr.best_params, q2)), fmt(k_v)])
+            rows_ratio.append([fmt(q2), fmt(crank_angle(vp, q2)), fmt(k_v)])
             rows_overall.append([fmt(q2), fmt(k_v * lam),
                                  fmt(row.frr.best_params.k_fixed * lam)])
         write_csv(ratio_path, ["q2_rad", "theta_rad", "k"], rows_ratio)

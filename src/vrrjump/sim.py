@@ -10,6 +10,12 @@ vertical by the knee through the CoM Jacobian J(q2):
 
 Link rotational inertia and reflected actuator inertia are neglected.
 
+The physics is not defined here: k, the envelope, the crank angle, J and
+the height come from mechanism.ratio_law, motor.torque_envelope (both bound
+once per run), mechanism.crank_offset, leg.jacobian and leg.height, so every
+recorded sample equals max_torque, reduction_ratio, com_height and
+com_jacobian bit for bit.
+
 The model has one degree of freedom and the knee only extends, so the knee
 angle serves as the independent variable. Work and energy give, for the CoM
 kinetic energy K = m v^2 / 2 with v = J dq2,
@@ -33,10 +39,10 @@ omega_max), so RK4 only ever integrates a smooth right-hand side.
 
 Every candidate at one angle walks the same u-grid, and the geometry at a
 grid step does not depend on the design: the Jacobian J and, for the
-crank angle theta = q2 + pi - delta_theta, sin(theta) and cos(theta).
+crank angle theta = q2 + (pi - delta_theta), sin(theta) and cos(theta).
 _u_grid tabulates them once per (q2_init, cap, U_STEPS, jacobian scale,
-delta_theta) at each step's midpoint and endpoint, from the same float
-expressions the kernel would use, in a bounded cache that each process
+delta_theta) at each step's midpoint and endpoint, through the same
+_geometry the kernel uses off the grid, in a bounded cache that each process
 (each pool worker too) fills on first use. A full grid step reads the
 table and computes only k from it, once at the midpoint and once at the
 endpoint; the fixed-ratio kernel reads only J. A step that starts off the
@@ -74,9 +80,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import DomainError, SimulationRangeError, require_finite
-from .leg import KneeState, LegModel, com_height
-from .mechanism import FrrParams, VrrParams, check_working_range
-from .motor import MotorParams
+from .leg import (KneeState, LegModel, com_height, height, jacobian,
+                  jacobian_derivative)
+from .mechanism import (FrrParams, VrrParams, check_working_range,
+                        crank_offset, ratio_law)
+from .motor import MotorParams, torque_envelope
 
 U_STEPS = 250
 """Uniform RK4 steps in u per takeoff, before kink and event splits."""
@@ -88,10 +96,10 @@ class _Stall(Exception):
 
 def _geometry(q2: float, jfac: float,
               th_off: float) -> tuple[float, float, float]:
-    """(J, sin theta, cos theta) at knee angle q2: the CoM Jacobian
-    -jfac sin(q2/2) and the crank angle theta = q2 + th_off."""
+    """(J, sin theta, cos theta) at knee angle q2, for the Jacobian scale
+    jfac and the crank angle theta = q2 + th_off (see crank_offset)."""
     th = q2 + th_off
-    return -jfac * math.sin(0.5 * q2), math.sin(th), math.cos(th)
+    return jacobian(jfac, q2), math.sin(th), math.cos(th)
 
 
 @functools.lru_cache(maxsize=32)
@@ -158,13 +166,14 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimState:
-    """One trajectory sample; joint, CoM, motor and contact channels."""
+    """One trajectory sample; joint, CoM, ratio (k), motor and contact channels."""
 
     t: float
     q2: float
     dq2: float
     y_com: float
     dy_com: float
+    k: float
     tau_m: float
     tau_j: float
     omega_m: float
@@ -223,49 +232,21 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     jfac = leg.jacobian_scale
     eta = motor.eta_j
     tau_peak = motor.tau_peak
-    p_peak = motor.p_peak
-    w_break = motor.omega_break
-    w_max = motor.omega_max
-    w_hpl = motor.omega_hpl
-    derate = 1.0 / (w_max - w_hpl)
-    kinks = (w_break, w_hpl, w_max)
+    w_break, w_hpl, w_max = kinks = (motor.omega_break, motor.omega_hpl,
+                                     motor.omega_max)
     q2_init = cfg.q2_init
     cap = cfg.q2_takeoff_cap
     t_max = cfg.t_max
     u_cap = math.sqrt(cap - q2_init)
-    cos = math.cos
-    sqrt = math.sqrt
-
-    if vrr:
-        a_sq = (mech.s0 + mech.r) ** 2 + mech.r ** 2
-        a_cos = 2.0 * mech.r * (mech.s0 + mech.r)
-        k_num = math.pi * a_cos / mech.lead
-        th_off = math.pi - mech.delta_theta
-
-        def ratio(sin_th: float, cos_th: float) -> float:
-            return k_num * sin_th / sqrt(a_sq - a_cos * cos_th)
-    else:
-        k_fixed = mech.k_fixed
-        # A fixed ratio reads only J, so it shares the delta_theta = 0 table.
-        th_off = math.pi
-
-        def ratio(sin_th: float, cos_th: float) -> float:
-            return k_fixed
+    envelope = torque_envelope(motor)
+    ratio = ratio_law(mech)
+    # A fixed ratio reads only J, so it shares the delta_theta = 0 table.
+    th_off = crank_offset(mech) if vrr else math.pi
 
     def geom(q2: float) -> tuple[float, float]:
         """(k, J) at knee angle q2."""
         jj, sin_th, cos_th = _geometry(q2, jfac, th_off)
         return ratio(sin_th, cos_th), jj
-
-    def envelope(om: float) -> float:
-        if om <= w_break:
-            return tau_peak
-        if om >= w_max:
-            return 0.0
-        tau = p_peak / om
-        if om > w_hpl:
-            tau *= (w_max - om) * derate
-        return tau
 
     def piece_of(om: float) -> int:
         """Smooth piece of the envelope at speed om: 0 up to w_break, 3 from
@@ -351,7 +332,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         tau_j = tau_m * k * eta
         return SimState(
             t=s[2], q2=q2, dq2=v / jj,
-            y_com=2.0 * jfac * cos(0.5 * q2), dy_com=v,
+            y_com=height(jfac, q2), dy_com=v, k=k,
             tau_m=tau_m, tau_j=tau_j, omega_m=om,
             p_m=tau_m * om, p_j=eta * tau_m * om,
             f_contact=tau_j / jj, w_motor=s[3],
@@ -391,7 +372,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             return finish(last, Termination.TIMEOUT)
         u, p = last[0], last[1]
         f = last[4][0] * p / u if u > 0.0 else 0.0
-        u_stop = min(sqrt(u * u + p * p / -f), hi) if f < 0.0 else u
+        u_stop = min(math.sqrt(u * u + p * p / -f), hi) if f < 0.0 else u
         stop = (u_stop, 0.0, t_max, last[3], None)
         if record:
             trajectory.append(snapshot(stop))
@@ -411,7 +392,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         return finish(held, Termination.TIMEOUT)
     # At rest K ~ f0 u^2, which gives the limits dp/du = sqrt(f0) and
     # dt/du = 2 J0 / (sqrt(2/m) sqrt(f0)).
-    rate = sqrt(eta * k0 * tau_peak - mg * j0)
+    rate = math.sqrt(eta * k0 * tau_peak - mg * j0)
     state = (0.0, 0.0, 0.0, 0.0, (rate, 2.0 * j0 / (c_v * rate), 0.0, 0.0))
     if record:
         trajectory.append(snapshot(state))
@@ -469,23 +450,23 @@ def ballistic_check(leg: LegModel, state: KneeState, duration: float,
     Uses classic fixed-step RK4 in time on (q2, dq2) with tau = 0, for which
     the exact CoM motion is free fall and total mechanical energy is
     conserved; the return value measures pure integrator drift. Integration
-    stops early if the knee leaves (-pi + 1e-3, -0.01).
+    stops early if the knee leaves (-pi + 1e-3, -0.01). This ODE is not the
+    takeoff's, so it has its own stepper; J, dJ/dq2 and the height are leg's.
     """
     if duration < 0 or dt <= 0:
         raise DomainError("duration must be >= 0 and dt > 0")
     jfac = leg.jacobian_scale
-    jfac_half = 0.5 * jfac
     m = leg.total_mass()
     g = leg.g
 
+    # The unchecked forms: RK4 stages may step past -pi.
     def accel(q2: float, dq2: float) -> float:
-        jj = -jfac * math.sin(0.5 * q2)
-        jp = -jfac_half * math.cos(0.5 * q2)
-        return (-g - jp * dq2 * dq2) / jj
+        jp = jacobian_derivative(jfac, q2)
+        return (-g - jp * dq2 * dq2) / jacobian(jfac, q2)
 
     def energy(q2: float, dq2: float) -> float:
-        dy = -jfac * math.sin(0.5 * q2) * dq2
-        return 0.5 * m * dy * dy + m * g * 2.0 * jfac * math.cos(0.5 * q2)
+        dy = jacobian(jfac, q2) * dq2
+        return 0.5 * m * dy * dy + m * g * height(jfac, q2)
 
     q2, dq2 = state.q2, state.dq2
     e0 = energy(q2, dq2)

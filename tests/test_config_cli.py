@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from vrrjump import ConfigError, FrrParams, JacobianMode, VrrParams, load_config
+from vrrjump import (ConfigError, FrrParams, JacobianMode, SimConfig,
+                     VrrParams, load_config)
 from vrrjump.cli import main
 from vrrjump.report import fmt
 
@@ -141,6 +142,25 @@ def test_bad_takeoff_rule(tmp_path):
     path = write_config(tmp_path, **{"sim.takeoff_rule": "sometimes"})
     with pytest.raises(ConfigError, match="takeoff_rule"):
         load_config(path)
+
+
+@pytest.mark.parametrize("key,value,field", [
+    ("sim.dt_s", -1.0, "dt"), ("sim.t_max_s", 5e-4, "t_max"),
+    ("sim.q2_takeoff_cap_rad", 0.0, "q2_takeoff_cap"),
+])
+def test_sim_section_errors_name_sim(tmp_path, capsys, key, value, field):
+    path = write_config(tmp_path, **{key: value})
+    with pytest.raises(ConfigError, match=f"^sim: {field}=") as exc:
+        load_config(path)
+    assert "angles_rad" not in str(exc.value)
+    assert main(["simulate", "--config", path]) == 2
+    assert "config error: sim: " in capsys.readouterr().err
+
+
+def test_run_config_sim_is_first_angle(tmp_path):
+    cfg = load_config(write_config(tmp_path, **{"angles_rad": [-2.2689, -2.618],
+                                                "sim.t_max_s": 0.5}))
+    assert cfg.sim == SimConfig(q2_init=-2.2689, t_max=0.5)
 
 
 @pytest.mark.parametrize("key,value", [

@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import math
+import pickle
 
 import pytest
 
 from vrrjump import (ConfigError, DomainError, FrrParams, LegModel,
-                     SimConfig, TakeoffRule, Termination, VrrParams,
-                     default_motor, load_config, ratio_curve, simulate_jump)
+                     SimConfig, SimulationRangeError, TakeoffRule,
+                     Termination, VrrParams, default_motor, errors,
+                     load_config, ratio_curve, simulate_jump)
 
 
 def test_takeoff_from_just_below_cap(leg, motor, mech_opt):
@@ -49,8 +51,35 @@ def test_config_angle_above_cap_rejected(tmp_path):
     doc["angles_rad"] = [-0.04]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match="angle"):
+    with pytest.raises(ConfigError, match="^angles_rad: angle -0.04: "):
         load_config(path)
+
+
+def test_every_package_error_pickles(leg, motor, mech_opt):
+    """Pool workers send errors back pickled: each class must round-trip
+    with its message and its extra fields."""
+    with pytest.raises(SimulationRangeError) as raised:
+        simulate_jump(leg, motor, mech_opt, SimConfig(
+            q2_init=-2.618, takeoff_rule=TakeoffRule.CONTACT_FORCE_ZERO))
+    assert raised.value.last_state is not None
+    samples = [
+        errors.VrrJumpError("base"),
+        errors.DomainError("out of domain"),
+        errors.SingularityError(1.0, 0.5),
+        errors.MechanismRangeError("theta out of range"),
+        raised.value,
+        errors.NoFeasibleDesignError("no design"),
+        errors.ConfigError("bad key"),
+    ]
+    classes = {c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.VrrJumpError)}
+    assert {type(e) for e in samples} == classes
+    for exc in samples:
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc)
+        assert vars(back) == vars(exc)
+    assert vars(pickle.loads(pickle.dumps(samples[2]))) == {"q2": 1.0, "cap": 0.5}
 
 
 def test_simulation_insensitive_to_record_flag_near_events(leg, motor, mech_opt):

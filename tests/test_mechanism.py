@@ -3,12 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from vrrjump import (DegenerateGeometryError, DomainError, FrrParams,
-                     MechanismRangeError, VrrParams, check_working_range,
-                     crank_angle, effective_overall_ratio, joint_angle,
-                     knee_to_com_ratio, peak_crank_angle, ratio_curve,
-                     reduction_ratio)
-from vrrjump.mechanism import _ratio_at_theta
+from vrrjump import (DomainError, FrrParams, MechanismRangeError, VrrParams,
+                     check_working_range, crank_angle, effective_overall_ratio,
+                     joint_angle, knee_to_com_ratio, peak_crank_angle,
+                     ratio_curve, ratio_law, reduction_ratio)
 
 
 def k_oracle(r, s0, theta, lead=0.010):
@@ -43,17 +41,6 @@ def test_ratio_range_errors(mech_opt):
         reduction_ratio(mech_opt, 0.1)
     with pytest.raises(MechanismRangeError):
         reduction_ratio(mech_opt, -math.pi - 0.2)
-
-
-def test_degenerate_geometry_error_names_parameters():
-    bad = VrrParams.__new__(VrrParams)
-    object.__setattr__(bad, "r", 0.05)
-    object.__setattr__(bad, "s0", 0.0)
-    object.__setattr__(bad, "delta_theta", 0.0)
-    object.__setattr__(bad, "lead", 0.01)
-    with pytest.raises(DegenerateGeometryError) as exc:
-        _ratio_at_theta(bad, 0.0)
-    assert "r=0.05" in str(exc.value) and "s0=0.0" in str(exc.value)
 
 
 def test_crank_angle_identities():
@@ -147,6 +134,22 @@ def test_ratio_curve_argument_validation(mech_opt):
         ratio_curve(mech_opt, -1.0, -2.0, 10)
     with pytest.raises(DomainError):
         ratio_curve(mech_opt, -2.0, -1.0, 1)
+
+
+def test_fixed_ratio_is_constant():
+    frr = FrrParams(22.0)
+    assert reduction_ratio(frr, -2.9) == reduction_ratio(frr, -0.1) == 22.0
+    assert ratio_law(frr)(0.3, -0.7) == 22.0
+
+
+def test_ratio_law_is_reduction_ratio(mech_opt):
+    p = VrrParams(r=0.047, s0=0.150, delta_theta=0.03)
+    law = ratio_law(p)
+    for q2 in (-2.9, -2.0, -1.2, -0.4):
+        theta = crank_angle(p, q2)
+        assert law(math.sin(theta), math.cos(theta)) == reduction_ratio(p, q2)
+        assert reduction_ratio(p, q2) == pytest.approx(
+            k_oracle(p.r, p.s0, theta), rel=1e-14)
 
 
 def test_effective_overall_ratio_frr(leg_paper):

@@ -5,8 +5,9 @@ import pytest
 
 from vrrjump import (DomainError, FrrParams, KneeState, SearchBox, SimConfig,
                      SimulationRangeError, TakeoffRule, Termination,
-                     VrrParams, ballistic_check, com_height, contact_force,
-                     jump_height, optimize_frr, optimize_vrr, simulate_jump,
+                     VrrParams, ballistic_check, com_height, com_jacobian,
+                     contact_force, jump_height, max_torque, optimize_frr,
+                     optimize_vrr, reduction_ratio, simulate_jump,
                      takeoff_energy)
 from vrrjump import sim
 from conftest import motor_variant
@@ -82,6 +83,23 @@ def test_trajectory_channels_consistent(leg, motor, mech_opt, deep_crouch):
         assert s.f_contact >= -1e-9
     work = [s.w_motor for s in res.trajectory]
     assert all(b >= a for a, b in zip(work, work[1:]))
+
+
+@pytest.mark.parametrize("angle", [-2.618, -2.2689, -1.9199])
+def test_samples_are_the_model_functions_bitwise(leg, motor, angle):
+    """The kernel evaluates the leg, mechanism and motor definitions
+    themselves, so every recorded sample equals them exactly."""
+    cfg = SimConfig(q2_init=angle)
+    for mech in (FrrParams(23.0), VrrParams(0.047, 0.150),
+                 VrrParams(0.050, 0.100, delta_theta=math.radians(2.0))):
+        res = simulate_jump(leg, motor, mech, cfg)
+        assert len(res.trajectory) > 200
+        for s in res.trajectory:
+            assert s.tau_m == max_torque(motor, s.omega_m)
+            assert s.tau_j == s.tau_m * reduction_ratio(mech, s.q2) * motor.eta_j
+            assert s.y_com == com_height(leg, s.q2)
+            assert s.dq2 == s.dy_com / com_jacobian(leg, s.q2)
+            assert s.k == reduction_ratio(mech, s.q2)
 
 
 def test_energy_bookkeeping(leg, motor, mech_opt, deep_crouch):
