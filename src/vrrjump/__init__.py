@@ -11,8 +11,10 @@ from .mechanism import (FrrParams, RatioCurve, VrrParams, check_working_range,
                         crank_angle, crank_offset, effective_overall_ratio,
                         joint_angle, peak_crank_angle, ratio_curve, ratio_law,
                         reduction_ratio)
-from .motor import (EnvelopePoint, MotorParams, default_motor, envelope_table,
-                    joint_torque, max_torque, power_loss, torque_envelope)
+from .motor import (EnvelopePoint, MotorParams, default_motor, envelope_piece,
+                    envelope_pieces, envelope_table, joint_torque,
+                    loss_balance_c_iron2, max_torque, power_loss,
+                    torque_envelope)
 from .optimize import (AngleRow, ComparisonReport, EvalRecord, OptResult,
                        SearchBox, compare_designs, default_search_box,
                        optimize_frr, optimize_vrr, select_best)

@@ -20,7 +20,8 @@ from pathlib import Path
 from .errors import ConfigError, DomainError
 from .leg import JacobianMode, LegModel
 from .mechanism import DEG, FrrParams, VrrParams
-from .motor import RADS_PER_RPM, MotorParams, default_motor
+from .motor import (RADS_PER_RPM, MotorParams, default_motor,
+                    loss_balance_c_iron2)
 from .optimize import SearchBox
 from .sim import SimConfig, TakeoffRule
 
@@ -147,8 +148,7 @@ def _resolve(doc: dict) -> dict:
     r_phase = _number(motor_in, "r_phase_ohm", "motor", base.r_phase)
     c1 = _number(motor_in, "c_iron1_w_s_per_rad", "motor", base.c_iron1)
     omega_max = omega_max_rpm * RADS_PER_RPM
-    c2_fit = (k_t * i_q_peak * omega_max - 1.5 * r_phase * i_q_peak ** 2
-              - c1 * omega_max) / omega_max ** 2
+    c2_fit = loss_balance_c_iron2(k_t, i_q_peak, omega_max, r_phase, c1)
     c2 = _number(motor_in, "c_iron2_w_s2_per_rad2", "motor", max(c2_fit, 0.0))
     motor = {
         "tau_peak_nm": tau_peak, "i_q_peak_a": i_q_peak, "k_t_nm_per_a": k_t,

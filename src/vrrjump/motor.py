@@ -93,12 +93,8 @@ def default_motor(eta_j: float = 0.90) -> MotorParams:
 
     omega_break sits at the constant-torque/constant-power corner; omega_max
     anchors to the 4800 rpm no-load region. r_phase and c_iron1 are fixed
-    plausible values; c_iron2 solves
-
-        k_t*i_q_peak*omega_max = 1.5*r_phase*i_q_peak^2
-                                 + c_iron1*omega_max + c_iron2*omega_max^2
-
-    so that net output power vanishes at (i_q_peak, omega_max).
+    plausible values; c_iron2 is loss_balance_c_iron2's fit, so that net
+    output power vanishes at (i_q_peak, omega_max).
     """
     tau_peak = 9.37
     i_q_peak = 92.0
@@ -106,46 +102,93 @@ def default_motor(eta_j: float = 0.90) -> MotorParams:
     omega_max = 4800.0 * RADS_PER_RPM
     r_phase = 0.05
     c_iron1 = 0.5
-    copper = 1.5 * r_phase * i_q_peak ** 2
-    c_iron2 = (tau_peak * omega_max - copper - c_iron1 * omega_max) / omega_max ** 2
+    k_t = tau_peak / i_q_peak
     return MotorParams(
         tau_peak=tau_peak,
         i_q_peak=i_q_peak,
-        k_t=tau_peak / i_q_peak,
+        k_t=k_t,
         p_peak=p_peak,
         omega_break=p_peak / tau_peak,
         omega_max=omega_max,
         r_phase=r_phase,
         c_iron1=c_iron1,
-        c_iron2=c_iron2,
+        c_iron2=loss_balance_c_iron2(k_t, i_q_peak, omega_max, r_phase,
+                                     c_iron1),
         eta_j=eta_j,
     )
+
+
+def loss_balance_c_iron2(k_t: float, i_q_peak: float, omega_max: float,
+                         r_phase: float, c_iron1: float) -> float:
+    """The speed-squared loss coefficient that makes the losses at
+    (i_q_peak, omega_max) cancel the electromagnetic power there:
+
+        k_t*i_q_peak*omega_max = 1.5*r_phase*i_q_peak^2
+                                 + c_iron1*omega_max + c_iron2*omega_max^2
+
+    The one definition of the fit: default_motor and the config defaults
+    call it. The result may be negative; callers clamp it if they must.
+    """
+    return (k_t * i_q_peak * omega_max - 1.5 * r_phase * i_q_peak ** 2
+            - c_iron1 * omega_max) / omega_max ** 2
+
+
+def envelope_pieces(params: MotorParams) -> tuple[Callable[[float], float], ...]:
+    """The four smooth pieces of the envelope, omega -> torque (Nm), in
+    order of speed: the peak torque, the power limit p_peak/omega, its
+    linear derate to zero at omega_max, and zero. Each formula holds for
+    every omega > 0, past the kinks that bound its piece, so an integrator
+    can keep one piece over a whole step; envelope_piece says which applies.
+    """
+    tau_peak, p_peak = params.tau_peak, params.p_peak
+    w_max = params.omega_max
+    derate = 1.0 / (w_max - params.omega_hpl)
+
+    def peak(omega: float) -> float:
+        return tau_peak
+
+    def power(omega: float) -> float:
+        return p_peak / omega
+
+    def derated(omega: float) -> float:
+        return p_peak / omega * ((w_max - omega) * derate)
+
+    def zero(omega: float) -> float:
+        return 0.0
+    return peak, power, derated, zero
+
+
+def envelope_piece(params: MotorParams) -> Callable[[float], int]:
+    """omega -> index into envelope_pieces of the piece in force: 0 up to
+    omega_break, 1 up to omega_hpl, 2 below omega_max and 3 from it on."""
+    w_break, w_hpl, w_max = params.omega_break, params.omega_hpl, params.omega_max
+
+    def piece(omega: float) -> int:
+        if omega <= w_break:
+            return 0
+        if omega <= w_hpl:
+            return 1
+        return 2 if omega < w_max else 3
+    return piece
 
 
 def torque_envelope(params: MotorParams) -> Callable[[float], float]:
     """The envelope omega -> available torque (Nm) for omega >= 0, with the
     motor's constants bound once; unchecked, for the simulator's inner loop.
-    The one definition of the envelope: max_torque and envelope_table call it.
+    The one definition of the envelope, built from envelope_pieces and
+    envelope_piece: max_torque and envelope_table call it.
     """
-    tau_peak, p_peak = params.tau_peak, params.p_peak
-    w_break, w_hpl, w_max = params.omega_break, params.omega_hpl, params.omega_max
-    derate = 1.0 / (w_max - w_hpl)
+    pieces = envelope_pieces(params)
+    piece = envelope_piece(params)
 
     def envelope(omega: float) -> float:
-        if omega <= w_break:
-            return tau_peak
-        if omega >= w_max:
-            return 0.0
-        tau = p_peak / omega
-        if omega > w_hpl:
-            tau *= (w_max - omega) * derate
-        return tau
+        return pieces[piece(omega)](omega)
     return envelope
 
 
 def max_torque(params: MotorParams, omega: float) -> float:
     """Available torque at motor speed omega >= 0 (Nm); continuous in omega."""
-    if omega < 0:
+    if not omega >= 0:
         raise DomainError(f"omega={omega} must be nonnegative; pass |omega|")
     return torque_envelope(params)(omega)
 

@@ -24,7 +24,9 @@ kinetic energy K = m v^2 / 2 with v = J dq2,
 
 on the fixed interval [q2_init, cap]. The kernel substitutes
 q2 = q2_init + u^2 and integrates the state (p = sqrt(K), t, w_motor) with
-classic RK4 on U_STEPS uniform steps in u:
+Butcher's 7-stage order-6 Runge-Kutta method (nodes 0, 1/3, 2/3, 1/3, 1/2,
+1/2, 1; Hairer, Norsett & Wanner, Solving ODEs I, section II.5) on U_STEPS
+uniform steps in u:
 
     dp/du     = u f / p         f = dK/dq2
     dt/du     = 2 u J / v       v = sqrt(2/m) p
@@ -33,22 +35,37 @@ classic RK4 on U_STEPS uniform steps in u:
 At u = 0 the knee is at rest (p = 0) and the derivatives take their limits
 dp/du = sqrt(f0) and dt/du = 2 J0 / (sqrt(2/m) sqrt(f0)), so the square-root
 singularity of the start never enters a step, and the 1/J growth of dq2 near
-full extension does not shrink the steps. A step also ends wherever
-|omega_m| = k v / J crosses a kink of the envelope (omega_break, omega_hpl,
-omega_max), so RK4 only ever integrates a smooth right-hand side.
+full extension does not shrink the steps.
+
+The envelope has kinks at omega_break, omega_hpl and omega_max, and a method
+of order 6 keeps its order only on a smooth right-hand side. So each step
+integrates one of motor.envelope_pieces, the one in force at its start,
+extended smoothly past its kink even where a stage's speed lands beyond it.
+A step whose end lies on another piece is cut at the kink, located by
+regula falsi on |omega_m| = k v / J, and the next step starts on the new
+piece (the standard treatment of a discontinuous right-hand side, ibid.
+section II.6). Reaching omega_max is the contact-force-zero event.
+
+The lift margin mu = 1 - m g J0 / (eta_j k0 tau_peak) sets how far from the
+start K stops growing like f0 u^2. A run with mu < GRADED_MARGIN, which
+starts close to a static hold, replaces its first 21 uniform steps with
+steps that grow by 1.05 from 1e-4 u_cap, so that the bend in K near u = 0,
+and the nearly singular t = int J/v dq2 there, are resolved; other runs
+stay uniform.
 
 Every candidate at one angle walks the same u-grid, and the geometry at a
 grid step does not depend on the design: the Jacobian J and, for the
 crank angle theta = q2 + (pi - delta_theta), sin(theta) and cos(theta).
 _u_grid tabulates them once per (q2_init, cap, U_STEPS, jacobian scale,
-delta_theta) at each step's midpoint and endpoint, through the same
-_geometry the kernel uses off the grid, in a bounded cache that each process
-(each pool worker too) fills on first use. A full grid step reads the
-table and computes only k from it, once at the midpoint and once at the
-endpoint; the fixed-ratio kernel reads only J. A step that starts off the
-grid (after a kink or event split, and the trial steps of event location
-and stall bisection) computes its geometry from u. Either way the results
-are bit for bit those of computing everything per step.
+delta_theta, graded) at each step's stage nodes 1/3, 1/2, 2/3 and 1,
+through the same _row the kernel uses off the grid, in a bounded cache that
+each process (each pool worker too) fills on first use. A full grid step
+reads the table and computes only k from it, at those four nodes; the
+fixed-ratio kernel reads only J. A step that starts off the grid (after a
+kink or event split, and the trial steps of event location and stall
+bisection) computes its row from u. Either way the results are bit for bit
+those of computing everything per step, and a candidate's result does not
+depend on the others in its grid.
 
 Takeoff events:
 
@@ -68,8 +85,9 @@ by the same reasoning. Reaching the cap under a rule that only accepts a
 contact-force crossing raises SimulationRangeError carrying the state at the
 cap.
 
-A recorded trajectory holds one sample per u-step plus one at each kink and
-event. SimConfig.dt is validated but not read: the u-steps replace it.
+A recorded trajectory holds one sample per u-step (graded steps included)
+plus one at each kink and event. SimConfig.dt is validated but not read:
+the u-steps replace it.
 """
 
 from __future__ import annotations
@@ -84,10 +102,15 @@ from .leg import (KneeState, LegModel, com_height, height, jacobian,
                   jacobian_derivative)
 from .mechanism import (FrrParams, VrrParams, check_working_range,
                         crank_offset, ratio_law)
-from .motor import MotorParams, torque_envelope
+from .motor import (MotorParams, envelope_piece, envelope_pieces,
+                    torque_envelope)
 
-U_STEPS = 250
-"""Uniform RK4 steps in u per takeoff, before kink and event splits."""
+U_STEPS = 75
+"""Uniform order-6 steps in u per takeoff, before kink and event splits."""
+
+GRADED_MARGIN = 0.05
+"""A run whose lift margin 1 - m g J0 / (eta_j k0 tau_peak) is below this
+starts on graded steps (see _u_grid)."""
 
 
 class _Stall(Exception):
@@ -102,27 +125,44 @@ def _geometry(q2: float, jfac: float,
     return jacobian(jfac, q2), math.sin(th), math.cos(th)
 
 
-@functools.lru_cache(maxsize=32)
-def _u_grid(q2_init: float, cap: float, n: int, jfac: float,
-            th_off: float) -> tuple[tuple[float, ...], ...]:
-    """The n uniform u-steps of a takeoff with their geometry.
+def _row(u: float, ue: float, q2_init: float, jfac: float,
+         th_off: float) -> tuple[float, ...]:
+    """One step from u to ue with its geometry: (u, ue, the stage nodes
+    u + h/3, u + h/2 and u + 2h/3, then J, sin theta and cos theta at each
+    of those nodes and at ue)."""
+    h = ue - u
+    nodes = (u + h / 3.0, u + 0.5 * h, u + 2.0 * h / 3.0)
+    geometry = []
+    for x in nodes + (ue,):
+        geometry += _geometry(q2_init + x * x, jfac, th_off)
+    return (u, ue, *nodes, *geometry)
 
-    One tuple per step: (u, ue, J, sin theta, cos theta at the midpoint
-    u + (ue - u)/2, and the same three at ue). It depends on no design
-    parameter but the crank offset th_off, so every candidate of a grid at
-    one angle shares it. 32 tables hold the default box's 7 offsets at
-    three angles.
+
+@functools.lru_cache(maxsize=64)
+def _u_grid(q2_init: float, cap: float, n: int, jfac: float, th_off: float,
+            graded: bool) -> tuple[tuple[float, ...], ...]:
+    """The u-steps of a takeoff with their geometry, one _row per step.
+
+    n uniform steps. graded replaces the first 21 of them with steps that
+    shrink by 1.05 toward u = 0, the first of them at least 1e-4 * u_cap
+    long: at the 21st node a step of ratio 1.05 is one uniform step long,
+    so no graded step is longer than a uniform one. The table depends on no
+    design parameter but the crank offset th_off, so every candidate of a
+    grid at one angle shares it. 64 tables hold the default box's 7 offsets
+    at three angles, graded and uniform.
     """
     u_cap = math.sqrt(cap - q2_init)
-    steps = []
-    u = 0.0
-    for i in range(1, n + 1):
-        ue = u_cap if i == n else u_cap * i / n
-        um = u + 0.5 * (ue - u)
-        steps.append((u, ue, *_geometry(q2_init + um * um, jfac, th_off),
-                      *_geometry(q2_init + ue * ue, jfac, th_off)))
-        u = ue
-    return tuple(steps)
+    nodes = [u_cap * i / n for i in range(n)] + [u_cap]
+    if graded:
+        last = min(21, n)
+        first = []
+        x = nodes[last]
+        while x / 1.05 >= 1e-4 * u_cap:
+            x /= 1.05
+            first.append(x)
+        nodes[1:last] = first[::-1]
+    return tuple(_row(u, ue, q2_init, jfac, th_off)
+                 for u, ue in zip(nodes, nodes[1:]))
 
 
 class TakeoffRule(str, Enum):
@@ -232,13 +272,14 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     jfac = leg.jacobian_scale
     eta = motor.eta_j
     tau_peak = motor.tau_peak
-    w_break, w_hpl, w_max = kinks = (motor.omega_break, motor.omega_hpl,
-                                     motor.omega_max)
+    kinks = (motor.omega_break, motor.omega_hpl, motor.omega_max)
     q2_init = cfg.q2_init
     cap = cfg.q2_takeoff_cap
     t_max = cfg.t_max
     u_cap = math.sqrt(cap - q2_init)
     envelope = torque_envelope(motor)
+    pieces = envelope_pieces(motor)
+    piece_of = envelope_piece(motor)
     ratio = ratio_law(mech)
     # A fixed ratio reads only J, so it shares the delta_theta = 0 table.
     th_off = crank_offset(mech) if vrr else math.pi
@@ -248,47 +289,54 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         jj, sin_th, cos_th = _geometry(q2, jfac, th_off)
         return ratio(sin_th, cos_th), jj
 
-    def piece_of(om: float) -> int:
-        """Smooth piece of the envelope at speed om: 0 up to w_break, 3 from
-        w_max on."""
-        return (om > w_break) + (om > w_hpl) + (om >= w_max)
-
     def rhs(u: float, p: float, k: float,
             jj: float) -> tuple[float, float, float, float]:
         """(dp/du, dt/du, dw_m/du, omega_m) at u > 0, where the ratio is k
-        and the Jacobian jj."""
+        and the Jacobian jj, under the envelope piece tau of the step."""
         if p <= 0.0:
             raise _Stall
         v = c_v * p
         om = k * v / jj
-        tau = envelope(om)
-        return (u * (eta * k * tau - mg * jj) / p, 2.0 * u * jj / v,
-                2.0 * u * tau * k, om)
+        tk = tau(om) * k
+        return (u * (eta * tk - mg * jj) / p, 2.0 * u * jj / v, 2.0 * u * tk,
+                om)
 
     # A state is (u, p, t, w_motor, rhs at the state).
-    def advance(s: tuple, ue: float, km: float, jm: float, ke: float,
-                je: float) -> tuple:
-        """One RK4 step from state s to u = ue; (km, jm) are (k, J) at the
-        midpoint and (ke, je) at ue."""
+    def advance(s: tuple, row: tuple) -> tuple:
+        """One step of Butcher's 7-stage order-6 Runge-Kutta method from
+        state s over row (see _row); s[0] is the row's start."""
         u, p, t, w, (a1, b1, c1, _) = s
+        (_, ue, u1, u2, u3, j1, sin1, cos1, j2, sin2, cos2, j3, sin3, cos3,
+         je, sin_e, cos_e) = row
+        k1, k2, k3, ke = (ratio(sin1, cos1), ratio(sin2, cos2),
+                          ratio(sin3, cos3), ratio(sin_e, cos_e))
         h = ue - u
-        h2 = 0.5 * h
-        um = u + h2
-        a2, b2, c2, _ = rhs(um, p + h2 * a1, km, jm)
-        a3, b3, c3, _ = rhs(um, p + h2 * a2, km, jm)
-        a4, b4, c4, _ = rhs(ue, p + h * a3, ke, je)
-        h6 = h / 6.0
-        pe = p + h6 * (a1 + 2.0 * (a2 + a3) + a4)
-        return (ue, pe, t + h6 * (b1 + 2.0 * (b2 + b3) + b4),
-                w + h6 * (c1 + 2.0 * (c2 + c3) + c4), rhs(ue, pe, ke, je))
+        # Only p feeds back into the stages; t and w_motor are quadratures
+        # that take the same weights b = (11, 0, 81, 81, -32, -32, 11)/120.
+        a2, b2, c2, _ = rhs(u1, p + h * a1 / 3.0, k1, j1)
+        a3, b3, c3, _ = rhs(u3, p + h * 2.0 * a2 / 3.0, k3, j3)
+        a4, b4, c4, _ = rhs(u1, p + h * (a1 + 4.0 * a2 - a3) / 12.0, k1, j1)
+        a5, b5, c5, _ = rhs(u2, p + h * (18.0 * a2 - a1 - 3.0 * a3
+                                         - 6.0 * a4) / 16.0, k2, j2)
+        a6, b6, c6, _ = rhs(u2, p + h * (9.0 * a2 - 3.0 * a3 - 6.0 * a4
+                                         + 4.0 * a5) / 8.0, k2, j2)
+        a7, b7, c7, _ = rhs(ue, p + h * (9.0 * a1 - 36.0 * a2 + 63.0 * a3
+                                         + 72.0 * a4 - 64.0 * a6) / 44.0,
+                            ke, je)
+        h120 = h / 120.0
+        pe = p + h120 * (11.0 * (a1 + a7) + 81.0 * (a3 + a4)
+                         - 32.0 * (a5 + a6))
+        return (ue, pe,
+                t + h120 * (11.0 * (b1 + b7) + 81.0 * (b3 + b4)
+                            - 32.0 * (b5 + b6)),
+                w + h120 * (11.0 * (c1 + c7) + 81.0 * (c3 + c4)
+                            - 32.0 * (c5 + c6)),
+                rhs(ue, pe, ke, je))
 
     def step(s: tuple, ue: float) -> tuple:
-        """One RK4 step from s to ue, with the geometry computed from u:
-        for steps that do not start on a grid point."""
-        u = s[0]
-        um = u + 0.5 * (ue - u)
-        return advance(s, ue, *geom(q2_init + um * um),
-                       *geom(q2_init + ue * ue))
+        """One step from s to ue, with the geometry computed from u: for
+        steps that do not start on a grid point."""
+        return advance(s, _row(s[0], ue, q2_init, jfac, th_off))
 
     def locate(s: tuple, end: tuple, phi, tol: float) -> tuple:
         """The first state past the root of phi on the step from s to end.
@@ -384,7 +432,8 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     trajectory: list[SimState] = []
 
     k0, j0 = geom(q2_init)
-    if eta * k0 * tau_peak <= mg * j0:
+    lift = eta * k0 * tau_peak
+    if lift <= mg * j0:
         # Static hold: the commanded torque cannot start lifting the CoM.
         held = (0.0, 0.0, t_max, 0.0, None)
         if record:
@@ -392,24 +441,25 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         return finish(held, Termination.TIMEOUT)
     # At rest K ~ f0 u^2, which gives the limits dp/du = sqrt(f0) and
     # dt/du = 2 J0 / (sqrt(2/m) sqrt(f0)).
-    rate = math.sqrt(eta * k0 * tau_peak - mg * j0)
+    rate = math.sqrt(lift - mg * j0)
     state = (0.0, 0.0, 0.0, 0.0, (rate, 2.0 * j0 / (c_v * rate), 0.0, 0.0))
     if record:
         trajectory.append(snapshot(state))
 
     piece = 0
-    grid = _u_grid(q2_init, cap, U_STEPS, jfac, th_off)
-    for u0, ue, jm, sin_m, cos_m, je, sin_e, cos_e in grid:
+    tau = pieces[piece]
+    # With a small lift margin f0 is small against the growth of f, and K
+    # bends within the first uniform step: those runs start graded.
+    graded = 1.0 - mg * j0 / lift < GRADED_MARGIN
+    for row in _u_grid(q2_init, cap, U_STEPS, jfac, th_off, graded):
+        ue = row[1]
         while state[0] < ue:
             ended = None
             try:
-                # The table holds the geometry of a step from u0 only; a
-                # split left the state between grid points.
-                if state[0] == u0:
-                    new = advance(state, ue, ratio(sin_m, cos_m), jm,
-                                  ratio(sin_e, cos_e), je)
-                else:
-                    new = step(state, ue)
+                # The table holds the geometry of a step from its start
+                # only; a split left the state between grid points.
+                new = (advance(state, row) if state[0] == row[0]
+                       else step(state, ue))
                 now = piece_of(new[4][3])
                 if now != piece:
                     # End the step at the first envelope kink crossed;
@@ -422,13 +472,20 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                                  1e-10 * level)
                     if force_armed and up and piece == 2:
                         ended = Termination.CONTACT_FORCE_ZERO
-                    piece += 1 if up else -1
+                    now = piece + (1 if up else -1)
                 if new[2] > t_max:
                     new = locate(state, new, lambda s: s[2] - t_max, 1e-11)
                     ended = Termination.TIMEOUT
+                if now != piece and ended is None:
+                    # The next step starts on the piece past the kink.
+                    piece = now
+                    tau = pieces[piece]
+                    new = (*new[:4],
+                           rhs(new[0], new[1], *geom(q2_init + new[0] ** 2)))
             except _Stall:
                 return stall(state, ue)
-            if record and new is not state:
+            # A kink located at the state itself adds no row.
+            if record and new[0] > state[0]:
                 trajectory.append(snapshot(new))
             state = new
             if ended is not None:

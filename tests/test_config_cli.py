@@ -5,7 +5,8 @@ import math
 import pytest
 
 from vrrjump import (ConfigError, FrrParams, JacobianMode, SimConfig,
-                     VrrParams, load_config)
+                     VrrParams, default_motor, load_config,
+                     loss_balance_c_iron2, power_loss)
 from vrrjump.cli import main
 from vrrjump.report import fmt
 
@@ -82,6 +83,18 @@ def test_defaults_are_materialized(tmp_path):
     assert doc["motor"]["eta_j"] == 0.9
     assert doc["sim"]["dt_s"] == 1e-4
     assert doc["motor"]["c_iron2_w_s2_per_rad2"] > 0
+
+
+def test_c_iron2_default_is_the_motor_fit(tmp_path):
+    assert load_config(FULLSCALE).motor == default_motor()
+    path = write_config(tmp_path, **{"motor.r_phase_ohm": 0.04,
+                                     "motor.c_iron1_w_s_per_rad": 0.3,
+                                     "motor.c_iron2_w_s2_per_rad2": None})
+    m = load_config(path).motor
+    assert m.c_iron2 == loss_balance_c_iron2(m.k_t, m.i_q_peak, m.omega_max,
+                                             0.04, 0.3)
+    assert power_loss(m, m.i_q_peak, m.omega_max) == pytest.approx(
+        m.k_t * m.i_q_peak * m.omega_max, rel=1e-12)
 
 
 def test_round_trip_through_resolved_doc(tmp_path):

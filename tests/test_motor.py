@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from vrrjump import (DomainError, MotorParams, envelope_table, joint_torque,
+from vrrjump import (DomainError, MotorParams, envelope_piece,
+                     envelope_pieces, envelope_table, joint_torque,
                      max_torque, power_loss)
 
 RADS_PER_RPM = math.pi / 30.0
@@ -35,8 +36,9 @@ def test_max_torque_piecewise(motor):
     assert max_torque(motor, motor.omega_break * 0.5) == 9.37
     assert max_torque(motor, motor.omega_max) == 0.0
     assert max_torque(motor, motor.omega_max * 2) == 0.0
-    with pytest.raises(DomainError):
-        max_torque(motor, -1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(DomainError):
+            max_torque(motor, bad)
 
 
 def test_max_torque_continuous_at_corner(motor):
@@ -52,6 +54,26 @@ def test_max_torque_continuous_at_derate_onset(motor):
     below = max_torque(motor, motor.omega_hpl - eps)
     above = max_torque(motor, motor.omega_hpl + eps)
     assert above == pytest.approx(below, rel=1e-6)
+
+
+def test_envelope_is_its_pieces(motor):
+    """max_torque takes the piece envelope_piece names; each piece's formula
+    continues smoothly past the kinks that bound it."""
+    pieces = envelope_pieces(motor)
+    peak, power, derated, zero = pieces
+    piece = envelope_piece(motor)
+    kinks = (motor.omega_break, motor.omega_hpl, motor.omega_max)
+    assert [piece(w) for w in (0.0, *kinks)] == [0, 0, 1, 3]
+    omegas = [w * f for w in kinks for f in (1 - 1e-12, 1.0, 1 + 1e-12)]
+    omegas += list(np.linspace(0.0, 1.2 * motor.omega_max, 1000))
+    for w in omegas:
+        assert max_torque(motor, w) == pieces[piece(w)](w)
+    w = 1.1 * motor.omega_max
+    assert peak(w) == motor.tau_peak and zero(0.5) == 0.0
+    assert power(w) == motor.p_peak / w
+    assert derated(w) == pytest.approx(
+        -0.1 * motor.omega_max * motor.p_peak
+        / (w * (motor.omega_max - motor.omega_hpl)), rel=1e-12)
 
 
 def test_max_torque_nonincreasing(motor):

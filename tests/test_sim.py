@@ -93,7 +93,8 @@ def test_samples_are_the_model_functions_bitwise(leg, motor, angle):
     for mech in (FrrParams(23.0), VrrParams(0.047, 0.150),
                  VrrParams(0.050, 0.100, delta_theta=math.radians(2.0))):
         res = simulate_jump(leg, motor, mech, cfg)
-        assert len(res.trajectory) > 200
+        # k = 23 reaches omega_max at about 85 % of the u-range.
+        assert len(res.trajectory) > 0.8 * sim.U_STEPS
         for s in res.trajectory:
             assert s.tau_m == max_torque(motor, s.omega_m)
             assert s.tau_j == s.tau_m * reduction_ratio(mech, s.q2) * motor.eta_j
@@ -145,10 +146,10 @@ def test_step_halving_convergence(leg, motor, mech_opt, monkeypatch):
 
 
 @pytest.mark.parametrize("angle, w_ref, w_frr", [
-    (-2.618, 359.4572970111797, 327.3413865703526),
-    (-2.2689, 349.09019236093684, 314.33617951792814),
-    (-1.9199, 331.8965978675727, 300.2701958122105),
-])
+    (-2.618, 359.45729699049707, 327.3413863613571),
+    (-2.2689, 349.09019234956986, 314.33617935414475),
+    (-1.9199, 331.8965978594364, 300.27019574574365),
+], ids=["-2.618", "-2.2689", "-1.9199"])
 def test_pinned_energies(leg, motor, mech_opt, angle, w_ref, w_frr):
     """Exact energies of the reference design and of k = 23; any change to
     the kernel's arithmetic shows here."""
@@ -157,6 +158,57 @@ def test_pinned_energies(leg, motor, mech_opt, angle, w_ref, w_frr):
     assert res.w_takeoff == w_ref
     res = simulate_jump(leg, motor, FrrParams(23.0), cfg, record=False)
     assert res.w_takeoff == w_frr
+
+
+VRR_OPTIMA = {-2.618: VrrParams(0.050, 0.100), -2.2689: VrrParams(0.053, 0.100),
+              -1.9199: VrrParams(0.056, 0.100)}
+
+
+def _refined(leg, motor, mech, cfg, monkeypatch, factor):
+    """The result with factor times as many u-steps."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "U_STEPS", factor * sim.U_STEPS)
+        return simulate_jump(leg, motor, mech, cfg, record=False)
+
+
+@pytest.mark.parametrize("angle", sorted(VRR_OPTIMA))
+def test_work_energy_residual(leg, motor, mech_opt, angle):
+    """eta w_motor + m g y(q2_init) = W holds to the integrator's error,
+    which at U_STEPS is far below the printed 9 digits."""
+    cfg = SimConfig(q2_init=angle)
+    mg = leg.total_mass() * leg.g
+    for mech in (mech_opt, VRR_OPTIMA[angle], FrrParams(22.0), FrrParams(23.0)):
+        res = simulate_jump(leg, motor, mech, cfg)
+        lhs = motor.eta_j * res.trajectory[-1].w_motor \
+            + mg * com_height(leg, angle)
+        assert abs(lhs - res.w_takeoff) / res.w_takeoff <= 1e-10, mech
+
+
+def test_near_rest_start_is_resolved(leg, motor, monkeypatch):
+    """A lift margin of 8e-5 (a moving timeout at the deepest crouch): the
+    graded start keeps W within 1e-9 of the 16-fold refined run, where 250
+    uniform RK4 steps were 2.5e-4 off."""
+    mech, cfg = VrrParams(0.035, 0.240), SimConfig(q2_init=-2.618)
+    res = simulate_jump(leg, motor, mech, cfg, record=False)
+    ref = _refined(leg, motor, mech, cfg, monkeypatch, 16)
+    assert res.terminated_by is ref.terminated_by is Termination.TIMEOUT
+    assert res.q2_at_takeoff > cfg.q2_init
+    assert abs(res.w_takeoff - ref.w_takeoff) / ref.w_takeoff <= 1e-9
+
+
+@pytest.mark.parametrize("k", [22.0, 23.0])
+@pytest.mark.parametrize("angle", sorted(VRR_OPTIMA))
+def test_step_doubling_shows_order_6(leg, motor, monkeypatch, angle, k):
+    """These ratios cross all three envelope kinks and end at contact-force
+    zero. With each step on one smooth envelope piece, doubling the steps
+    cuts the error by about 2^6; a right-hand side that changes piece
+    inside a step gives erratic ratios, near 1 for k = 22."""
+    mech, cfg = FrrParams(k), SimConfig(q2_init=angle)
+    ref = _refined(leg, motor, mech, cfg, monkeypatch, 16)
+    assert ref.terminated_by is Termination.CONTACT_FORCE_ZERO
+    err = [abs(_refined(leg, motor, mech, cfg, monkeypatch, f).w_takeoff
+               - ref.w_takeoff) for f in (1, 2)]
+    assert err[1] * 32 <= err[0]
 
 
 def _outcome(res):
@@ -170,8 +222,10 @@ def test_shared_u_grid_is_bitwise_neutral(leg, motor, deep_crouch,
     """Every grid evaluation equals, bit for bit, a lone run that built its
     own u-grid table, and warm-cache runs match in either candidate order.
     With the step count doubled after the cache is warm, a table not keyed
-    on it would be stale and the results would differ."""
-    box = SearchBox(r_range=(0.040, 0.050, 0.005),
+    on it would be stale and the results would differ. At r = 35 mm four
+    candidates start graded and five uniform, on tables of the same key
+    but for the start."""
+    box = SearchBox(r_range=(0.035, 0.050, 0.005),
                     s0_range=(0.140, 0.160, 0.010),
                     dtheta_range=(-math.radians(1.0), math.radians(1.0),
                                   math.radians(1.0)),
@@ -210,7 +264,7 @@ def test_shared_u_grid_is_bitwise_neutral(leg, motor, deep_crouch,
 
 @pytest.mark.parametrize("mech", [VrrParams(0.047, 0.150),
                                   VrrParams(0.040, 0.140, math.radians(2.0)),
-                                  FrrParams(23.0)])
+                                  VrrParams(0.035, 0.240), FrrParams(23.0)])
 def test_u_grid_table_matches_geometry_from_u(leg, motor, deep_crouch,
                                               monkeypatch, mech):
     """A table whose start points never match sends every step down the
@@ -262,6 +316,19 @@ def test_trajectory_has_one_row_per_u_step(leg, motor, mech_opt, deep_crouch):
     assert sim.U_STEPS + 1 < len(res.trajectory) <= sim.U_STEPS + 1 + 6
     ts = [s.t for s in res.trajectory]
     assert all(b > a for a, b in zip(ts, ts[1:]))
+
+
+def test_coincident_kinks_add_no_duplicate_row(leg, motor):
+    """With omega_hpl = omega_break the second kink is located at the state
+    the first one ended on: the piece changes, the trajectory gains no row."""
+    motor = dataclasses.replace(motor, omega_hpl=motor.omega_break)
+    cfg = SimConfig(q2_init=-2.618)
+    for mech in (FrrParams(23.0), VrrParams(0.047, 0.150)):
+        res = simulate_jump(leg, motor, mech, cfg)
+        ts = [s.t for s in res.trajectory]
+        assert all(b > a for a, b in zip(ts, ts[1:]))
+        assert dataclasses.replace(res, trajectory=[]) == simulate_jump(
+            leg, motor, mech, cfg, record=False)
 
 
 def test_static_hold_on_insufficient_torque(leg, motor, mech_opt, deep_crouch):

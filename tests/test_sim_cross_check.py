@@ -3,7 +3,7 @@
 The same dynamics closure is integrated in the time domain with scipy's
 adaptive RK45 at tight tolerance, with takeoff located by event detection.
 The production integrator steps in the knee angle instead, so agreement to
-1e-6 in energy and 1e-5 in time checks both the formulation and its
+1e-8 in energy and 1e-6 in time checks both the formulation and its
 convergence.
 """
 
@@ -16,8 +16,8 @@ from vrrjump import (FrrParams, SimConfig, Termination, VrrParams,
                      com_height, com_jacobian, com_jacobian_derivative,
                      max_torque, reduction_ratio, simulate_jump)
 
-W_REL = 1e-6
-T_REL = 1e-5
+W_REL = 1e-8
+T_REL = 1e-6
 
 
 def independent_takeoff(leg, motor, mech, q2_init, cap=-0.05, t_max=1.0):
