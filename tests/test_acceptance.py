@@ -288,6 +288,70 @@ def test_criterion_10_csv_determinism(tmp_path, capsys):
           f"{len(names) - 1} emitted files byte-identical across repeated runs")
 
 
+# ----------------------------------------------------- full-box digests ----
+
+FULL_BOX_SHA256 = {
+    "grid_frr_-1.9199.csv":
+        "4e78c02e06a57a50fcdc8b42259e4775a6d6fd68fe1c09e54cafce725b9b28d6",
+    "grid_frr_-2.2689.csv":
+        "3b0851637b7dcd0d66d9ad0bc27fe1e7d16ed519b3b89ecd4813cc1e3a2cd91b",
+    "grid_frr_-2.6180.csv":
+        "450588d7bea0308886436eccbf39cec61814ca5219ee7692080842e74328e24b",
+    "grid_vrr_-1.9199.csv":
+        "a140cd0a0729893abe509fc205bd3f6a351e2158f48e8b07fb89d628370c9cac",
+    "grid_vrr_-2.2689.csv":
+        "5825b4fb414d4035feab8fa6ef80bbf9c8c0fa552183cd9bcec59f62b6aab482",
+    "grid_vrr_-2.6180.csv":
+        "5cec4bf9977f01ca60e09bc1674feab396023752990b60d7656eed9c0e131c4f",
+    "overall_ratio_-1.9199.csv":
+        "a8d60672134dd18026ebab4160bcfce76f0d80047e8d1e86df683f59e1d012d4",
+    "overall_ratio_-2.2689.csv":
+        "96986e6aa80352b73b694863c25a7ebe4e20296d77ffd45255703428fc5a001d",
+    "overall_ratio_-2.6180.csv":
+        "8f7ed59afdef6275fb6f28cb1548feb3438a510dcc904d562832b32c5c5bdc94",
+    "ratio_curve_evrr_-1.9199.csv":
+        "7e9c1b0d30e4b45994965a7c0827a598bddb637c38950a3a8084d05989753a37",
+    "ratio_curve_evrr_-2.2689.csv":
+        "e15393cab4b7fb32b13d62489af7c9f009b04ed3f3f786aaebaedc2a09c4fe8c",
+    "ratio_curve_evrr_-2.6180.csv":
+        "9f665bcc11cd1f08f48a1eb0d37541d4237c526058cd033059f5940a16b400d5",
+    "summary.csv":
+        "7ff6904dfca703fb8e15e7b035ddc261b5d944ea813a4fe90fe9c6b47a67fb96",
+    "trajectory_evrr_-1.9199.csv":
+        "6dc31c23794d4cb458a8496841806c3ceeba3e86148850773e3b63c813a70258",
+    "trajectory_evrr_-2.2689.csv":
+        "d5652682635e1259ce3141fe66a79198419577984de8ffe4f8181a7de8d57257",
+    "trajectory_evrr_-2.6180.csv":
+        "bc216a3e2ad8a444ead68bd9319cdb0c4af9dfc8a0844750e76ee74b3a924dc0",
+    "trajectory_frr_-1.9199.csv":
+        "b627b089d2986b3de5376ccc54de1866c4d4cddc4a6b2fece99b07cb55531feb",
+    "trajectory_frr_-2.2689.csv":
+        "f66dba9d2184b563e9556fbe3c3aef936ef8d304ddde4eef1358e1f401e70ec9",
+    "trajectory_frr_-2.6180.csv":
+        "de8fa6dbfdf49b2f8bb4b3a2fb26c778add732829b29f44c7bec55bf3a4626c7",
+}
+"""sha256 of every CSV that `vrrjump compare --dump-grid` writes for
+fullscale.json's full box. A change that moves numbers on purpose updates
+these and says in CHANGES.md which files moved."""
+
+
+def test_full_box_outputs_match_digests(report, tmp_path):
+    import hashlib
+    from vrrjump import emit_report
+    from vrrjump.cli import _write_grid_csv
+    emit_report(report, tmp_path)
+    for row in report.rows:
+        for joint, opt in (("vrr", row.vrr), ("frr", row.frr)):
+            _write_grid_csv(tmp_path / f"grid_{joint}_{row.angle:.4f}.csv", opt)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.glob("*.csv")}
+    moved = sorted(name for name in FULL_BOX_SHA256.keys() | got.keys()
+                   if got.get(name) != FULL_BOX_SHA256.get(name))
+    check("full-box digests", not moved,
+          f"{len(got)} CSVs, {len(moved)} differ from the committed digests"
+          + (f": {', '.join(moved)}" if moved else ""))
+
+
 # ------------------------------------------------- reference sanity extras ----
 
 def test_reference_rows_terminate_by_takeoff_not_timeout(report):
