@@ -3,24 +3,20 @@
 from .config import RunConfig, load_config
 from .errors import (ConfigError, DomainError, MechanismRangeError,
                      NoFeasibleDesignError, SimulationRangeError,
-                     SingularityError, VrrJumpError)
-from .leg import (DEFAULT_Q2_CAP, JacobianMode, KneeState, LegModel,
-                  com_force, com_height, com_jacobian,
-                  com_jacobian_derivative, com_velocity, knee_to_com_ratio)
+                     VrrJumpError)
+from .leg import JacobianMode, LegModel, com_height, com_jacobian
 from .mechanism import (FrrParams, RatioCurve, VrrParams, check_working_range,
-                        crank_angle, crank_offset, effective_overall_ratio,
-                        joint_angle, peak_crank_angle, ratio_curve, ratio_law,
+                        crank_angle, crank_offset, joint_angle,
+                        peak_crank_angle, ratio_curve, ratio_law,
                         reduction_ratio)
 from .motor import (EnvelopePoint, MotorParams, default_motor, envelope_piece,
-                    envelope_pieces, envelope_table, joint_torque,
-                    loss_balance_c_iron2, max_torque, power_loss,
-                    torque_envelope)
+                    envelope_pieces, envelope_table, loss_balance_c_iron2,
+                    max_torque, power_loss, torque_envelope)
 from .optimize import (AngleRow, ComparisonReport, EvalRecord, OptResult,
                        SearchBox, compare_designs, default_search_box,
                        optimize_frr, optimize_vrr, select_best)
 from .report import emit_report, write_trajectory_csv
 from .sim import (SimConfig, SimState, TakeoffResult, TakeoffRule,
-                  Termination, ballistic_check, contact_force, jump_height,
-                  simulate_jump, takeoff_energy)
+                  Termination, jump_height, simulate_jump, takeoff_energy)
 
 __version__ = "0.1.0"

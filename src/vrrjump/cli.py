@@ -46,12 +46,24 @@ def _setup_logging() -> None:
     )
 
 
+def _workers(text: str) -> int:
+    """argparse type of --workers: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, got {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -> None:
     parser.add_argument("--config", required=config_required,
                         help="path to the JSON run configuration")
     parser.add_argument("--out", default=None,
                         help="output directory (default: config output_dir)")
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=_workers, default=1,
                         help="parallel candidate evaluations (default 1)")
     parser.add_argument("--jacobian-mode", choices=["paper", "geometric"],
                         default=None, help="override the config Jacobian mode")

@@ -16,22 +16,6 @@ class DomainError(VrrJumpError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class SingularityError(DomainError):
-    """Knee angle too close to full extension for the CoM transmission ratio."""
-
-    def __init__(self, q2: float, cap: float):
-        self.q2 = q2
-        self.cap = cap
-        super().__init__(
-            f"knee angle q2={q2:.6g} rad is at or above the singularity cap "
-            f"{cap:.6g} rad; the knee-to-CoM ratio diverges at full extension"
-        )
-
-    def __reduce__(self):
-        # args holds the message, not (q2, cap), so the default would fail.
-        return type(self), (self.q2, self.cap)
-
-
 def require_finite(obj) -> None:
     """Raise DomainError naming the first numeric field of a dataclass
     instance that is NaN or infinite."""

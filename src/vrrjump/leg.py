@@ -18,8 +18,8 @@ Two Jacobian conventions are supported:
   the matching antiderivative 2C*cos(q2/2) used for heights. This variant is
   kept because some published parameter sets are calibrated against it.
 
-All functions are pure; the model object is immutable. The unchecked jacobian,
-jacobian_derivative and height of (f, q2) are the one definition of each.
+All functions are pure; the model object is immutable. The unchecked jacobian
+and height of (f, q2) are the one definition of each.
 """
 
 from __future__ import annotations
@@ -28,10 +28,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, SingularityError, require_finite
-
-DEFAULT_Q2_CAP = -0.05
-"""Default guard angle: the knee-to-CoM ratio is treated as singular above it."""
+from .errors import DomainError, require_finite
 
 
 class JacobianMode(str, Enum):
@@ -91,28 +88,14 @@ class LegModel:
         return 2.0 * self.jacobian_scale
 
 
-@dataclass(frozen=True)
-class KneeState:
-    """Knee angle (rad, in [-pi, 0]) and angular velocity (rad/s)."""
-
-    q2: float
-    dq2: float
-
-
-def _check_q2(q2: float, include_zero: bool = True) -> None:
-    hi_ok = q2 <= 0.0 if include_zero else q2 < 0.0
-    if not (-math.pi <= q2 and hi_ok):
+def _check_q2(q2: float) -> None:
+    if not (-math.pi <= q2 <= 0.0):
         raise DomainError(f"knee angle q2={q2:.6g} rad outside [-pi, 0]")
 
 
 def jacobian(f: float, q2: float) -> float:
     """CoM Jacobian f*|sin(q2/2)| (bitwise -f*sin(q2/2) for q2 < 0)."""
     return f * abs(math.sin(0.5 * q2))
-
-
-def jacobian_derivative(f: float, q2: float) -> float:
-    """d(jacobian)/dq2 = -(f/2) cos(q2/2) for q2 < 0."""
-    return -0.5 * f * math.cos(0.5 * q2)
 
 
 def height(f: float, q2: float) -> float:
@@ -126,35 +109,8 @@ def com_jacobian(model: LegModel, q2: float) -> float:
     return jacobian(model.jacobian_scale, q2)
 
 
-def com_jacobian_derivative(model: LegModel, q2: float) -> float:
-    """d(com_jacobian)/dq2 on [-pi, 0), where the Jacobian is -f*sin(q2/2)."""
-    _check_q2(q2)
-    return jacobian_derivative(model.jacobian_scale, q2)
-
-
-def knee_to_com_ratio(model: LegModel, q2: float, cap: float = DEFAULT_Q2_CAP) -> float:
-    """Transmission ratio dq2/dy (rad/m); diverges toward full extension.
-
-    ``cap`` guards the singularity: q2 must stay below it.
-    """
-    if q2 >= cap:
-        raise SingularityError(q2, cap)
-    _check_q2(q2, include_zero=False)
-    return 1.0 / com_jacobian(model, q2)
-
-
 def com_height(model: LegModel, q2: float) -> float:
     """CoM height above ground (m), maximal at q2 = 0."""
     _check_q2(q2)
     return height(model.jacobian_scale, q2)
 
-
-def com_velocity(model: LegModel, state: KneeState) -> float:
-    """Signed vertical CoM velocity (m/s); positive toward extension."""
-    return com_jacobian(model, state.q2) * state.dq2
-
-
-def com_force(model: LegModel, q2: float, tau_joint: float,
-              cap: float = DEFAULT_Q2_CAP) -> float:
-    """Upward force on the CoM produced by knee torque, before gravity (N)."""
-    return tau_joint * knee_to_com_ratio(model, q2, cap)

@@ -28,7 +28,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import DomainError, MechanismRangeError, require_finite
-from .leg import DEFAULT_Q2_CAP, LegModel, knee_to_com_ratio
 
 THETA_MIN = 0.01
 THETA_MAX = math.pi - 0.001
@@ -194,8 +193,3 @@ def ratio_curve(params: VrrParams, q2_lo: float, q2_hi: float, n: int) -> RatioC
     return RatioCurve(samples=samples, argmax_q2=argmax_q2,
                       k_max=reduction_ratio(params, argmax_q2))
 
-
-def effective_overall_ratio(params: VrrParams | FrrParams, model: LegModel,
-                            q2: float, cap: float = DEFAULT_Q2_CAP) -> float:
-    """Motor-to-CoM transmission ratio k(q2) * lambda(q2) in rad/m."""
-    return knee_to_com_ratio(model, q2, cap) * reduction_ratio(params, q2)

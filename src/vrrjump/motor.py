@@ -1,4 +1,4 @@
-"""Parametric PMSM output model: torque-speed envelope, losses, joint torque.
+"""Parametric PMSM output model: torque-speed envelope and losses.
 
 The available-torque envelope is piecewise in speed:
 
@@ -198,13 +198,6 @@ def power_loss(params: MotorParams, i_q: float, omega: float) -> float:
     return (1.5 * params.r_phase * i_q * i_q
             + params.c_iron1 * abs(omega)
             + params.c_iron2 * omega * omega)
-
-
-def joint_torque(params: MotorParams, tau_m: float, k: float) -> float:
-    """Joint-side torque tau_m * k * eta_j for reduction ratio k >= 0."""
-    if k < 0:
-        raise DomainError(f"reduction ratio k={k} must be nonnegative")
-    return tau_m * k * params.eta_j
 
 
 def envelope_table(params: MotorParams, n: int) -> list[EnvelopePoint]:

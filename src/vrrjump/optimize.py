@@ -241,9 +241,13 @@ class AngleRow:
 
 @dataclass
 class ComparisonReport:
+    """The rows of a comparison. cap is the configured q2_takeoff_cap, where
+    every row's ratio curve ends."""
+
     rows: list[AngleRow]
     leg: LegModel
     metadata: dict
+    cap: float = SimConfig.q2_takeoff_cap
 
 
 def compare_designs(leg: LegModel, motor: MotorParams, base_cfg: SimConfig,
@@ -296,4 +300,5 @@ def compare_designs(leg: LegModel, motor: MotorParams, base_cfg: SimConfig,
             fail(row, exc)
     return ComparisonReport(rows=rows, leg=leg, metadata={
         "workers": processes,
-        "n_candidates": sum(len(mechs) for _, mechs in grids)})
+        "n_candidates": sum(len(mechs) for _, mechs in grids)},
+        cap=base_cfg.q2_takeoff_cap)

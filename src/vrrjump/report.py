@@ -170,11 +170,10 @@ def emit_report(report: ComparisonReport, out_dir: str | Path) -> list[Path]:
             write_trajectory_csv(path, report.leg, opt.best_params, takeoff)
             manifest.append(path)
 
-        cap = row.vrr_takeoff.trajectory[-1].q2 if row.vrr_takeoff.trajectory else -0.05
         ratio_path = out / f"ratio_curve_evrr_{label}.csv"
         vp = row.vrr.best_params
         rows_ratio, rows_overall = [], []
-        for q2, k_v in ratio_curve(vp, row.angle, cap, RATIO_SAMPLES).samples:
+        for q2, k_v in ratio_curve(vp, row.angle, report.cap, RATIO_SAMPLES).samples:
             lam = 1.0 / com_jacobian(report.leg, q2)
             rows_ratio.append([fmt(q2), fmt(crank_angle(vp, q2)), fmt(k_v)])
             rows_overall.append([fmt(q2), fmt(k_v * lam),

@@ -98,8 +98,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import DomainError, SimulationRangeError, require_finite
-from .leg import (KneeState, LegModel, com_height, height, jacobian,
-                  jacobian_derivative)
+from .leg import LegModel, com_height, height, jacobian
 from .mechanism import (FrrParams, VrrParams, check_working_range,
                         crank_offset, ratio_law)
 from .motor import (MotorParams, envelope_piece, envelope_pieces,
@@ -231,11 +230,6 @@ class TakeoffResult:
     q2_at_takeoff: float
     terminated_by: Termination
     trajectory: list[SimState] = field(default_factory=list)
-
-
-def contact_force(leg: LegModel, ddy_com: float) -> float:
-    """Ground reaction m_tot*(ydd + g); takeoff once it reaches zero."""
-    return leg.total_mass() * (ddy_com + leg.g)
 
 
 def takeoff_energy(leg: LegModel, q2: float, dy_com: float) -> float:
@@ -499,50 +493,3 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             last_state=snapshot(state))
     return finish(state, Termination.ANGLE_CAP)
 
-
-def ballistic_check(leg: LegModel, state: KneeState, duration: float,
-                    dt: float = 1e-4) -> float:
-    """Integrate the torqueless dynamics and return max |dE|/E over the window.
-
-    Uses classic fixed-step RK4 in time on (q2, dq2) with tau = 0, for which
-    the exact CoM motion is free fall and total mechanical energy is
-    conserved; the return value measures pure integrator drift. Integration
-    stops early if the knee leaves (-pi + 1e-3, -0.01). This ODE is not the
-    takeoff's, so it has its own stepper; J, dJ/dq2 and the height are leg's.
-    """
-    if duration < 0 or dt <= 0:
-        raise DomainError("duration must be >= 0 and dt > 0")
-    jfac = leg.jacobian_scale
-    m = leg.total_mass()
-    g = leg.g
-
-    # The unchecked forms: RK4 stages may step past -pi.
-    def accel(q2: float, dq2: float) -> float:
-        jp = jacobian_derivative(jfac, q2)
-        return (-g - jp * dq2 * dq2) / jacobian(jfac, q2)
-
-    def energy(q2: float, dq2: float) -> float:
-        dy = jacobian(jfac, q2) * dq2
-        return 0.5 * m * dy * dy + m * g * height(jfac, q2)
-
-    q2, dq2 = state.q2, state.dq2
-    e0 = energy(q2, dq2)
-    worst = 0.0
-    h2 = 0.5 * dt
-    h6 = dt / 6.0
-    for _ in range(int(round(duration / dt))):
-        if not (-math.pi + 1e-3 < q2 < -0.01):
-            break
-        a1 = accel(q2, dq2)
-        v2 = dq2 + h2 * a1
-        a2 = accel(q2 + h2 * dq2, v2)
-        v3 = dq2 + h2 * a2
-        a3 = accel(q2 + h2 * v2, v3)
-        v4 = dq2 + dt * a3
-        a4 = accel(q2 + dt * v3, v4)
-        q2 += h6 * (dq2 + 2.0 * (v2 + v3) + v4)
-        dq2 += h6 * (a1 + 2.0 * (a2 + a3) + a4)
-        drift = abs(energy(q2, dq2) - e0) / abs(e0)
-        if drift > worst:
-            worst = drift
-    return worst

@@ -14,9 +14,9 @@ import math
 
 import pytest
 
-from vrrjump import (KneeState, SimConfig, VrrParams, ballistic_check,
-                     com_height, compare_designs, load_config, optimize_vrr,
-                     reduction_ratio, simulate_jump)
+from vrrjump import (SimConfig, VrrParams, com_height, compare_designs,
+                     load_config, optimize_vrr, reduction_ratio,
+                     simulate_jump)
 from vrrjump import sim
 from vrrjump.cli import main
 from vrrjump.optimize import _axis
@@ -192,20 +192,28 @@ def test_criterion_5_ratio_curve_sensitivities():
 
 # ------------------------------------------------------------ criterion 6 ----
 
-def test_criterion_6_integrator_quality(fullscale, monkeypatch):
-    drift = ballistic_check(fullscale.leg, KneeState(q2=-2.0, dq2=1.0),
-                            duration=0.5, dt=1e-4)
+def test_criterion_6_integrator_quality(report, fullscale, monkeypatch):
+    """The work-energy residual |eta w_motor + m g y(q2_init) - W| / W of
+    the reference design at -2.618 and of both optima at every angle, and
+    the change in H of the reference design when the u-step is halved."""
+    leg, motor = fullscale.leg, fullscale.motor
+    mg = leg.total_mass() * leg.g
     mech = VrrParams(r=0.047, s0=0.150)
     cfg = SimConfig(q2_init=-2.618)
-    h1 = simulate_jump(fullscale.leg, fullscale.motor, mech, cfg,
-                       record=False).h_jump
+    ref = simulate_jump(leg, motor, mech, cfg)
+    runs = [(cfg.q2_init, ref)] + [(row.angle, takeoff) for row in report.rows
+                                   for takeoff in (row.vrr_takeoff,
+                                                   row.frr_takeoff)]
+    residual = max(
+        abs(motor.eta_j * t.trajectory[-1].w_motor + mg * com_height(leg, a)
+            - t.w_takeoff) / t.w_takeoff for a, t in runs)
     monkeypatch.setattr(sim, "U_STEPS", 2 * sim.U_STEPS)
-    h2 = simulate_jump(fullscale.leg, fullscale.motor, mech, cfg,
-                       record=False).h_jump
-    ok = drift < 1e-8 and abs(h1 - h2) <= 1e-6
+    h2 = simulate_jump(leg, motor, mech, cfg, record=False).h_jump
+    ok = residual <= 1e-9 and abs(ref.h_jump - h2) <= 1e-6
     check("criterion 6", ok,
-          f"ballistic drift {drift:.3g} (< 1e-8); u-step-halving dH = "
-          f"{abs(h1 - h2):.3g} m (<= 1e-6)")
+          f"work-energy residual {residual:.3g} over {len(runs)} runs "
+          f"(<= 1e-9); u-step-halving dH = {abs(ref.h_jump - h2):.3g} m "
+          f"(<= 1e-6)")
 
 
 # ------------------------------------------------------------ criterion 7 ----

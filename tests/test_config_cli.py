@@ -391,3 +391,29 @@ def test_compare_dump_grid_same_bytes_with_a_pool(tmp_path, capsys, monkeypatch)
         if name != "metadata.json":
             assert (tmp_path / "1" / name).read_bytes() == \
                 (tmp_path / "2" / name).read_bytes(), name
+
+
+def test_compare_with_static_hold_optima(tmp_path, capsys):
+    """A motor too weak to lift the CoM at any angle: every optimum is a
+    static hold, and each ratio curve still spans [angle, cap]."""
+    cfg = tiny_search(tmp_path, angles_rad=[-2.618, -1.9199], motor={
+        "tau_peak_nm": 0.5, "i_q_peak_a": 5.0, "p_peak_w": 80.0})
+    out = tmp_path / "rep"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    for angle in ("-2.6180", "-1.9199"):
+        rows = (out / f"ratio_curve_evrr_{angle}.csv").read_text().splitlines()
+        assert (rows[1].split(",")[0], rows[-1].split(",")[0]) == \
+            (f"{float(angle):.9g}", "-0.05")
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_workers_below_one_rejected(tmp_path, capsys, value):
+    cfg = tiny_search(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--config", cfg, "--out", str(tmp_path / "rep"),
+              "--workers", value])
+    assert exc.value.code == 2
+    assert "argument --workers: must be an integer of at least 1" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()

@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vrrjump import (DomainError, JacobianMode, KneeState, LegModel,
-                     SingularityError, com_force, com_height, com_jacobian,
-                     com_jacobian_derivative, com_velocity, knee_to_com_ratio)
+from vrrjump import DomainError, JacobianMode, LegModel, com_height, com_jacobian
 
 # Independent oracle for the CoM chain factor of the reference leg:
 # (a1*m1 + (l1+a2)*m2 + (l1+l2)*m3) / (m1+m2+m3)
@@ -77,62 +75,6 @@ def test_geometric_standing_height_physically_plausible():
             model = LegModel(0.4, 0.5, a_frac * 0.4, a_frac * 0.5,
                              2.0, 3.0, m3)
             assert model.standing_com_height <= 0.4 + 0.5 + 1e-12
-
-
-def test_knee_to_com_ratio_reference_values(leg_paper):
-    assert knee_to_com_ratio(leg_paper, -math.pi) == pytest.approx(1 / C_REF, rel=1e-14)
-    assert knee_to_com_ratio(leg_paper, -math.pi) == pytest.approx(1.2536, abs=1e-4)
-    assert knee_to_com_ratio(leg_paper, -math.pi / 3) == pytest.approx(2.5071, abs=1e-4)
-
-
-def test_knee_to_com_ratio_diverges_toward_extension(leg):
-    assert (knee_to_com_ratio(leg, -0.1) > knee_to_com_ratio(leg, -0.2)
-            > knee_to_com_ratio(leg, -0.5))
-
-
-def test_knee_to_com_ratio_singularity_guard(leg):
-    with pytest.raises(SingularityError) as exc:
-        knee_to_com_ratio(leg, -0.04)
-    assert "-0.05" in str(exc.value)
-    with pytest.raises(SingularityError):
-        knee_to_com_ratio(leg, -0.05)
-    knee_to_com_ratio(leg, -0.2, cap=-0.1)
-    with pytest.raises(SingularityError):
-        knee_to_com_ratio(leg, -0.2, cap=-0.3)
-
-
-def test_com_velocity(leg_paper):
-    assert com_velocity(leg_paper, KneeState(q2=-1.0, dq2=0.0)) == 0.0
-    v = com_velocity(leg_paper, KneeState(q2=-math.pi / 3, dq2=10.0))
-    assert v == pytest.approx(3.9886, abs=5e-4)
-    v1 = com_velocity(leg_paper, KneeState(q2=-1.3, dq2=2.0))
-    v2 = com_velocity(leg_paper, KneeState(q2=-1.3, dq2=4.0))
-    assert v2 == 2.0 * v1
-
-
-def test_com_velocity_sign(leg):
-    assert com_velocity(leg, KneeState(q2=-1.0, dq2=5.0)) > 0
-    assert com_velocity(leg, KneeState(q2=-1.0, dq2=-5.0)) < 0
-
-
-def test_com_force(leg_paper):
-    assert com_force(leg_paper, -math.pi, 0.0) == 0.0
-    f = com_force(leg_paper, -math.pi, 200.0)
-    assert f == pytest.approx(200.0 / C_REF, rel=1e-14)
-    assert f == pytest.approx(250.7, abs=0.05)
-    assert com_force(leg_paper, -2.0, 100.0) * 2 == com_force(leg_paper, -2.0, 200.0)
-
-
-def test_com_force_singularity(leg):
-    with pytest.raises(SingularityError):
-        com_force(leg, -0.01, 100.0)
-
-
-def test_jacobian_derivative_consistency(leg):
-    h = 1e-7
-    for q2 in (-2.5, -1.5, -0.5):
-        fd = (com_jacobian(leg, q2 + h) - com_jacobian(leg, q2 - h)) / (2 * h)
-        assert com_jacobian_derivative(leg, q2) == pytest.approx(fd, abs=1e-6)
 
 
 @pytest.mark.parametrize("bad", [

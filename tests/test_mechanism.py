@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from vrrjump import (DomainError, FrrParams, MechanismRangeError, VrrParams,
-                     check_working_range, crank_angle, effective_overall_ratio,
-                     joint_angle, knee_to_com_ratio, peak_crank_angle,
-                     ratio_curve, ratio_law, reduction_ratio)
+                     check_working_range, com_jacobian, crank_angle,
+                     joint_angle, peak_crank_angle, ratio_curve, ratio_law,
+                     reduction_ratio)
 
 
 def k_oracle(r, s0, theta, lead=0.010):
@@ -152,31 +152,11 @@ def test_ratio_law_is_reduction_ratio(mech_opt):
             k_oracle(p.r, p.s0, theta), rel=1e-14)
 
 
-def test_effective_overall_ratio_frr(leg_paper):
-    got = effective_overall_ratio(FrrParams(22.0), leg_paper, -math.pi / 3)
-    assert got == pytest.approx(22.0 * knee_to_com_ratio(leg_paper, -math.pi / 3),
-                                rel=1e-14)
-    assert got == pytest.approx(55.16, abs=0.01)
-
-
-def test_effective_overall_ratio_linear_in_k(leg):
-    one = effective_overall_ratio(FrrParams(1.0), leg, -1.0)
-    for k in (0.5, 2.0, 22.0):
-        assert effective_overall_ratio(FrrParams(k), leg, -1.0) == pytest.approx(
-            k * one, rel=1e-14)
-
-
-def test_effective_overall_ratio_vrr_is_product(leg, mech_opt):
-    q2 = -1.3
-    assert effective_overall_ratio(mech_opt, leg, q2) == pytest.approx(
-        reduction_ratio(mech_opt, q2) * knee_to_com_ratio(leg, q2), rel=1e-14)
-
-
 def test_vrr_band_flatter_than_frr_band(leg, mech_opt):
     """Motor-to-CoM ratio spread over the takeoff range: variable < fixed."""
     grid = np.linspace(-2.618, -0.3, 400)
-    vrr = [effective_overall_ratio(mech_opt, leg, q) for q in grid]
-    frr = [effective_overall_ratio(FrrParams(22.0), leg, q) for q in grid]
+    vrr = [reduction_ratio(mech_opt, q) / com_jacobian(leg, q) for q in grid]
+    frr = [22.0 / com_jacobian(leg, q) for q in grid]
     assert max(vrr) / min(vrr) < max(frr) / min(frr)
 
 

@@ -1,12 +1,10 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from vrrjump import (DomainError, MotorParams, envelope_piece,
-                     envelope_pieces, envelope_table, joint_torque,
-                     max_torque, power_loss)
+                     envelope_pieces, envelope_table, max_torque, power_loss)
 
 RADS_PER_RPM = math.pi / 30.0
 
@@ -111,22 +109,6 @@ def test_power_loss_monotone_and_convex_in_current(motor):
     assert all(b >= a for a, b in zip(losses, losses[1:]))
     second = np.diff(losses, 2)
     assert np.all(second >= -1e-9)
-
-
-def test_joint_torque(motor):
-    got = joint_torque(motor, 9.37, 28.73)
-    assert got == pytest.approx(9.37 * 28.73 * 0.9, rel=1e-14)
-    assert got == pytest.approx(242.3, abs=0.05)
-    assert joint_torque(motor, 5.0, 0.0) == 0.0
-    eta_one = dataclasses.replace(motor, eta_j=1.0)
-    assert joint_torque(eta_one, 7.7, 1.0) == 7.7
-    with pytest.raises(DomainError):
-        joint_torque(motor, 1.0, -0.5)
-
-
-def test_joint_torque_bilinear(motor):
-    assert joint_torque(motor, 2.0, 11.0) == 2.0 * joint_torque(motor, 1.0, 11.0)
-    assert joint_torque(motor, 2.0, 22.0) == 2.0 * joint_torque(motor, 2.0, 11.0)
 
 
 def test_envelope_table(motor):

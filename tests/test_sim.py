@@ -3,21 +3,13 @@ import math
 
 import pytest
 
-from vrrjump import (DomainError, FrrParams, KneeState, SearchBox, SimConfig,
+from vrrjump import (DomainError, FrrParams, SearchBox, SimConfig,
                      SimulationRangeError, TakeoffRule, Termination,
-                     VrrParams, ballistic_check, com_height, com_jacobian,
-                     contact_force, jump_height, max_torque, optimize_frr,
-                     optimize_vrr, reduction_ratio, simulate_jump,
-                     takeoff_energy)
+                     VrrParams, com_height, com_jacobian, jump_height,
+                     max_torque, optimize_frr, optimize_vrr, reduction_ratio,
+                     simulate_jump, takeoff_energy)
 from vrrjump import sim
 from conftest import motor_variant
-
-
-def test_contact_force_free_fall_boundary(leg):
-    m = leg.total_mass()
-    assert contact_force(leg, -leg.g) == pytest.approx(0.0, abs=1e-12)
-    assert contact_force(leg, 0.0) == pytest.approx(m * leg.g, rel=1e-14)
-    assert contact_force(leg, leg.g) == pytest.approx(2 * m * leg.g, rel=1e-14)
 
 
 def test_takeoff_energy_fixture(leg):
@@ -100,6 +92,7 @@ def test_samples_are_the_model_functions_bitwise(leg, motor, angle):
             assert s.tau_j == s.tau_m * reduction_ratio(mech, s.q2) * motor.eta_j
             assert s.y_com == com_height(leg, s.q2)
             assert s.dq2 == s.dy_com / com_jacobian(leg, s.q2)
+            assert s.f_contact == s.tau_j / com_jacobian(leg, s.q2)
             assert s.k == reduction_ratio(mech, s.q2)
 
 
@@ -386,21 +379,6 @@ def test_pre_guard_rejects_bad_offset(leg, motor, deep_crouch):
     bad = VrrParams(0.047, 0.150, delta_theta=math.radians(-3))
     with pytest.raises(MechanismRangeError):
         simulate_jump(leg, motor, bad, deep_crouch)
-
-
-def test_ballistic_drift_small(leg):
-    drift = ballistic_check(leg, KneeState(q2=-2.0, dq2=1.0), 0.5, dt=1e-4)
-    assert drift < 1e-8
-
-
-def test_ballistic_drift_ordering(leg):
-    fine = ballistic_check(leg, KneeState(q2=-2.0, dq2=1.0), 0.5, dt=1e-4)
-    coarse = ballistic_check(leg, KneeState(q2=-2.0, dq2=1.0), 0.5, dt=1e-2)
-    assert coarse > fine
-
-
-def test_ballistic_zero_window(leg):
-    assert ballistic_check(leg, KneeState(q2=-1.5, dq2=0.0), 0.0) == 0.0
 
 
 def test_paper_mode_consistency(leg_paper, motor):

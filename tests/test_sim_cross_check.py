@@ -13,11 +13,23 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from vrrjump import (FrrParams, SimConfig, Termination, VrrParams,
-                     com_height, com_jacobian, com_jacobian_derivative,
-                     max_torque, reduction_ratio, simulate_jump)
+                     com_height, com_jacobian, max_torque, reduction_ratio,
+                     simulate_jump)
 
 W_REL = 1e-8
 T_REL = 1e-6
+
+
+def jacobian_derivative(leg, q2):
+    """dJ/dq2 = -(f/2) cos(q2/2) of J = f |sin(q2/2)| for q2 < 0."""
+    return -0.5 * leg.jacobian_scale * math.cos(0.5 * q2)
+
+
+def test_jacobian_derivative_consistency(leg):
+    h = 1e-7
+    for q2 in (-2.5, -1.5, -0.5):
+        fd = (com_jacobian(leg, q2 + h) - com_jacobian(leg, q2 - h)) / (2 * h)
+        assert jacobian_derivative(leg, q2) == pytest.approx(fd, abs=1e-6)
 
 
 def independent_takeoff(leg, motor, mech, q2_init, cap=-0.05, t_max=1.0):
@@ -34,7 +46,7 @@ def independent_takeoff(leg, motor, mech, q2_init, cap=-0.05, t_max=1.0):
         k = k_of(q2)
         tau_j = max_torque(motor, abs(k * dq2)) * k * motor.eta_j
         jj = com_jacobian(leg, q2)
-        jp = com_jacobian_derivative(leg, q2)
+        jp = jacobian_derivative(leg, q2)
         ydd = tau_j / (jj * m) - leg.g
         return [dq2, (ydd - jp * dq2 * dq2) / jj]
 
