@@ -113,4 +113,3 @@ def com_height(model: LegModel, q2: float) -> float:
     """CoM height above ground (m), maximal at q2 = 0."""
     _check_q2(q2)
     return height(model.jacobian_scale, q2)
-

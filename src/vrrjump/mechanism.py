@@ -192,4 +192,3 @@ def ratio_curve(params: VrrParams, q2_lo: float, q2_hi: float, n: int) -> RatioC
     argmax_q2 = min(max(joint_angle(params, peak_crank_angle(params)), q2_lo), q2_hi)
     return RatioCurve(samples=samples, argmax_q2=argmax_q2,
                       k_max=reduction_ratio(params, argmax_q2))
-

@@ -492,4 +492,3 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             "only accepts a contact-force crossing",
             last_state=snapshot(state))
     return finish(state, Termination.ANGLE_CAP)
-
