@@ -1,3 +1,4 @@
+import hashlib
 import importlib.resources
 import json
 import math
@@ -207,6 +208,63 @@ def test_oversized_search_box_rejected(tmp_path):
     path = write_config(tmp_path, **{"search.r_mm": [25.0, 75.0, 1e-9]})
     with pytest.raises(ConfigError, match="search.*r_range.*limit"):
         load_config(path)
+
+
+# Each case is a set of write_config overrides of fullscale.json (None drops
+# the key or section), or the name of a shipped config. The pins are the
+# sha256 of the resolved document: a refactor of the loader must leave every
+# default, unit conversion and derived motor value bit-identical. Most cases
+# omit a key whose default equals fullscale.json's value, so they share its pin.
+RESOLVED_CASES = {
+    "fullscale": FULLSCALE,
+    "platform": PLATFORM,
+    **{f"no-{key}": {key: None} for key in (
+        "leg.jacobian_mode", "motor.tau_peak_nm", "motor.i_q_peak_a",
+        "motor.p_peak_w", "motor.omega_max_rpm", "motor.eta_j",
+        "mechanism.delta_theta_deg", "mechanism.lead_mm", "sim.dt_s",
+        "sim.t_max_s", "sim.q2_takeoff_cap_rad", "sim.takeoff_rule",
+        "search.r_mm", "search.s0_mm", "search.delta_theta_deg",
+        "search.k_fixed", "output_dir", "motor", "mechanism", "sim",
+        "search")},
+    "weak-motor": {"motor": {"tau_peak_nm": 0.5, "i_q_peak_a": 5.0,
+                             "p_peak_w": 80.0}},
+    "motor-4500rpm": {"motor.omega_max_rpm": 4500.0},
+    "motor-explicit": {"motor": {
+        "tau_peak_nm": 12.0, "i_q_peak_a": 100.0, "k_t_nm_per_a": 0.121,
+        "p_peak_w": 1800.0, "omega_break_rpm": 1430.0,
+        "omega_max_rpm": 5100.0, "omega_hpl_rpm": 4000.0,
+        "r_phase_ohm": 0.04, "c_iron1_w_s_per_rad": 0.3,
+        "c_iron2_w_s2_per_rad2": 0.01, "eta_j": 0.85}},
+    "frr": {"mechanism": {"type": "frr", "k_fixed": 22.0}},
+    "vrr-minimal": {"mechanism": {"type": "vrr", "r_mm": 47.0, "s0_mm": 150.0}},
+}
+FULLSCALE_SHA256 = "b3d66fcdafc242f6cc5f362c2fa5e86600d2b7e821c3b507fd21d5e542202087"
+NO_OFFSET_AXIS_SHA256 = "5b2bddfd1c1bee179fab47f634c4df1044633fe0c52b87814f287deb7addfa9e"
+RESOLVED_SHA256 = {
+    **{case: FULLSCALE_SHA256 for case in RESOLVED_CASES},
+    "platform":
+        "da63ccaf73b83427bb9cc5d47617a432a7555b3febd82a4d760baad797fb2a78",
+    "no-search.delta_theta_deg": NO_OFFSET_AXIS_SHA256,
+    "no-search": NO_OFFSET_AXIS_SHA256,
+    "no-mechanism":
+        "7146d590dc634748f34f2308de7acef1e428b4f48209efefab22fc808621596d",
+    "weak-motor":
+        "6e2deb73391964cd7d3a7be0b8b06d205d58d2b1cd0054c1d1b8ee68f7087af4",
+    "motor-4500rpm":
+        "244f1b628dcd7d766b0619dcd08bdbab7220d3df3af3c413d5fb089889dd237c",
+    "motor-explicit":
+        "6783fa727f57ad31aff9a0d8544f13c47acfc34595ef61d8f9da7a36b6de3244",
+    "frr":
+        "3fa61013d20655428a2d4a6896527679ac6f8aca9003bbf09b972047cae8c2e4",
+}
+
+
+@pytest.mark.parametrize("case", RESOLVED_CASES)
+def test_resolved_document_pins(tmp_path, case):
+    spec = RESOLVED_CASES[case]
+    path = spec if isinstance(spec, str) else write_config(tmp_path, **spec)
+    digest = hashlib.sha256(load_config(path).resolved.encode()).hexdigest()
+    assert digest == RESOLVED_SHA256[case]
 
 
 # ------------------------------------------------------------- formatting ----
