@@ -14,18 +14,20 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
 
-from .config import RunConfig, load_config
+from .config import RunConfig, default_motor, load_config
 from .errors import (ConfigError, DomainError, NoFeasibleDesignError,
                      SimulationRangeError, VrrJumpError)
 from .mechanism import VrrParams, crank_angle, ratio_curve
-from .motor import RPM_PER_RADS, default_motor, envelope_table
-from .optimize import compare_designs, optimize_frr, optimize_vrr
+from .motor import RPM_PER_RADS, envelope_table
+from .optimize import (MAX_CANDIDATES, compare_designs, optimize_frr,
+                       optimize_vrr)
 from .report import (emit_report, fmt, mech_cells, opt_summary, write_csv,
                      write_trajectory_csv)
 from .sim import simulate_jump
@@ -46,16 +48,21 @@ def _setup_logging() -> None:
     )
 
 
-def _workers(text: str) -> int:
-    """argparse type of --workers: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer of at least 1, got {text!r}")
-    return value
+def _int_in(lo: int, hi: float = math.inf):
+    """argparse type: an integer in [lo, hi], checked before anything is
+    built from it."""
+    bound = f"of at least {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lo - 1
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer {bound}, got {text!r}")
+        return value
+    return parse
 
 
 def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -> None:
@@ -63,7 +70,7 @@ def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -
                         help="path to the JSON run configuration")
     parser.add_argument("--out", default=None,
                         help="output directory (default: config output_dir)")
-    parser.add_argument("--workers", type=_workers, default=1,
+    parser.add_argument("--workers", type=_int_in(1), default=1,
                         help="parallel candidate evaluations (default 1)")
     parser.add_argument("--jacobian-mode", choices=["paper", "geometric"],
                         default=None, help="override the config Jacobian mode")
@@ -234,12 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--lo", type=float, default=None, help="range start (rad)")
     p.add_argument("--hi", type=float, default=None, help="range end (rad)")
-    p.add_argument("--n", type=int, default=200)
+    p.add_argument("--n", type=_int_in(2, MAX_CANDIDATES), default=200)
     p.set_defaults(func=cmd_sweep_ratio)
 
     p = sub.add_parser("envelope", help="sample the motor torque/power envelope")
     _add_common(p, config_required=False)
-    p.add_argument("--n", type=int, default=200)
+    p.add_argument("--n", type=_int_in(2, MAX_CANDIDATES), default=200)
     p.set_defaults(func=cmd_envelope)
 
     return parser

@@ -1,12 +1,16 @@
 """Run-configuration ingestion: JSON with human-native units, strict keys.
 
 Config files use mm / degrees / rpm where the engineering drawings would;
-conversion to SI happens once at this boundary. Loading proceeds in two
-stages: the raw document is validated against a strict schema (unknown keys
-rejected), defaults are materialized into a fully-explicit "resolved"
-document in the same human units, and the model objects are built from the
-resolved document. Re-loading an emitted resolved document therefore
-reproduces the configuration exactly.
+conversion to SI happens once at this boundary. Each section is one table of
+(JSON key, model field, unit[, default]) rows, from which come the allowed
+keys, the required keys, the defaults and the conversion. A row without a
+default takes the model field's default, converted to the document unit; a
+row whose model field has none is required. Loading proceeds in two stages:
+the raw document is validated against the tables (unknown keys rejected),
+defaults are materialized into a fully-explicit "resolved" document in the
+same human units, and the model objects are built from the resolved
+document. Re-loading an emitted resolved document therefore reproduces the
+configuration exactly.
 """
 
 from __future__ import annotations
@@ -14,28 +18,79 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import MISSING, dataclass, fields, replace
+from enum import Enum
 from pathlib import Path
 
 from .errors import ConfigError, DomainError
 from .leg import JacobianMode, LegModel
 from .mechanism import DEG, FrrParams, VrrParams
-from .motor import (RADS_PER_RPM, MotorParams, default_motor,
-                    loss_balance_c_iron2)
+from .motor import RADS_PER_RPM, MotorParams, loss_balance_c_iron2
 from .optimize import SearchBox
 from .sim import SimConfig, TakeoffRule
 
-_LEG_KEYS = {"l1_m", "l2_m", "a1_m", "a2_m", "m1_kg", "m2_kg", "m3_kg",
-             "g_mps2", "jacobian_mode"}
-_LEG_REQUIRED = {"l1_m", "l2_m", "a1_m", "a2_m", "m1_kg", "m2_kg", "m3_kg"}
-_MOTOR_KEYS = {"tau_peak_nm", "i_q_peak_a", "k_t_nm_per_a", "p_peak_w",
-               "omega_break_rpm", "omega_max_rpm", "omega_hpl_rpm",
-               "r_phase_ohm", "c_iron1_w_s_per_rad", "c_iron2_w_s2_per_rad2",
-               "eta_j"}
-_MECH_VRR_KEYS = {"type", "r_mm", "s0_mm", "delta_theta_deg", "lead_mm"}
-_MECH_FRR_KEYS = {"type", "k_fixed"}
-_SIM_KEYS = {"dt_s", "t_max_s", "q2_takeoff_cap_rad", "takeoff_rule"}
-_SEARCH_KEYS = {"r_mm", "s0_mm", "delta_theta_deg", "k_fixed"}
+
+class _Unit:
+    """A number's conversion from the document unit to the model's SI unit
+    and back."""
+
+    def __init__(self, to_si: Callable[[float], float],
+                 to_doc: Callable[[float], float]):
+        self.to_si, self.to_doc = to_si, to_doc
+
+
+class _Range:
+    """A [min, max, step] list of numbers in one unit."""
+
+    def __init__(self, unit: _Unit):
+        self.unit = unit
+
+
+SI = _Unit(lambda v: v, lambda v: v)
+MM = _Unit(lambda v: v / 1000.0, lambda v: v * 1000.0)
+DEGREES = _Unit(lambda v: v * DEG, lambda v: v / DEG)
+RPM = _Unit(lambda v: v * RADS_PER_RPM, lambda v: v / RADS_PER_RPM)
+
+_LEG = (("l1_m", "l1", SI), ("l2_m", "l2", SI), ("a1_m", "a1", SI),
+        ("a2_m", "a2", SI), ("m1_kg", "m1", SI), ("m2_kg", "m2", SI),
+        ("m3_kg", "m3", SI), ("g_mps2", "g", SI),
+        ("jacobian_mode", "jacobian_mode", JacobianMode))
+_MOTOR = (
+    # The 72 V, 1.5 kW / 9.37 Nm knee-drive preset. omega_break sits at the
+    # constant-torque/constant-power corner, omega_max at the 4800 rpm
+    # no-load region; r_phase and c_iron1 are plausible fixed values, and
+    # c_iron2 is loss_balance_c_iron2's fit, clamped at 0, so that net output
+    # power vanishes at (i_q_peak, omega_max). Derived defaults are computed
+    # in document units from the keys above them.
+    ("tau_peak_nm", "tau_peak", SI, 9.37),
+    ("i_q_peak_a", "i_q_peak", SI, 92.0),
+    ("p_peak_w", "p_peak", SI, 1500.0),
+    ("k_t_nm_per_a", "k_t", SI, lambda m: m["tau_peak_nm"] / m["i_q_peak_a"]),
+    ("omega_break_rpm", "omega_break", RPM,
+     lambda m: (m["p_peak_w"] / m["tau_peak_nm"]) / RADS_PER_RPM),
+    ("omega_max_rpm", "omega_max", RPM, 4800.0),
+    ("omega_hpl_rpm", "omega_hpl", RPM, lambda m: 0.75 * m["omega_max_rpm"]),
+    ("r_phase_ohm", "r_phase", SI, 0.05),
+    ("c_iron1_w_s_per_rad", "c_iron1", SI, 0.5),
+    ("c_iron2_w_s2_per_rad2", "c_iron2", SI, lambda m: max(loss_balance_c_iron2(
+        m["k_t_nm_per_a"], m["i_q_peak_a"], m["omega_max_rpm"] * RADS_PER_RPM,
+        m["r_phase_ohm"], m["c_iron1_w_s_per_rad"]), 0.0)),
+    ("eta_j", "eta_j", SI),
+)
+_MECHANISMS = {
+    "vrr": (VrrParams, (("r_mm", "r", MM), ("s0_mm", "s0", MM),
+                        ("delta_theta_deg", "delta_theta", DEGREES),
+                        ("lead_mm", "lead", MM))),
+    "frr": (FrrParams, (("k_fixed", "k_fixed", SI),)),
+}
+_SIM = (("dt_s", "dt", SI), ("t_max_s", "t_max", SI),
+        ("q2_takeoff_cap_rad", "q2_takeoff_cap", SI),
+        ("takeoff_rule", "takeoff_rule", TakeoffRule))
+_SEARCH = (("r_mm", "r_range", _Range(MM), (25.0, 75.0, 1.0)),
+           ("s0_mm", "s0_range", _Range(MM), (100.0, 250.0, 5.0)),
+           ("delta_theta_deg", "dtheta_range", _Range(DEGREES), (-3.0, 3.0, 1.0)),
+           ("k_fixed", "frr_range", _Range(SI), (10.0, 40.0, 1.0)))
 _TOP_KEYS = {"leg", "motor", "mechanism", "sim", "search", "angles_rad",
              "output_dir"}
 
@@ -95,24 +150,63 @@ def _is_number(val) -> bool:
             and math.isfinite(val))
 
 
-def _number(node: dict, key: str, path: str, default=None):
-    if key not in node:
-        if default is None:
-            raise ConfigError(f"missing required key '{path}.{key}'")
-        return default
-    val = node[key]
-    if not _is_number(val):
-        raise ConfigError(f"'{path}.{key}': expected a finite number, got {val!r}")
-    return float(val)
+def _read(val, unit, where: str):
+    """Validate one document value of the unit's kind, in document units."""
+    if isinstance(unit, _Unit):
+        if not _is_number(val):
+            raise ConfigError(f"'{where}': expected a finite number, got {val!r}")
+        return float(val)
+    if isinstance(unit, _Range):
+        if (not isinstance(val, list) or len(val) != 3
+                or not all(_is_number(v) for v in val)):
+            raise ConfigError(f"'{where}': expected [min, max, step] finite "
+                              f"numbers, got {val!r}")
+        return [float(v) for v in val]
+    allowed = sorted(member.value for member in unit)
+    if val not in allowed:
+        raise ConfigError(f"'{where}': expected one of {allowed}, got {val!r}")
+    return val
 
 
-def _triple(node: dict, key: str, path: str, default: list) -> list:
-    val = node.get(key, default)
-    if (not isinstance(val, list) or len(val) != 3
-            or not all(_is_number(v) for v in val)):
-        raise ConfigError(f"'{path}.{key}': expected [min, max, step] finite "
-                          f"numbers, got {val!r}")
-    return [float(v) for v in val]
+def _to_si(unit, val):
+    if isinstance(unit, _Unit):
+        return unit.to_si(val)
+    if isinstance(unit, _Range):
+        return tuple(unit.unit.to_si(v) for v in val)
+    return unit(val)
+
+
+def _resolve_section(node, rows: tuple, model: type, path: str) -> dict:
+    """Validate one section against its table and materialize every default."""
+    _check_keys(_require_mapping(node, path), {row[0] for row in rows}, path)
+    model_defaults = {f.name: f.default for f in fields(model)}
+    out = {}
+    for key, field, unit, *default in rows:
+        where = f"{path}.{key}"
+        if key in node:
+            out[key] = _read(node[key], unit, where)
+        elif default:
+            try:
+                out[key] = default[0](out) if callable(default[0]) else default[0]
+            except ZeroDivisionError:
+                raise ConfigError(f"'{where}': its default, derived from the "
+                                  f"section's other keys, divides by zero") from None
+        elif model_defaults[field] is not MISSING:
+            val = model_defaults[field]
+            out[key] = val.value if isinstance(val, Enum) else unit.to_doc(val)
+        else:
+            raise ConfigError(f"missing required key '{where}'")
+    return out
+
+
+def _build_section(resolved: dict, rows: tuple, model: type, path: str,
+                   **extra):
+    """The model object of one resolved section, converted to SI."""
+    try:
+        return model(**{field: _to_si(unit, resolved[key])
+                        for key, field, unit, *_ in rows}, **extra)
+    except DomainError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _resolve(doc: dict) -> dict:
@@ -120,161 +214,47 @@ def _resolve(doc: dict) -> dict:
     _check_keys(doc, _TOP_KEYS, "")
     if "leg" not in doc:
         raise ConfigError("missing required section 'leg'")
-    leg_in = _require_mapping(doc["leg"], "leg")
-    _check_keys(leg_in, _LEG_KEYS, "leg")
-    for key in _LEG_REQUIRED:
-        if key not in leg_in:
-            raise ConfigError(f"missing required key 'leg.{key}'")
-    mode = leg_in.get("jacobian_mode", JacobianMode.GEOMETRIC.value)
-    if mode not in (JacobianMode.GEOMETRIC.value, JacobianMode.PAPER_LITERAL.value):
-        raise ConfigError(f"'leg.jacobian_mode': expected 'geometric' or 'paper', got {mode!r}")
-    leg = {k: _number(leg_in, k, "leg") for k in sorted(_LEG_REQUIRED)}
-    leg["g_mps2"] = _number(leg_in, "g_mps2", "leg", 9.81)
-    leg["jacobian_mode"] = mode
-
-    motor_in = _require_mapping(doc.get("motor", {}), "motor")
-    _check_keys(motor_in, _MOTOR_KEYS, "motor")
-    base = default_motor()
-    tau_peak = _number(motor_in, "tau_peak_nm", "motor", base.tau_peak)
-    i_q_peak = _number(motor_in, "i_q_peak_a", "motor", base.i_q_peak)
-    p_peak = _number(motor_in, "p_peak_w", "motor", base.p_peak)
-    k_t = _number(motor_in, "k_t_nm_per_a", "motor", tau_peak / i_q_peak)
-    omega_break_rpm = _number(motor_in, "omega_break_rpm", "motor",
-                              (p_peak / tau_peak) / RADS_PER_RPM)
-    omega_max_rpm = _number(motor_in, "omega_max_rpm", "motor",
-                            base.omega_max / RADS_PER_RPM)
-    omega_hpl_rpm = _number(motor_in, "omega_hpl_rpm", "motor",
-                            0.75 * omega_max_rpm)
-    r_phase = _number(motor_in, "r_phase_ohm", "motor", base.r_phase)
-    c1 = _number(motor_in, "c_iron1_w_s_per_rad", "motor", base.c_iron1)
-    omega_max = omega_max_rpm * RADS_PER_RPM
-    c2_fit = loss_balance_c_iron2(k_t, i_q_peak, omega_max, r_phase, c1)
-    c2 = _number(motor_in, "c_iron2_w_s2_per_rad2", "motor", max(c2_fit, 0.0))
-    motor = {
-        "tau_peak_nm": tau_peak, "i_q_peak_a": i_q_peak, "k_t_nm_per_a": k_t,
-        "p_peak_w": p_peak, "omega_break_rpm": omega_break_rpm,
-        "omega_max_rpm": omega_max_rpm, "omega_hpl_rpm": omega_hpl_rpm,
-        "r_phase_ohm": r_phase, "c_iron1_w_s_per_rad": c1,
-        "c_iron2_w_s2_per_rad2": c2,
-        "eta_j": _number(motor_in, "eta_j", "motor", base.eta_j),
+    resolved = {
+        "leg": _resolve_section(doc["leg"], _LEG, LegModel, "leg"),
+        "motor": _resolve_section(doc.get("motor", {}), _MOTOR, MotorParams,
+                                  "motor"),
     }
-
-    mech = None
     if "mechanism" in doc:
-        mech_in = _require_mapping(doc["mechanism"], "mechanism")
-        mtype = mech_in.get("type")
-        if mtype == "vrr":
-            _check_keys(mech_in, _MECH_VRR_KEYS, "mechanism")
-            mech = {
-                "type": "vrr",
-                "r_mm": _number(mech_in, "r_mm", "mechanism"),
-                "s0_mm": _number(mech_in, "s0_mm", "mechanism"),
-                "delta_theta_deg": _number(mech_in, "delta_theta_deg", "mechanism", 0.0),
-                "lead_mm": _number(mech_in, "lead_mm", "mechanism", 10.0),
-            }
-        elif mtype == "frr":
-            _check_keys(mech_in, _MECH_FRR_KEYS, "mechanism")
-            mech = {"type": "frr", "k_fixed": _number(mech_in, "k_fixed", "mechanism")}
-        else:
+        mech_in = dict(_require_mapping(doc["mechanism"], "mechanism"))
+        mtype = mech_in.pop("type", None)
+        if not isinstance(mtype, str) or mtype not in _MECHANISMS:
             raise ConfigError(f"'mechanism.type': expected 'vrr' or 'frr', got {mtype!r}")
-
-    sim_in = _require_mapping(doc.get("sim", {}), "sim")
-    _check_keys(sim_in, _SIM_KEYS, "sim")
-    rule = sim_in.get("takeoff_rule", TakeoffRule.EITHER.value)
-    if rule not in (r.value for r in TakeoffRule):
-        raise ConfigError(f"'sim.takeoff_rule': expected one of "
-                          f"{sorted(r.value for r in TakeoffRule)}, got {rule!r}")
-    sim = {
-        "dt_s": _number(sim_in, "dt_s", "sim", 1e-4),
-        "t_max_s": _number(sim_in, "t_max_s", "sim", 1.0),
-        "q2_takeoff_cap_rad": _number(sim_in, "q2_takeoff_cap_rad", "sim", -0.05),
-        "takeoff_rule": rule,
-    }
-
-    search_in = _require_mapping(doc.get("search", {}), "search")
-    _check_keys(search_in, _SEARCH_KEYS, "search")
-    search = {
-        "r_mm": _triple(search_in, "r_mm", "search", [25.0, 75.0, 1.0]),
-        "s0_mm": _triple(search_in, "s0_mm", "search", [100.0, 250.0, 5.0]),
-        "delta_theta_deg": _triple(search_in, "delta_theta_deg", "search", [-3.0, 3.0, 1.0]),
-        "k_fixed": _triple(search_in, "k_fixed", "search", [10.0, 40.0, 1.0]),
-    }
+        model, rows = _MECHANISMS[mtype]
+        resolved["mechanism"] = {
+            "type": mtype, **_resolve_section(mech_in, rows, model, "mechanism")}
+    resolved["sim"] = _resolve_section(doc.get("sim", {}), _SIM, SimConfig, "sim")
+    resolved["search"] = _resolve_section(doc.get("search", {}), _SEARCH,
+                                          SearchBox, "search")
 
     angles = doc.get("angles_rad")
     if not isinstance(angles, list) or not angles or not all(map(_is_number, angles)):
         raise ConfigError("'angles_rad': expected a non-empty list of finite "
                           f"numbers, got {angles!r}")
+    resolved["angles_rad"] = [float(a) for a in angles]
 
     out_dir = doc.get("output_dir", "out")
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError(f"'output_dir': expected a non-empty string, got {out_dir!r}")
-
-    return {
-        "leg": leg, "motor": motor,
-        **({"mechanism": mech} if mech is not None else {}),
-        "sim": sim, "search": search,
-        "angles_rad": [float(a) for a in angles],
-        "output_dir": out_dir,
-    }
+    resolved["output_dir"] = out_dir
+    return resolved
 
 
 def _build(resolved: dict) -> RunConfig:
-    leg_r = resolved["leg"]
-    try:
-        leg = LegModel(
-            l1=leg_r["l1_m"], l2=leg_r["l2_m"], a1=leg_r["a1_m"], a2=leg_r["a2_m"],
-            m1=leg_r["m1_kg"], m2=leg_r["m2_kg"], m3=leg_r["m3_kg"],
-            g=leg_r["g_mps2"], jacobian_mode=JacobianMode(leg_r["jacobian_mode"]),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"leg: {exc}") from exc
-
-    mo = resolved["motor"]
-    try:
-        motor = MotorParams(
-            tau_peak=mo["tau_peak_nm"], i_q_peak=mo["i_q_peak_a"],
-            k_t=mo["k_t_nm_per_a"], p_peak=mo["p_peak_w"],
-            omega_break=mo["omega_break_rpm"] * RADS_PER_RPM,
-            omega_max=mo["omega_max_rpm"] * RADS_PER_RPM,
-            omega_hpl=mo["omega_hpl_rpm"] * RADS_PER_RPM,
-            r_phase=mo["r_phase_ohm"], c_iron1=mo["c_iron1_w_s_per_rad"],
-            c_iron2=mo["c_iron2_w_s2_per_rad2"], eta_j=mo["eta_j"],
-        )
-    except DomainError as exc:
-        raise ConfigError(f"motor: {exc}") from exc
-
+    leg = _build_section(resolved["leg"], _LEG, LegModel, "leg")
+    motor = _build_section(resolved["motor"], _MOTOR, MotorParams, "motor")
     mech = None
     if "mechanism" in resolved:
-        me = resolved["mechanism"]
-        try:
-            if me["type"] == "vrr":
-                mech = VrrParams(r=me["r_mm"] / 1000.0, s0=me["s0_mm"] / 1000.0,
-                                 delta_theta=me["delta_theta_deg"] * DEG,
-                                 lead=me["lead_mm"] / 1000.0)
-            else:
-                mech = FrrParams(k_fixed=me["k_fixed"])
-        except DomainError as exc:
-            raise ConfigError(f"mechanism: {exc}") from exc
-
-    si = resolved["sim"]
-    try:
-        # -pi suits every valid cap, so an error here is the section's own.
-        sim = SimConfig(q2_init=-math.pi, dt=si["dt_s"], t_max=si["t_max_s"],
-                        q2_takeoff_cap=si["q2_takeoff_cap_rad"],
-                        takeoff_rule=TakeoffRule(si["takeoff_rule"]))
-    except DomainError as exc:
-        raise ConfigError(f"sim: {exc}") from exc
-
-    se = resolved["search"]
-    try:
-        search = SearchBox(
-            r_range=tuple(v / 1000.0 for v in se["r_mm"]),
-            s0_range=tuple(v / 1000.0 for v in se["s0_mm"]),
-            dtheta_range=tuple(v * DEG for v in se["delta_theta_deg"]),
-            frr_range=tuple(se["k_fixed"]),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"search: {exc}") from exc
+        model, rows = _MECHANISMS[resolved["mechanism"]["type"]]
+        mech = _build_section(resolved["mechanism"], rows, model, "mechanism")
+    # -pi suits every valid cap, so an error here is the section's own.
+    sim = _build_section(resolved["sim"], _SIM, SimConfig, "sim",
+                         q2_init=-math.pi)
+    search = _build_section(resolved["search"], _SEARCH, SearchBox, "search")
 
     angles = tuple(resolved["angles_rad"])
     for a in angles:
@@ -289,6 +269,13 @@ def _build(resolved: dict) -> RunConfig:
         angles=angles, output_dir=resolved["output_dir"],
         resolved=json.dumps(resolved, sort_keys=True, indent=1),
     )
+
+
+def default_motor() -> MotorParams:
+    """The motor of a config with no motor section: the knee-drive preset
+    at the head of the motor table, with its derived values."""
+    return _build_section(_resolve_section({}, _MOTOR, MotorParams, "motor"),
+                          _MOTOR, MotorParams, "motor")
 
 
 def load_config(path: str | Path, jacobian_mode: str | None = None) -> RunConfig:

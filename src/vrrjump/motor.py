@@ -11,7 +11,8 @@ The available-torque envelope is piecewise in speed:
 Losses are modeled as three-phase copper loss 1.5*R*iq^2 plus lumped
 speed-proportional and speed-squared terms. The default coefficients are
 fitted once so that at peak current and omega_max the losses cancel the
-electromagnetic power (no net output at top speed); see default_motor().
+electromagnetic power (no net output at top speed); the preset and its
+derived values are the defaults of the config's motor table.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class MotorParams:
     tau_peak: peak torque (Nm); i_q_peak: peak q-axis current (A);
     k_t: torque constant (Nm/A); p_peak: peak mechanical power (W);
     omega_break, omega_max: power-limit onset and zero-torque speeds (rad/s);
-    omega_hpl: onset of the high-speed derate (rad/s, default 0.75*omega_max);
+    omega_hpl: onset of the high-speed derate (rad/s, keyword-only);
     r_phase: effective winding resistance (ohm); c_iron1, c_iron2: lumped
     speed and speed-squared loss coefficients; eta_j: transmission efficiency.
     """
@@ -48,12 +49,10 @@ class MotorParams:
     c_iron1: float
     c_iron2: float
     eta_j: float = 0.90
-    omega_hpl: float = field(default=0.0)
+    omega_hpl: float = field(kw_only=True)
 
     def __post_init__(self):
         require_finite(self)
-        if self.omega_hpl == 0.0:
-            object.__setattr__(self, "omega_hpl", 0.75 * self.omega_max)
         if self.tau_peak <= 0 or self.p_peak <= 0:
             raise DomainError("tau_peak and p_peak must be positive")
         if not (0.0 < self.omega_break < self.omega_max):
@@ -88,36 +87,6 @@ class EnvelopePoint:
     p_loss: float
 
 
-def default_motor(eta_j: float = 0.90) -> MotorParams:
-    """72 V, 1.5 kW / 9.37 Nm knee-drive preset used by the bundled configs.
-
-    omega_break sits at the constant-torque/constant-power corner; omega_max
-    anchors to the 4800 rpm no-load region. r_phase and c_iron1 are fixed
-    plausible values; c_iron2 is loss_balance_c_iron2's fit, so that net
-    output power vanishes at (i_q_peak, omega_max).
-    """
-    tau_peak = 9.37
-    i_q_peak = 92.0
-    p_peak = 1500.0
-    omega_max = 4800.0 * RADS_PER_RPM
-    r_phase = 0.05
-    c_iron1 = 0.5
-    k_t = tau_peak / i_q_peak
-    return MotorParams(
-        tau_peak=tau_peak,
-        i_q_peak=i_q_peak,
-        k_t=k_t,
-        p_peak=p_peak,
-        omega_break=p_peak / tau_peak,
-        omega_max=omega_max,
-        r_phase=r_phase,
-        c_iron1=c_iron1,
-        c_iron2=loss_balance_c_iron2(k_t, i_q_peak, omega_max, r_phase,
-                                     c_iron1),
-        eta_j=eta_j,
-    )
-
-
 def loss_balance_c_iron2(k_t: float, i_q_peak: float, omega_max: float,
                          r_phase: float, c_iron1: float) -> float:
     """The speed-squared loss coefficient that makes the losses at
@@ -126,8 +95,8 @@ def loss_balance_c_iron2(k_t: float, i_q_peak: float, omega_max: float,
         k_t*i_q_peak*omega_max = 1.5*r_phase*i_q_peak^2
                                  + c_iron1*omega_max + c_iron2*omega_max^2
 
-    The one definition of the fit: default_motor and the config defaults
-    call it. The result may be negative; callers clamp it if they must.
+    The one definition of the fit: the config's motor defaults call it. The
+    result may be negative; callers clamp it if they must.
     """
     return (k_t * i_q_peak * omega_max - 1.5 * r_phase * i_q_peak ** 2
             - c_iron1 * omega_max) / omega_max ** 2

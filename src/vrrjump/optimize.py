@@ -22,7 +22,7 @@ from functools import partial
 from .errors import (DomainError, NoFeasibleDesignError, SimulationRangeError,
                      VrrJumpError)
 from .leg import LegModel
-from .mechanism import DEG, FrrParams, MechanismRangeError, VrrParams
+from .mechanism import FrrParams, MechanismRangeError, VrrParams
 from .motor import MotorParams
 from .sim import SimConfig, TakeoffResult, simulate_jump
 
@@ -60,17 +60,6 @@ class SearchBox:
                 raise DomainError(
                     f"{' x '.join(names)} span about {count:.3g} candidates, "
                     f"more than the limit of {MAX_CANDIDATES}")
-
-
-def default_search_box() -> SearchBox:
-    """Default design box: r 25-75 mm / 1 mm, S0 100-250 mm / 5 mm,
-    offset -3..3 deg / 1 deg, fixed ratio 10-40 / 1."""
-    return SearchBox(
-        r_range=(0.025, 0.075, 0.001),
-        s0_range=(0.100, 0.250, 0.005),
-        dtheta_range=(-3.0 * DEG, 3.0 * DEG, 1.0 * DEG),
-        frr_range=(10.0, 40.0, 1.0),
-    )
 
 
 def _axis(rng: tuple[float, float, float]) -> list[float]:
@@ -228,7 +217,10 @@ def optimize_frr(leg: LegModel, motor: MotorParams, cfg: SimConfig,
 
 @dataclass
 class AngleRow:
-    """Per-initial-angle comparison of the two optimized joints."""
+    """Per-initial-angle comparison of the two optimized joints.
+
+    improvement_pct is None unless the fixed-ratio height is positive.
+    """
 
     angle: float
     vrr: OptResult | None = None
@@ -292,7 +284,7 @@ def compare_designs(leg: LegModel, motor: MotorParams, base_cfg: SimConfig,
             row.frr = _finish(frr)
             row.vrr_takeoff = simulate_jump(leg, motor, row.vrr.best_params, cfg)
             row.frr_takeoff = simulate_jump(leg, motor, row.frr.best_params, cfg)
-            if row.frr.h_jump != 0:
+            if row.frr.h_jump > 0:
                 row.improvement_pct = 100.0 * (row.vrr.h_jump - row.frr.h_jump) / row.frr.h_jump
             log.info("angle %.4f: vrr h=%.4f m, frr h=%.4f m",
                      row.angle, row.vrr.h_jump, row.frr.h_jump)

@@ -137,10 +137,11 @@ def emit_report(report: ComparisonReport, out_dir: str | Path) -> list[Path]:
             ["frr", fmt(row.angle), *mech_cells(row.frr.best_params),
              fmt(row.frr.w_takeoff), fmt(row.frr.h_jump), "", ""])
         vp = row.vrr.best_params
+        pct = "" if row.improvement_pct is None else f"{row.improvement_pct:.2f}"
         txt_lines.append(
             f"{'evrr':<6} {row.angle:>10.4f} {vp.r*1000:>6.1f} {vp.s0*1000:>6.1f} "
             f"{vp.delta_theta/DEG:>8.2f} {'':>8} {row.vrr.w_takeoff:>10.3f} "
-            f"{row.vrr.h_jump:>8.4f} {row.improvement_pct:>10.2f}")
+            f"{row.vrr.h_jump:>8.4f} {pct:>10}")
         txt_lines.append(
             f"{'frr':<6} {row.angle:>10.4f} {'':>6} {'':>6} {'':>8} "
             f"{row.frr.best_params.k_fixed:>8.1f} {row.frr.w_takeoff:>10.3f} "

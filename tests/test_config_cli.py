@@ -1,13 +1,20 @@
+import dataclasses
 import hashlib
 import importlib.resources
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vrrjump
 from vrrjump import (ConfigError, FrrParams, JacobianMode, SimConfig,
                      VrrParams, default_motor, load_config,
                      loss_balance_c_iron2, power_loss)
+from vrrjump import cli
 from vrrjump.cli import main
 from vrrjump.report import fmt
 
@@ -267,6 +274,73 @@ def test_resolved_document_pins(tmp_path, case):
     assert digest == RESOLVED_SHA256[case]
 
 
+OPTIONAL_KEYS = {
+    "leg.g_mps2": ("leg", "g"),
+    "leg.jacobian_mode": ("leg", "jacobian_mode"),
+    "mechanism.delta_theta_deg": ("mechanism", "delta_theta"),
+    "mechanism.lead_mm": ("mechanism", "lead"),
+    "sim.dt_s": ("sim", "dt"),
+    "sim.t_max_s": ("sim", "t_max"),
+    "sim.q2_takeoff_cap_rad": ("sim", "q2_takeoff_cap"),
+    "sim.takeoff_rule": ("sim", "takeoff_rule"),
+    "motor.tau_peak_nm": ("motor", "tau_peak"),
+    "motor.i_q_peak_a": ("motor", "i_q_peak"),
+    "motor.p_peak_w": ("motor", "p_peak"),
+    "motor.omega_max_rpm": ("motor", "omega_max"),
+    "motor.eta_j": ("motor", "eta_j"),
+}
+
+
+@pytest.mark.parametrize("key", OPTIONAL_KEYS)
+def test_omitted_key_takes_model_default(tmp_path, key):
+    """An omitted key builds the model's own default: the dataclass field
+    default, or for the motor the value of default_motor()."""
+    section, name = OPTIONAL_KEYS[key]
+    built = getattr(load_config(write_config(tmp_path, **{key: None})), section)
+    if section == "motor":
+        expected = getattr(default_motor(), name)
+    else:
+        expected = next(f.default for f in dataclasses.fields(built)
+                        if f.name == name)
+    assert getattr(built, name) == expected
+
+
+def test_omega_hpl_zero_rejected(tmp_path, capsys):
+    path = write_config(tmp_path, **{"motor.omega_hpl_rpm": 0})
+    with pytest.raises(ConfigError, match=r"^motor: omega_hpl=0\.0 "):
+        load_config(path)
+    assert main(["envelope", "--config", path]) == 2
+    assert "config error: motor: omega_hpl=0.0 " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,derived", [
+    ("motor.i_q_peak_a", "k_t_nm_per_a"), ("motor.tau_peak_nm", "omega_break_rpm"),
+    ("motor.omega_max_rpm", "c_iron2_w_s2_per_rad2"),
+])
+def test_zero_motor_value_fails_at_the_boundary(tmp_path, capsys, key, derived):
+    """A zero that a derived motor default divides by exits 2, naming the
+    derived key, instead of raising ZeroDivisionError."""
+    path = write_config(tmp_path, **{key: 0})
+    assert main(["envelope", "--config", path]) == 2
+    assert f"'motor.{derived}': its default" in capsys.readouterr().err
+
+
+def test_missing_key_message_ignores_hash_seed(tmp_path):
+    """With several required keys missing, the first in table order is
+    named, whatever the interpreter's string hash seed."""
+    path = write_config(tmp_path, **{f"leg.{key}": None for key in
+                                     ("l1_m", "a2_m", "m1_kg", "m3_kg")})
+    src = str(Path(vrrjump.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import vrrjump\n"
+            "try:\n    vrrjump.load_config(sys.argv[2])\n"
+            "except vrrjump.ConfigError as exc:\n    print(exc)")
+    messages = {subprocess.run(
+        [sys.executable, "-c", code, src, path], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+        for seed in ("1", "2")}
+    assert messages == {"missing required key 'leg.l1_m'\n"}
+
+
 # ------------------------------------------------------------- formatting ----
 
 def test_csv_number_formatting():
@@ -463,6 +537,43 @@ def test_compare_with_static_hold_optima(tmp_path, capsys):
         rows = (out / f"ratio_curve_evrr_{angle}.csv").read_text().splitlines()
         assert (rows[1].split(",")[0], rows[-1].split(",")[0]) == \
             (f"{float(angle):.9g}", "-0.05")
+
+
+def test_nonpositive_frr_height_leaves_improvement_blank(tmp_path, capsys):
+    """A motor too weak to reach full extension: both heights are negative
+    and equal, so no improvement percentage is defined."""
+    cfg = write_config(tmp_path, motor={
+        "tau_peak_nm": 0.5, "i_q_peak_a": 5.0, "p_peak_w": 80.0})
+    out = tmp_path / "rep"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    assert len(rows) == 6
+    for row in rows[0::2]:
+        assert row.startswith("evrr,") and float(row.split(",")[7]) < 0
+        assert row.split(",")[8] == ""
+    for row in json.loads((out / "summary.json").read_text())["rows"]:
+        assert row["improvement_pct"] is None and row["error"] is None
+    lines = (out / "summary.txt").read_text().splitlines()
+    for line in lines[1::2]:
+        assert line.startswith("evrr") and line.endswith(" " * 11)
+
+
+@pytest.mark.parametrize("command", ["envelope", "sweep-ratio"])
+@pytest.mark.parametrize("value", ["1", "1000001", "1000000000", "-5", "x"])
+def test_sample_count_bounded_before_allocation(tmp_path, capsys, monkeypatch,
+                                                command, value):
+    def sampled(*args):
+        raise AssertionError("samples built for an out-of-range --n")
+    monkeypatch.setattr(cli, "envelope_table", sampled)
+    monkeypatch.setattr(cli, "ratio_curve", sampled)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", FULLSCALE, "--out", str(tmp_path / "o"),
+              "--n", value])
+    assert exc.value.code == 2
+    assert "argument --n: must be an integer in [2, 1000000]" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "two"])

@@ -123,16 +123,6 @@ def test_custom_takeoff_cap(leg, motor, mech_opt):
     assert res.q2_at_takeoff == pytest.approx(-0.3, abs=1e-8)
 
 
-def test_cap_default_consistency(tmp_path):
-    doc = json.loads(importlib.resources.files("vrrjump.configs")
-                     .joinpath("fullscale.json").read_text())
-    del doc["sim"]["q2_takeoff_cap_rad"]
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc))
-    assert (load_config(path).sim.q2_takeoff_cap
-            == SimConfig(q2_init=-2.0).q2_takeoff_cap)
-
-
 @pytest.mark.parametrize("make", [
     lambda: LegModel(0.45, 0.45, 0.225, 0.225, 2.5, 5.0, math.inf),
     lambda: LegModel(0.45, 0.45, 0.225, 0.225, 2.5, 5.0, 20.0, g=math.nan),

@@ -138,13 +138,16 @@ def test_envelope_table(motor):
     dict(eta_j=1.2),
     dict(omega_break=100.0),          # breaks the corner consistency
     dict(k_t=0.2),                    # breaks k_t*i_q ~ tau_peak
+    dict(omega_hpl=0.0),              # below omega_break; no longer a sentinel
 ])
 def test_params_invariants(bad):
     fields = dict(
         tau_peak=9.37, i_q_peak=92.0, k_t=9.37 / 92.0, p_peak=1500.0,
         omega_break=1500.0 / 9.37, omega_max=4800 * RADS_PER_RPM,
         r_phase=0.05, c_iron1=0.5, c_iron2=0.0151338555896828,
+        omega_hpl=3600 * RADS_PER_RPM,
     )
+    MotorParams(**fields)
     fields.update(bad)
     with pytest.raises(DomainError):
         MotorParams(**fields)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import itertools
+import json
 import math
 import multiprocessing
 import subprocess
@@ -11,9 +12,8 @@ import pytest
 
 import vrrjump
 from vrrjump import (DomainError, EvalRecord, FrrParams, NoFeasibleDesignError,
-                     SearchBox, VrrParams, compare_designs,
-                     default_search_box, optimize_frr, optimize_vrr,
-                     select_best, simulate_jump)
+                     SearchBox, VrrParams, compare_designs, load_config,
+                     optimize_frr, optimize_vrr, select_best, simulate_jump)
 from vrrjump import optimize
 from vrrjump.optimize import MAX_CANDIDATES, _axis, _pool_plan
 
@@ -29,8 +29,18 @@ def small_box(dtheta=(0.0, 0.0, 1.0)) -> SearchBox:
     )
 
 
-def test_axis_counts_default_box():
-    box = default_search_box()
+def default_box(tmp_path) -> SearchBox:
+    """The search box of a config without a search section."""
+    config = Path(vrrjump.__file__).parent / "configs" / "fullscale.json"
+    doc = json.loads(config.read_text())
+    del doc["search"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return load_config(path).search
+
+
+def test_axis_counts_default_box(tmp_path):
+    box = default_box(tmp_path)
     assert len(_axis(box.r_range)) == 51
     assert len(_axis(box.s0_range)) == 31
     assert len(_axis(box.dtheta_range)) == 7
@@ -95,8 +105,8 @@ def test_frr_collapsed_range(leg, motor, deep_crouch):
     assert opt.best_params == FrrParams(22.0)
 
 
-def test_frr_scan_brackets_reference_optimum(leg, motor, deep_crouch):
-    box = dataclasses.replace(default_search_box())
+def test_frr_scan_brackets_reference_optimum(leg, motor, deep_crouch, tmp_path):
+    box = default_box(tmp_path)
     opt = optimize_frr(leg, motor, deep_crouch, box)
     assert abs(opt.best_params.k_fixed - 22.0) <= 3.0
     assert 0.38 < opt.h_jump < 0.47
@@ -284,7 +294,7 @@ def test_search_box_validation():
                   (10.0, 40.0, 1.0))
 
 
-def test_search_box_limit_checked_before_allocation():
+def test_search_box_limit_checked_before_allocation(tmp_path):
     """A 1e-12 step would build 5e10 candidates; the box is refused first."""
     with pytest.raises(DomainError, match="limit"):
         SearchBox((0.025, 0.075, 1e-12), (0.1, 0.2, 0.01), (0.0, 0.0, 1.0),
@@ -295,7 +305,7 @@ def test_search_box_limit_checked_before_allocation():
     with pytest.raises(DomainError, match="finite"):
         SearchBox((0.04, 0.05, math.nan), (0.1, 0.2, 0.01), (0.0, 0.0, 1.0),
                   (10.0, 40.0, 1.0))
-    assert len(_axis(default_search_box().r_range)) ** 3 < MAX_CANDIDATES
+    assert len(_axis(default_box(tmp_path).r_range)) ** 3 < MAX_CANDIDATES
 
 
 def test_pool_plan_clamps_workers(monkeypatch):
