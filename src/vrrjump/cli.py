@@ -24,12 +24,12 @@ from pathlib import Path
 from .config import RunConfig, default_motor, load_config
 from .errors import (ConfigError, DomainError, NoFeasibleDesignError,
                      SimulationRangeError, VrrJumpError)
-from .mechanism import VrrParams, crank_angle, ratio_curve
-from .motor import RPM_PER_RADS, envelope_table
+from .mechanism import VrrParams, ratio_curve
+from .motor import envelope_table
 from .optimize import (MAX_CANDIDATES, compare_designs, optimize_frr,
                        optimize_vrr)
-from .report import (emit_report, fmt, mech_cells, opt_summary, write_csv,
-                     write_trajectory_csv)
+from .report import (emit_report, opt_summary, write_envelope_csv,
+                     write_grid_csv, write_ratio_csv, write_trajectory_csv)
 from .sim import simulate_jump
 
 log = logging.getLogger("vrrjump")
@@ -65,27 +65,34 @@ def _int_in(lo: int, hi: float = math.inf):
     return parse
 
 
-def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, config_required: bool = True,
+                workers: bool = False, leg: bool = True) -> None:
+    """The options every command takes, plus --workers for the commands that
+    search a grid and --jacobian-mode for those that build a leg."""
     parser.add_argument("--config", required=config_required,
                         help="path to the JSON run configuration")
     parser.add_argument("--out", default=None,
                         help="output directory (default: config output_dir)")
-    parser.add_argument("--workers", type=_int_in(1), default=1,
-                        help="parallel candidate evaluations (default 1)")
-    parser.add_argument("--jacobian-mode", choices=["paper", "geometric"],
-                        default=None, help="override the config Jacobian mode")
+    if workers:
+        parser.add_argument("--workers", type=_int_in(1), default=1,
+                            help="parallel candidate evaluations (default 1)")
+    if leg:
+        parser.add_argument("--jacobian-mode", choices=["paper", "geometric"],
+                            default=None, help="override the config Jacobian mode")
     parser.add_argument("--seedless", action="store_true",
                         help="reserved; the tool uses no randomness anywhere")
 
 
 def _load(args) -> RunConfig:
-    return load_config(args.config, jacobian_mode=args.jacobian_mode)
+    return load_config(args.config,
+                       jacobian_mode=getattr(args, "jacobian_mode", None))
 
 
 def _out_dir(args, cfg: RunConfig | None) -> Path:
-    if args.out is not None:
-        return Path(args.out)
-    return Path(cfg.output_dir if cfg else "out")
+    """--out, else the config's output_dir; created if missing."""
+    out = Path(args.out if args.out is not None else cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _pick_angle(cfg: RunConfig, args) -> float:
@@ -101,32 +108,18 @@ def cmd_simulate(args) -> int:
     angle = _pick_angle(cfg, args)
     result = simulate_jump(cfg.leg, cfg.motor, cfg.mechanism,
                            replace(cfg.sim, q2_init=angle))
-    out = _out_dir(args, cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    traj_path = out / f"trajectory_{angle:.4f}.csv"
+    traj_path = _out_dir(args, cfg) / f"trajectory_{angle:.4f}.csv"
     write_trajectory_csv(traj_path, cfg.leg, cfg.mechanism, result)
     log.info("wrote %s (%d samples)", traj_path, len(result.trajectory))
-    json.dump({
+    print(json.dumps({
         "w_takeoff_j": result.w_takeoff,
         "h_jump_m": result.h_jump,
         "t_takeoff_s": result.t_takeoff,
         "q2_at_takeoff_rad": result.q2_at_takeoff,
         "terminated_by": result.terminated_by.value,
         "trajectory_csv": str(traj_path),
-    }, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    }, indent=2, sort_keys=True))
     return EXIT_OK
-
-
-def _write_grid_csv(path: Path, opt) -> None:
-    rows = [mech_cells(rec.params) + [
-                str(rec.feasible).lower(),
-                fmt(rec.w_takeoff) if rec.feasible else "nan",
-                fmt(rec.h_jump) if rec.feasible else "nan"]
-            for rec in opt.evaluations]
-    write_csv(path, ["r_mm", "s0_mm", "dtheta_deg", "k_fixed",
-                     "feasible", "w_takeoff_j", "h_jump_m"], rows)
-    log.info("wrote %s", path)
 
 
 def cmd_optimize(args) -> int:
@@ -136,13 +129,9 @@ def cmd_optimize(args) -> int:
     fn = optimize_vrr if args.joint == "vrr" else optimize_frr
     opt = fn(cfg.leg, cfg.motor, sim_cfg, cfg.search, workers=args.workers)
     if args.dump_grid:
-        out = _out_dir(args, cfg)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_grid_csv(out / f"grid_{args.joint}_{angle:.4f}.csv", opt)
-    summary = {"angle_rad": angle, "n_evaluations": len(opt.evaluations),
-               **opt_summary(opt)}
-    json.dump(summary, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+        write_grid_csv(_out_dir(args, cfg) / f"grid_{args.joint}_{angle:.4f}.csv", opt)
+    print(json.dumps({"angle_rad": angle, "n_evaluations": len(opt.evaluations),
+                      **opt_summary(opt)}, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -161,11 +150,9 @@ def cmd_compare(args) -> int:
     if args.dump_grid:
         for row in report.rows:
             for joint, opt in (("vrr", row.vrr), ("frr", row.frr)):
-                if opt is None:
-                    continue
-                path = out / f"grid_{joint}_{row.angle:.4f}.csv"
-                _write_grid_csv(path, opt)
-                manifest.append(path)
+                if opt is not None:
+                    manifest.append(out / f"grid_{joint}_{row.angle:.4f}.csv")
+                    write_grid_csv(manifest[-1], opt)
     for path in manifest:
         print(path)
     failed = [r for r in report.rows if r.error is not None]
@@ -179,33 +166,20 @@ def cmd_sweep_ratio(args) -> int:
     lo = args.lo if args.lo is not None else cfg.angles[0]
     hi = args.hi if args.hi is not None else cfg.sim.q2_takeoff_cap
     curve = ratio_curve(cfg.mechanism, lo, hi, args.n)
-    rows = [[fmt(q2), fmt(crank_angle(cfg.mechanism, q2)), fmt(k)]
-            for q2, k in curve.samples]
-    out = _out_dir(args, cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "ratio_curve.csv"
-    write_csv(path, ["q2_rad", "theta_rad", "k"], rows)
-    json.dump({"argmax_q2_rad": curve.argmax_q2, "k_max": curve.k_max,
-               "csv": str(path)}, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    path = _out_dir(args, cfg) / "ratio_curve.csv"
+    write_ratio_csv(path, cfg.mechanism, curve.samples)
+    print(json.dumps({"argmax_q2_rad": curve.argmax_q2, "k_max": curve.k_max,
+                      "csv": str(path)}, indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_envelope(args) -> int:
     motor = _load(args).motor if args.config else default_motor()
     table = envelope_table(motor, args.n)
-    rows = [[fmt(p.omega * RPM_PER_RADS), fmt(p.tau_max), fmt(p.p_out), fmt(p.p_loss)]
-            for p in table]
-    out = Path(args.out) if args.out else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "envelope.csv"
-        write_csv(path, ["omega_rpm", "tau_max_nm", "p_out_w", "p_loss_w"], rows)
+    path = _out_dir(args, None) / "envelope.csv" if args.out else None
+    write_envelope_csv(path, table)
+    if path is not None:
         print(path)
-    else:
-        print(",".join(["omega_rpm", "tau_max_nm", "p_out_w", "p_loss_w"]))
-        for row in rows:
-            print(",".join(row))
     return EXIT_OK
 
 
@@ -223,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("optimize", help="grid-search mechanism parameters")
-    _add_common(p)
+    _add_common(p, workers=True)
     p.add_argument("--joint", choices=["vrr", "frr"], default="vrr")
     p.add_argument("--angle", type=float, default=None)
     p.add_argument("--dump-grid", action="store_true",
@@ -232,20 +206,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="optimize both joint types at every "
                                        "configured angle and emit reports")
-    _add_common(p)
+    _add_common(p, workers=True)
     p.add_argument("--dump-grid", action="store_true",
                    help="also write the per-angle evaluation grids as CSV")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep-ratio", help="sample the reduction-ratio curve")
-    _add_common(p)
+    _add_common(p, leg=False)
     p.add_argument("--lo", type=float, default=None, help="range start (rad)")
     p.add_argument("--hi", type=float, default=None, help="range end (rad)")
     p.add_argument("--n", type=_int_in(2, MAX_CANDIDATES), default=200)
     p.set_defaults(func=cmd_sweep_ratio)
 
     p = sub.add_parser("envelope", help="sample the motor torque/power envelope")
-    _add_common(p, config_required=False)
+    _add_common(p, config_required=False, leg=False)
     p.add_argument("--n", type=_int_in(2, MAX_CANDIDATES), default=200)
     p.set_defaults(func=cmd_envelope)
 

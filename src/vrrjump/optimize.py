@@ -7,8 +7,8 @@ leaves the valid state range mid-flight, are recorded infeasible and excluded
 from the argmax. Ties break toward the smallest (r, S0, |delta_theta|).
 
 Evaluations are independent; with workers > 1 they run on one process pool
-per command, in deterministic chunks that never span two grids, and the
-aggregated result is identical to a sequential run.
+per command, one Executor.map per grid, and the aggregated result is
+identical to a sequential run.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import partial
+from itertools import repeat
 
 from .errors import (DomainError, NoFeasibleDesignError, SimulationRangeError,
                      VrrJumpError)
@@ -52,20 +52,24 @@ class SearchBox:
             if step <= 0:
                 raise DomainError(f"{name}: step {step} must be positive")
         for names in (("r_range", "s0_range", "dtheta_range"), ("frr_range",)):
-            count = 1.0
-            for name in names:
-                lo, hi, step = getattr(self, name)
-                count *= (hi - lo) / step + 1.0
-            if not count <= MAX_CANDIDATES:
+            count = math.prod(_axis_len(getattr(self, name)) for name in names)
+            if count > MAX_CANDIDATES:
                 raise DomainError(
-                    f"{' x '.join(names)} span about {count:.3g} candidates, "
+                    f"{' x '.join(names)} span {count:.7g} candidates, "
                     f"more than the limit of {MAX_CANDIDATES}")
 
 
-def _axis(rng: tuple[float, float, float]) -> list[float]:
+def _axis_len(rng: tuple[float, float, float]) -> float:
+    """Number of values on an inclusive (min, max, step) axis; inf when the
+    span overflows a float."""
     lo, hi, step = rng
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + i * step for i in range(n)]
+    span = (hi - lo) / step + 1e-9
+    return math.floor(span) + 1.0 if math.isfinite(span) else span
+
+
+def _axis(rng: tuple[float, float, float]) -> list[float]:
+    lo, _, step = rng
+    return [lo + i * step for i in range(int(_axis_len(rng)))]
 
 
 @dataclass(frozen=True)
@@ -96,57 +100,46 @@ def _evaluate(leg: LegModel, motor: MotorParams, cfg: SimConfig,
     return (res.w_takeoff, res.h_jump, True)
 
 
-def _eval_chunk(leg, motor, cfg, mechs):
-    return [_evaluate(leg, motor, cfg, m) for m in mechs]
+def _evaluate_by_name(leg, motor, cfg, mech):
+    """_evaluate, looked up when called: a pool pickles what it maps by name."""
+    return _evaluate(leg, motor, cfg, mech)
 
 
-def _pool_plan(n_mechs: int, workers: int) -> tuple[int, int]:
-    """(processes, chunks) for a grid: workers clamped to the CPUs and to the
-    chunks. One process means the grid needs no pool."""
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or n_mechs < 2:
-        return 1, 1
-    n_chunks = min(n_mechs, workers * 8)
-    return min(workers, n_chunks), n_chunks
-
-
-def _records(mechs, parts) -> list[EvalRecord] | VrrJumpError:
-    """A grid's records from its evaluated parts (zero-argument callables,
-    read in order), or the package error its evaluation raised."""
+def _records(mechs, outs) -> list[EvalRecord] | VrrJumpError:
+    """A grid's records from its evaluations (an iterable read in order), or
+    the package error one of them raised."""
     try:
-        outs = [out for part in parts for out in part()]
+        return [EvalRecord(m, w, h, ok) for m, (w, h, ok) in zip(mechs, outs)]
     except VrrJumpError as exc:
         return exc
-    return [EvalRecord(m, w, h, ok) for m, (w, h, ok) in zip(mechs, outs)]
 
 
 def _run_grids(leg, motor, grids: list[tuple[SimConfig, list]],
                workers: int) -> tuple[list[list[EvalRecord] | VrrJumpError], int]:
     """Evaluate every (cfg, candidates) grid of a command.
 
-    Returns each grid's outcome, in order, and the number of processes used.
-    With one process every grid runs here. Otherwise one pool serves all
-    grids: each grid is cut into its own chunks (_pool_plan), and every
-    chunk is submitted before the first result is read, so no grid waits
-    for the one before it to drain.
+    Returns each grid's outcome, in order, and the number of processes used:
+    workers clamped to the CPUs and to the largest grid. With one process
+    every grid runs here. Otherwise one pool maps each grid in chunks of an
+    eighth of a process's share. Executor.map submits every chunk at once,
+    so no grid waits for the one before it to drain.
     """
-    plans = [_pool_plan(len(mechs), workers) for _, mechs in grids]
-    processes = max((p for p, _ in plans), default=1)
-    if processes == 1:
-        return [_records(mechs, [partial(_eval_chunk, leg, motor, cfg, mechs)])
+    processes = min(workers, os.cpu_count() or 1,
+                    max((len(mechs) for _, mechs in grids), default=1))
+    if processes <= 1:
+        return [_records(mechs, map(_evaluate_by_name, repeat(leg),
+                                    repeat(motor), repeat(cfg), mechs))
                 for cfg, mechs in grids], 1
     # Imported here: the pool pulls in multiprocessing, which a run on one
     # process never needs.
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=processes) as pool:
-        pending = []
-        for (cfg, mechs), (_, n_chunks) in zip(grids, plans):
-            size = -(-len(mechs) // n_chunks)
-            pending.append([pool.submit(_eval_chunk, leg, motor, cfg,
-                                        mechs[i:i + size]).result
-                            for i in range(0, len(mechs), size)])
-        return [_records(mechs, parts)
-                for (_, mechs), parts in zip(grids, pending)], processes
+        outs = [pool.map(_evaluate_by_name, repeat(leg), repeat(motor),
+                         repeat(cfg), mechs,
+                         chunksize=-(-len(mechs) // (8 * processes)))
+                for cfg, mechs in grids]
+        return [_records(mechs, out)
+                for (_, mechs), out in zip(grids, outs)], processes
 
 
 def _tie_key(params: VrrParams | FrrParams) -> tuple:

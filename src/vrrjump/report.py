@@ -8,9 +8,12 @@ byte for byte. metadata.json is the only file with run-varying content
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
 import json
+import logging
+import sys
 from pathlib import Path
 
 from .leg import LegModel, com_jacobian
@@ -18,6 +21,8 @@ from .mechanism import DEG, FrrParams, VrrParams, crank_angle, ratio_curve
 from .motor import RPM_PER_RADS
 from .optimize import ComparisonReport, OptResult
 from .sim import TakeoffResult
+
+log = logging.getLogger(__name__)
 
 RATIO_SAMPLES = 400
 
@@ -51,8 +56,10 @@ def trajectory_rows(leg: LegModel, mech: VrrParams | FrrParams,
     return rows
 
 
-def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with path.open("w", newline="") as fh:
+def write_csv(path: Path | None, header: list[str], rows) -> None:
+    """Write a header and rows to path, or to standard output when it is None."""
+    with (path.open("w", newline="") if path is not None
+          else contextlib.nullcontext(sys.stdout)) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -64,12 +71,32 @@ def write_trajectory_csv(path: Path, leg: LegModel,
     write_csv(path, TRAJECTORY_COLUMNS, trajectory_rows(leg, mech, result))
 
 
+def write_ratio_csv(path: Path, mech: VrrParams, samples) -> None:
+    write_csv(path, ["q2_rad", "theta_rad", "k"],
+              ([fmt(q2), fmt(crank_angle(mech, q2)), fmt(k)] for q2, k in samples))
+
+
+def write_envelope_csv(path: Path | None, table) -> None:
+    write_csv(path, ["omega_rpm", "tau_max_nm", "p_out_w", "p_loss_w"],
+              ([fmt(p.omega * RPM_PER_RADS), fmt(p.tau_max), fmt(p.p_out),
+                fmt(p.p_loss)] for p in table))
+
+
 def mech_cells(params: VrrParams | FrrParams) -> list[str]:
     """(r_mm, s0_mm, dtheta_deg, k_fixed) cells for a summary or grid row."""
     if isinstance(params, VrrParams):
         return [fmt(params.r * 1000.0), fmt(params.s0 * 1000.0),
                 fmt(params.delta_theta / DEG), ""]
     return ["", "", "", fmt(params.k_fixed)]
+
+
+def write_grid_csv(path: Path, opt: OptResult) -> None:
+    """Every evaluated candidate of a grid, feasible or not."""
+    write_csv(path, ["r_mm", "s0_mm", "dtheta_deg", "k_fixed",
+                     "feasible", "w_takeoff_j", "h_jump_m"],
+              ([*mech_cells(rec.params), str(rec.feasible).lower(),
+                fmt(rec.w_takeoff), fmt(rec.h_jump)] for rec in opt.evaluations))
+    log.info("wrote %s", path)
 
 
 def opt_summary(opt: OptResult | None) -> dict | None:
@@ -96,20 +123,21 @@ def emit_report(report: ComparisonReport, out_dir: str | Path) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     manifest: list[Path] = []
 
+    def add(name: str) -> Path:
+        """The path of an output file, entered in the manifest."""
+        manifest.append(out / name)
+        return manifest[-1]
+
     meta = dict(report.metadata)
     meta.setdefault("tool_version", _tool_version())
     meta["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    meta_path = out / "metadata.json"
-    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    manifest.append(meta_path)
+    add("metadata.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     if not report.rows:
         return manifest
 
     if "resolved_config" in meta:
-        cfg_path = out / "config_resolved.json"
-        cfg_path.write_text(json.dumps(meta["resolved_config"],
-                                       sort_keys=True, indent=1) + "\n")
-        manifest.append(cfg_path)
+        add("config_resolved.json").write_text(
+            json.dumps(meta["resolved_config"], sort_keys=True, indent=1) + "\n")
 
     summary_rows = []
     json_rows = []
@@ -147,19 +175,13 @@ def emit_report(report: ComparisonReport, out_dir: str | Path) -> list[Path]:
             f"{row.frr.best_params.k_fixed:>8.1f} {row.frr.w_takeoff:>10.3f} "
             f"{row.frr.h_jump:>8.4f} {'':>10}")
 
-    sum_csv = out / "summary.csv"
-    write_csv(sum_csv, ["joint_type", "angle_rad", "r_mm", "s0_mm", "dtheta_deg",
-                        "k_fixed", "w_takeoff_j", "h_jump_m", "improvement_pct",
-                        "error"], summary_rows)
-    manifest.append(sum_csv)
-
-    sum_json = out / "summary.json"
-    sum_json.write_text(json.dumps({"rows": json_rows}, sort_keys=True, indent=2) + "\n")
-    manifest.append(sum_json)
-
-    sum_txt = out / "summary.txt"
-    sum_txt.write_text("\n".join(txt_lines) + "\n")
-    manifest.append(sum_txt)
+    write_csv(add("summary.csv"),
+              ["joint_type", "angle_rad", "r_mm", "s0_mm", "dtheta_deg",
+               "k_fixed", "w_takeoff_j", "h_jump_m", "improvement_pct", "error"],
+              summary_rows)
+    add("summary.json").write_text(
+        json.dumps({"rows": json_rows}, sort_keys=True, indent=2) + "\n")
+    add("summary.txt").write_text("\n".join(txt_lines) + "\n")
 
     for row in report.rows:
         if row.error is not None:
@@ -167,24 +189,20 @@ def emit_report(report: ComparisonReport, out_dir: str | Path) -> list[Path]:
         label = f"{row.angle:.4f}"
         for joint, opt, takeoff in (("evrr", row.vrr, row.vrr_takeoff),
                                     ("frr", row.frr, row.frr_takeoff)):
-            path = out / f"trajectory_{joint}_{label}.csv"
-            write_trajectory_csv(path, report.leg, opt.best_params, takeoff)
-            manifest.append(path)
+            write_trajectory_csv(add(f"trajectory_{joint}_{label}.csv"),
+                                 report.leg, opt.best_params, takeoff)
 
-        ratio_path = out / f"ratio_curve_evrr_{label}.csv"
         vp = row.vrr.best_params
-        rows_ratio, rows_overall = [], []
-        for q2, k_v in ratio_curve(vp, row.angle, report.cap, RATIO_SAMPLES).samples:
+        samples = ratio_curve(vp, row.angle, report.cap, RATIO_SAMPLES).samples
+        write_ratio_csv(add(f"ratio_curve_evrr_{label}.csv"), vp, samples)
+        rows_overall = []
+        for q2, k in samples:
             lam = 1.0 / com_jacobian(report.leg, q2)
-            rows_ratio.append([fmt(q2), fmt(crank_angle(vp, q2)), fmt(k_v)])
-            rows_overall.append([fmt(q2), fmt(k_v * lam),
+            rows_overall.append([fmt(q2), fmt(k * lam),
                                  fmt(row.frr.best_params.k_fixed * lam)])
-        write_csv(ratio_path, ["q2_rad", "theta_rad", "k"], rows_ratio)
-        manifest.append(ratio_path)
-        overall_path = out / f"overall_ratio_{label}.csv"
-        write_csv(overall_path, ["q2_rad", "evrr_k_lambda_radpm", "frr_k_lambda_radpm"],
+        write_csv(add(f"overall_ratio_{label}.csv"),
+                  ["q2_rad", "evrr_k_lambda_radpm", "frr_k_lambda_radpm"],
                   rows_overall)
-        manifest.append(overall_path)
 
     return manifest
 

@@ -346,7 +346,7 @@ these and says in CHANGES.md which files moved."""
 def test_full_box_outputs_match_digests(report, tmp_path):
     import hashlib
     from vrrjump import emit_report
-    from vrrjump.cli import _write_grid_csv
+    from vrrjump.report import write_grid_csv as _write_grid_csv
     emit_report(report, tmp_path)
     for row in report.rows:
         for joint, opt in (("vrr", row.vrr), ("frr", row.frr)):

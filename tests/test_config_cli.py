@@ -586,3 +586,23 @@ def test_workers_below_one_rejected(tmp_path, capsys, value):
     assert "argument --workers: must be an integer of at least 1" in \
         capsys.readouterr().err
     assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize", "compare",
+                                     "sweep-ratio", "envelope"])
+@pytest.mark.parametrize("option,value,dest", [("--workers", "2", "workers"),
+                                               ("--jacobian-mode", "paper",
+                                                "jacobian_mode")])
+def test_option_registered_only_where_read(capsys, command, option, value, dest):
+    """--workers belongs to the commands that search a grid, --jacobian-mode
+    to those that build a leg; any other command refuses them."""
+    read_by = {"--workers": {"optimize", "compare"},
+               "--jacobian-mode": {"simulate", "optimize", "compare"}}
+    argv = [command, "--config", FULLSCALE, option, value]
+    if command in read_by[option]:
+        assert str(getattr(cli.build_parser().parse_args(argv), dest)) == value
+        return
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err

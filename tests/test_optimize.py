@@ -15,7 +15,7 @@ from vrrjump import (DomainError, EvalRecord, FrrParams, NoFeasibleDesignError,
                      SearchBox, VrrParams, compare_designs, load_config,
                      optimize_frr, optimize_vrr, select_best, simulate_jump)
 from vrrjump import optimize
-from vrrjump.optimize import MAX_CANDIDATES, _axis, _pool_plan
+from vrrjump.optimize import MAX_CANDIDATES, _axis, _axis_len
 
 DEG = math.pi / 180.0
 
@@ -218,25 +218,24 @@ def test_compare_designs_pool_equals_in_process(leg, motor, deep_crouch,
     assert par.metadata == {"workers": 2, "n_candidates": 2 * (36 + 3)}
 
 
-class CountingPool:
+class CountingPool(concurrent.futures.Executor):
     """In-thread stand-in for ProcessPoolExecutor that records the size of
-    each pool made."""
+    each pool made and the chunksize of each map."""
 
     made: list[int] = []
+    chunks: list[int] = []
 
     def __init__(self, max_workers):
         self.made.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
     def submit(self, fn, *args):
         fut = concurrent.futures.Future()
         fut.set_result(fn(*args))
         return fut
+
+    def map(self, fn, *iterables, chunksize=1):
+        self.chunks.append(chunksize)
+        return super().map(fn, *iterables)
 
 
 @pytest.mark.parametrize("workers,used", [(1, 1), (2, 2), (64, 4)])
@@ -308,15 +307,47 @@ def test_search_box_limit_checked_before_allocation(tmp_path):
     assert len(_axis(default_box(tmp_path).r_range)) ** 3 < MAX_CANDIDATES
 
 
-def test_pool_plan_clamps_workers(monkeypatch):
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
-    assert _pool_plan(1581, 10 ** 6) == (4, 32)
-    assert _pool_plan(3, 8) == (3, 3)
-    assert _pool_plan(100, 2) == (2, 16)
-    assert _pool_plan(100, 1) == (1, 1)
-    assert _pool_plan(1, 4) == (1, 1)
-    monkeypatch.setattr("os.cpu_count", lambda: None)
-    assert _pool_plan(100, 8) == (1, 1)
+def test_pool_size_and_chunk_sizes(monkeypatch):
+    """Processes: workers clamped to the CPUs and to the largest grid. Each
+    grid's chunks: ceil(n / (8 x processes)) candidates."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(optimize, "_evaluate", lambda *args: (1.0, 1.0, True))
+    cases = [  # (CPUs, workers, grid sizes, pool sizes made, chunksizes)
+        (4, 10 ** 6, [1581], [4], [50]),
+        (4, 10 ** 6, [1581, 31], [4], [50, 1]),
+        (4, 8, [3], [3], [1]),
+        (4, 2, [100], [2], [7]),
+        (4, 1, [100], [], []),
+        (4, 4, [1], [], []),
+        (None, 8, [100], [], []),
+    ]
+    for cpus, workers, sizes, made, chunks in cases:
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        monkeypatch.setattr(CountingPool, "made", [])
+        monkeypatch.setattr(CountingPool, "chunks", [])
+        grids = [(None, [FrrParams(20.0)] * n) for n in sizes]
+        outcomes, processes = optimize._run_grids(None, None, grids, workers)
+        assert (CountingPool.made, CountingPool.chunks) == (made, chunks)
+        assert processes == (made or [1])[0]
+        assert [len(records) for records in outcomes] == sizes
+
+
+@pytest.mark.parametrize("exact,over", [
+    ((0.3, 300000.0, 0.3), (0.3, 300000.3, 0.3)),
+    ((0.6, 600000.0, 0.6), (0.6, 600000.6, 0.6)),
+    ((0.7, 700000.0, 0.7), (0.7, 700000.7, 0.7)),
+])
+def test_search_box_limit_counts_like_axis(monkeypatch, exact, over):
+    """An axis of exactly MAX_CANDIDATES values is accepted, one of a value
+    more is refused, and the check builds neither axis."""
+    def built(rng):
+        raise AssertionError("an axis was built by the limit check")
+    monkeypatch.setattr(optimize, "_axis", built)
+    vrr = ((0.04, 0.05, 0.005), (0.14, 0.16, 0.01), (0.0, 0.0, 1.0))
+    assert (_axis_len(exact), _axis_len(over)) == (MAX_CANDIDATES, MAX_CANDIDATES + 1)
+    assert SearchBox(*vrr, exact).frr_range == exact
+    with pytest.raises(DomainError, match="span 1000001 candidates"):
+        SearchBox(*vrr, over)
 
 
 def test_package_import_leaves_the_pool_unloaded():
