@@ -9,7 +9,7 @@ from .mechanism import (FrrParams, RatioCurve, VrrParams, check_working_range,
                         crank_angle, crank_offset, joint_angle,
                         peak_crank_angle, ratio_curve, ratio_law,
                         reduction_ratio)
-from .motor import (EnvelopePoint, MotorParams, envelope_piece, envelope_pieces,
+from .motor import (EnvelopePoint, MotorParams, envelope_pieces,
                     envelope_table, loss_balance_c_iron2, max_torque,
                     power_loss, torque_envelope)
 from .optimize import (AngleRow, ComparisonReport, EvalRecord, OptResult,

@@ -28,7 +28,7 @@ from .mechanism import VrrParams, ratio_curve
 from .motor import envelope_table
 from .optimize import (MAX_CANDIDATES, compare_designs, optimize_frr,
                        optimize_vrr)
-from .report import (emit_report, opt_summary, write_envelope_csv,
+from .report import (angle_label, emit_report, opt_summary, write_envelope_csv,
                      write_grid_csv, write_ratio_csv, write_trajectory_csv)
 from .sim import simulate_jump
 
@@ -89,9 +89,13 @@ def _load(args) -> RunConfig:
 
 
 def _out_dir(args, cfg: RunConfig | None) -> Path:
-    """--out, else the config's output_dir; created if missing."""
+    """--out, else the config's output_dir; created if missing, before any work."""
+    key = "--out" if args.out is not None else "output_dir"
     out = Path(args.out if args.out is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{key}: cannot create directory {out}: {exc.strerror}") from exc
     return out
 
 
@@ -106,9 +110,9 @@ def cmd_simulate(args) -> int:
     if cfg.mechanism is None:
         raise ConfigError("simulate requires a 'mechanism' section in the config")
     angle = _pick_angle(cfg, args)
-    result = simulate_jump(cfg.leg, cfg.motor, cfg.mechanism,
-                           replace(cfg.sim, q2_init=angle))
-    traj_path = _out_dir(args, cfg) / f"trajectory_{angle:.4f}.csv"
+    sim_cfg = replace(cfg.sim, q2_init=angle)
+    traj_path = _out_dir(args, cfg) / f"trajectory_{angle_label(angle)}.csv"
+    result = simulate_jump(cfg.leg, cfg.motor, cfg.mechanism, sim_cfg)
     write_trajectory_csv(traj_path, cfg.leg, cfg.mechanism, result)
     log.info("wrote %s (%d samples)", traj_path, len(result.trajectory))
     print(json.dumps({
@@ -126,10 +130,11 @@ def cmd_optimize(args) -> int:
     cfg = _load(args)
     angle = _pick_angle(cfg, args)
     sim_cfg = replace(cfg.sim, q2_init=angle)
+    out = _out_dir(args, cfg) if args.dump_grid else None
     fn = optimize_vrr if args.joint == "vrr" else optimize_frr
     opt = fn(cfg.leg, cfg.motor, sim_cfg, cfg.search, workers=args.workers)
-    if args.dump_grid:
-        write_grid_csv(_out_dir(args, cfg) / f"grid_{args.joint}_{angle:.4f}.csv", opt)
+    if out is not None:
+        write_grid_csv(out / f"grid_{args.joint}_{angle_label(angle)}.csv", opt)
     print(json.dumps({"angle_rad": angle, "n_evaluations": len(opt.evaluations),
                       **opt_summary(opt)}, indent=2, sort_keys=True))
     return EXIT_OK
@@ -137,6 +142,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _load(args)
+    out = _out_dir(args, cfg)
     t0 = time.perf_counter()
     report = compare_designs(cfg.leg, cfg.motor, cfg.sim, cfg.search,
                              list(cfg.angles), workers=args.workers)
@@ -145,13 +151,12 @@ def cmd_compare(args) -> int:
         "resolved_config": cfg.resolved_doc,
         "wall_time_s": round(time.perf_counter() - t0, 3),
     })
-    out = _out_dir(args, cfg)
     manifest = emit_report(report, out)
     if args.dump_grid:
         for row in report.rows:
             for joint, opt in (("vrr", row.vrr), ("frr", row.frr)):
                 if opt is not None:
-                    manifest.append(out / f"grid_{joint}_{row.angle:.4f}.csv")
+                    manifest.append(out / f"grid_{joint}_{angle_label(row.angle)}.csv")
                     write_grid_csv(manifest[-1], opt)
     for path in manifest:
         print(path)
@@ -175,9 +180,8 @@ def cmd_sweep_ratio(args) -> int:
 
 def cmd_envelope(args) -> int:
     motor = _load(args).motor if args.config else default_motor()
-    table = envelope_table(motor, args.n)
     path = _out_dir(args, None) / "envelope.csv" if args.out else None
-    write_envelope_csv(path, table)
+    write_envelope_csv(path, envelope_table(motor, args.n))
     if path is not None:
         print(path)
     return EXIT_OK

@@ -28,6 +28,7 @@ from .leg import JacobianMode, LegModel
 from .mechanism import DEG, FrrParams, VrrParams
 from .motor import RADS_PER_RPM, MotorParams, loss_balance_c_iron2
 from .optimize import SearchBox
+from .report import angle_label
 from .sim import SimConfig, TakeoffRule
 
 
@@ -257,11 +258,16 @@ def _build(resolved: dict) -> RunConfig:
     search = _build_section(resolved["search"], _SEARCH, SearchBox, "search")
 
     angles = tuple(resolved["angles_rad"])
+    labelled = {}
     for a in angles:
         try:
             replace(sim, q2_init=a)
         except DomainError as exc:
             raise ConfigError(f"angles_rad: angle {a}: {exc}") from exc
+        if (label := angle_label(a)) in labelled:
+            raise ConfigError(f"angles_rad: angles {labelled[label]} and {a} "
+                              f"share the output file label {label}")
+        labelled[label] = a
 
     return RunConfig(
         leg=leg, motor=motor, mechanism=mech,

@@ -102,16 +102,23 @@ def loss_balance_c_iron2(k_t: float, i_q_peak: float, omega_max: float,
             - c_iron1 * omega_max) / omega_max ** 2
 
 
-def envelope_pieces(params: MotorParams) -> tuple[Callable[[float], float], ...]:
-    """The four smooth pieces of the envelope, omega -> torque (Nm), in
-    order of speed: the peak torque, the power limit p_peak/omega, its
-    linear derate to zero at omega_max, and zero. Each formula holds for
-    every omega > 0, past the kinks that bound its piece, so an integrator
-    can keep one piece over a whole step; envelope_piece says which applies.
+def envelope_pieces(params: MotorParams) -> tuple[
+        tuple[Callable[[float], float], ...], tuple[float, ...],
+        Callable[[float], int]]:
+    """The shape of the envelope, its one definition: (pieces, kinks, piece).
+
+    pieces are its four smooth pieces, omega -> torque (Nm), in order of
+    speed: the peak torque, the power limit p_peak/omega, its linear derate
+    to zero at omega_max, and zero. Each formula holds for every omega > 0,
+    past the kinks that bound its piece, so an integrator can keep one piece
+    over a whole step. kinks are the speeds omega_break, omega_hpl and
+    omega_max; pieces[i] and pieces[i + 1] meet at kinks[i]. piece(omega)
+    is the index of the piece in force: 0 up to omega_break, 1 up to
+    omega_hpl, 2 below omega_max and 3 from it on.
     """
     tau_peak, p_peak = params.tau_peak, params.p_peak
-    w_max = params.omega_max
-    derate = 1.0 / (w_max - params.omega_hpl)
+    kinks = w_break, w_hpl, w_max = params.omega_break, params.omega_hpl, params.omega_max
+    derate = 1.0 / (w_max - w_hpl)
 
     def peak(omega: float) -> float:
         return tau_peak
@@ -124,13 +131,6 @@ def envelope_pieces(params: MotorParams) -> tuple[Callable[[float], float], ...]
 
     def zero(omega: float) -> float:
         return 0.0
-    return peak, power, derated, zero
-
-
-def envelope_piece(params: MotorParams) -> Callable[[float], int]:
-    """omega -> index into envelope_pieces of the piece in force: 0 up to
-    omega_break, 1 up to omega_hpl, 2 below omega_max and 3 from it on."""
-    w_break, w_hpl, w_max = params.omega_break, params.omega_hpl, params.omega_max
 
     def piece(omega: float) -> int:
         if omega <= w_break:
@@ -138,17 +138,15 @@ def envelope_piece(params: MotorParams) -> Callable[[float], int]:
         if omega <= w_hpl:
             return 1
         return 2 if omega < w_max else 3
-    return piece
+    return (peak, power, derated, zero), kinks, piece
 
 
 def torque_envelope(params: MotorParams) -> Callable[[float], float]:
     """The envelope omega -> available torque (Nm) for omega >= 0, with the
     motor's constants bound once; unchecked, for the simulator's inner loop.
-    The one definition of the envelope, built from envelope_pieces and
-    envelope_piece: max_torque and envelope_table call it.
+    Built from envelope_pieces: max_torque and envelope_table call it.
     """
-    pieces = envelope_pieces(params)
-    piece = envelope_piece(params)
+    pieces, _, piece = envelope_pieces(params)
 
     def envelope(omega: float) -> float:
         return pieces[piece(omega)](omega)

@@ -100,11 +100,6 @@ def _evaluate(leg: LegModel, motor: MotorParams, cfg: SimConfig,
     return (res.w_takeoff, res.h_jump, True)
 
 
-def _evaluate_by_name(leg, motor, cfg, mech):
-    """_evaluate, looked up when called: a pool pickles what it maps by name."""
-    return _evaluate(leg, motor, cfg, mech)
-
-
 def _records(mechs, outs) -> list[EvalRecord] | VrrJumpError:
     """A grid's records from its evaluations (an iterable read in order), or
     the package error one of them raised."""
@@ -127,16 +122,15 @@ def _run_grids(leg, motor, grids: list[tuple[SimConfig, list]],
     processes = min(workers, os.cpu_count() or 1,
                     max((len(mechs) for _, mechs in grids), default=1))
     if processes <= 1:
-        return [_records(mechs, map(_evaluate_by_name, repeat(leg),
-                                    repeat(motor), repeat(cfg), mechs))
+        return [_records(mechs, map(_evaluate, repeat(leg), repeat(motor),
+                                    repeat(cfg), mechs))
                 for cfg, mechs in grids], 1
     # Imported here: the pool pulls in multiprocessing, which a run on one
     # process never needs.
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=processes) as pool:
-        outs = [pool.map(_evaluate_by_name, repeat(leg), repeat(motor),
-                         repeat(cfg), mechs,
-                         chunksize=-(-len(mechs) // (8 * processes)))
+        outs = [pool.map(_evaluate, repeat(leg), repeat(motor), repeat(cfg),
+                         mechs, chunksize=-(-len(mechs) // (8 * processes)))
                 for cfg, mechs in grids]
         return [_records(mechs, out)
                 for (_, mechs), out in zip(grids, outs)], processes
@@ -150,14 +144,8 @@ def _tie_key(params: VrrParams | FrrParams) -> tuple:
 
 def select_best(evaluations: list[EvalRecord]) -> EvalRecord:
     """Feasible record with maximal energy; ties go to the smallest params."""
-    best = None
-    best_key = None
-    for rec in evaluations:
-        if not rec.feasible:
-            continue
-        key = (-rec.w_takeoff, *_tie_key(rec.params))
-        if best is None or key < best_key:
-            best, best_key = rec, key
+    best = min((rec for rec in evaluations if rec.feasible), default=None,
+               key=lambda rec: (-rec.w_takeoff, *_tie_key(rec.params)))
     if best is None:
         raise NoFeasibleDesignError(
             f"all {len(evaluations)} candidates failed the feasibility guard")
@@ -248,8 +236,7 @@ def compare_designs(leg: LegModel, motor: MotorParams, base_cfg: SimConfig,
     per-channel curves. The report's metadata holds the processes used and
     the number of candidates evaluated.
     """
-    row_errors = (DomainError, MechanismRangeError, SimulationRangeError,
-                  NoFeasibleDesignError)
+    row_errors = (DomainError, SimulationRangeError, NoFeasibleDesignError)
 
     def fail(row: AngleRow, exc: Exception) -> None:
         row.error = f"{type(exc).__name__}: {exc}"

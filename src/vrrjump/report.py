@@ -33,6 +33,11 @@ TRAJECTORY_COLUMNS = [
 ]
 
 
+def angle_label(angle: float) -> str:
+    """An initial angle as output file names carry it: rad, 4 decimals."""
+    return f"{angle:.4f}"
+
+
 def fmt(value: float | None) -> str:
     """Canonical numeric cell: 9 significant digits, empty for missing."""
     if value is None:
@@ -186,7 +191,7 @@ def emit_report(report: ComparisonReport, out_dir: str | Path) -> list[Path]:
     for row in report.rows:
         if row.error is not None:
             continue
-        label = f"{row.angle:.4f}"
+        label = angle_label(row.angle)
         for joint, opt, takeoff in (("evrr", row.vrr, row.vrr_takeoff),
                                     ("frr", row.frr, row.frr_takeoff)):
             write_trajectory_csv(add(f"trajectory_{joint}_{label}.csv"),

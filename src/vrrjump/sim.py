@@ -37,14 +37,15 @@ dp/du = sqrt(f0) and dt/du = 2 J0 / (sqrt(2/m) sqrt(f0)), so the square-root
 singularity of the start never enters a step, and the 1/J growth of dq2 near
 full extension does not shrink the steps.
 
-The envelope has kinks at omega_break, omega_hpl and omega_max, and a method
-of order 6 keeps its order only on a smooth right-hand side. So each step
-integrates one of motor.envelope_pieces, the one in force at its start,
-extended smoothly past its kink even where a stage's speed lands beyond it.
-A step whose end lies on another piece is cut at the kink, located by
-regula falsi on |omega_m| = k v / J, and the next step starts on the new
-piece (the standard treatment of a discontinuous right-hand side, ibid.
-section II.6). Reaching omega_max is the contact-force-zero event.
+The envelope has kinks, and a method of order 6 keeps its order only on a
+smooth right-hand side. One motor.envelope_pieces call gives the kernel the
+pieces, the kink speeds and the piece rule. Each step integrates the piece
+in force at its start, extended smoothly past its kink even where a stage's
+speed lands beyond it. A step ending on another piece is cut at the first
+kink crossed, located by regula falsi on |omega_m| = k v / J, and the next
+step starts on the new piece (the standard treatment of a discontinuous
+right-hand side, ibid. section II.6). Crossing the last kink, omega_max,
+upward is the contact-force-zero event.
 
 The lift margin mu = 1 - m g J0 / (eta_j k0 tau_peak) sets how far from the
 start K stops growing like f0 u^2. A run with mu < GRADED_MARGIN, which
@@ -101,8 +102,7 @@ from .errors import DomainError, SimulationRangeError, require_finite
 from .leg import LegModel, com_height, height, jacobian
 from .mechanism import (FrrParams, VrrParams, check_working_range,
                         crank_offset, ratio_law)
-from .motor import (MotorParams, envelope_piece, envelope_pieces,
-                    torque_envelope)
+from .motor import MotorParams, envelope_pieces, torque_envelope
 
 U_STEPS = 75
 """Uniform order-6 steps in u per takeoff, before kink and event splits."""
@@ -266,14 +266,12 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     jfac = leg.jacobian_scale
     eta = motor.eta_j
     tau_peak = motor.tau_peak
-    kinks = (motor.omega_break, motor.omega_hpl, motor.omega_max)
     q2_init = cfg.q2_init
     cap = cfg.q2_takeoff_cap
     t_max = cfg.t_max
     u_cap = math.sqrt(cap - q2_init)
     envelope = torque_envelope(motor)
-    pieces = envelope_pieces(motor)
-    piece_of = envelope_piece(motor)
+    pieces, kinks, piece_of = envelope_pieces(motor)
     ratio = ratio_law(mech)
     # A fixed ratio reads only J, so it shares the delta_theta = 0 table.
     th_off = crank_offset(mech) if vrr else math.pi
@@ -456,15 +454,15 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                        else step(state, ue))
                 now = piece_of(new[4][3])
                 if now != piece:
-                    # End the step at the first envelope kink crossed;
-                    # reaching w_max is the contact-force-zero event.
+                    # End the step at the first kink crossed; crossing the
+                    # last one upward is the contact-force-zero event.
                     up = now > piece
                     level = kinks[piece if up else piece - 1]
                     sign = 1.0 if up else -1.0
                     new = locate(state, new,
                                  lambda s: sign * (s[4][3] - level),
                                  1e-10 * level)
-                    if force_armed and up and piece == 2:
+                    if force_armed and up and piece == len(kinks) - 1:
                         ended = Termination.CONTACT_FORCE_ZERO
                     now = piece + (1 if up else -1)
                 if new[2] > t_max:

@@ -14,7 +14,7 @@ import vrrjump
 from vrrjump import (ConfigError, FrrParams, JacobianMode, SimConfig,
                      VrrParams, default_motor, load_config,
                      loss_balance_c_iron2, power_loss)
-from vrrjump import cli
+from vrrjump import cli, optimize
 from vrrjump.cli import main
 from vrrjump.report import fmt
 
@@ -458,7 +458,8 @@ def test_exit_code_infeasible(tmp_path, capsys):
 
 def test_exit_code_simulation_error(tmp_path, capsys):
     cfg = write_config(tmp_path, **{"sim.takeoff_rule": "contact_force_zero"})
-    assert main(["simulate", "--config", cfg, "--angle", "-2.618"]) == 4
+    assert main(["simulate", "--config", cfg, "--angle", "-2.618",
+                 "--out", str(tmp_path / "o")]) == 4
     capsys.readouterr()
 
 
@@ -606,3 +607,57 @@ def test_option_registered_only_where_read(capsys, command, option, value, dest)
         cli.build_parser().parse_args(argv)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+
+
+def refuse_work(monkeypatch):
+    """Make every simulation and search a command can start fail."""
+    def work(*args, **kwargs):
+        raise AssertionError("work began")
+    for name in ("simulate_jump", "optimize_vrr", "optimize_frr",
+                 "compare_designs", "envelope_table"):
+        monkeypatch.setattr(cli, name, work)
+    monkeypatch.setattr(optimize, "simulate_jump", work)
+
+
+@pytest.mark.parametrize("angles", [[-2.61801, -2.61804],
+                                    [-2.618, -1.9199, -2.618]])
+def test_angles_sharing_a_label_rejected(tmp_path, capsys, monkeypatch, angles):
+    """Two angles with one 4-decimal file label would write one set of
+    files: the config is refused before any candidate is evaluated."""
+    refuse_work(monkeypatch)
+    cfg = tiny_search(tmp_path, angles_rad=angles)
+    out = tmp_path / "rep"
+    assert main(["compare", "--config", cfg, "--out", str(out),
+                 "--dump-grid"]) == 2
+    assert (f"config error: angles_rad: angles {angles[0]} and {angles[-1]} "
+            f"share the output file label {angles[0]:.4f}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="^angles_rad: "):
+        load_config(cfg)
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("simulate", []), ("optimize", ["--dump-grid"]), ("compare", []),
+    ("sweep-ratio", []), ("envelope", [])])
+def test_unusable_output_directory_exits_2_before_work(
+        tmp_path, capsys, monkeypatch, command, extra):
+    """A regular file, or a path beneath one, as the output directory exits
+    2 naming --out or output_dir, before any simulation or search, and
+    without a traceback."""
+    refuse_work(monkeypatch)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cases = [("--out", blocker, tiny_search(tmp_path)),
+             ("--out", blocker / "sub", tiny_search(tmp_path))]
+    if command != "envelope":  # envelope writes a file only with --out
+        cases.append(("output_dir", blocker,
+                      tiny_search(tmp_path, output_dir=str(blocker))))
+    for key, out, cfg in cases:
+        argv = [command, "--config", cfg, *extra]
+        argv += ["--out", str(out)] if key == "--out" else []
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: cannot create directory "
+                              f"{out}: ")
+        assert "Traceback" not in err

@@ -1,10 +1,11 @@
+import bisect
 import math
 
 import numpy as np
 import pytest
 
-from vrrjump import (DomainError, MotorParams, envelope_piece,
-                     envelope_pieces, envelope_table, max_torque, power_loss)
+from vrrjump import (DomainError, MotorParams, envelope_pieces,
+                     envelope_table, max_torque, power_loss)
 
 RADS_PER_RPM = math.pi / 30.0
 
@@ -55,16 +56,22 @@ def test_max_torque_continuous_at_derate_onset(motor):
 
 
 def test_envelope_is_its_pieces(motor):
-    """max_torque takes the piece envelope_piece names; each piece's formula
-    continues smoothly past the kinks that bound it."""
-    pieces = envelope_pieces(motor)
+    """envelope_pieces states the envelope's shape once: its rule changes
+    piece exactly at its kinks, max_torque takes the piece the rule names,
+    and each piece's formula continues smoothly past the kinks that bound
+    it."""
+    pieces, kinks, piece = envelope_pieces(motor)
     peak, power, derated, zero = pieces
-    piece = envelope_piece(motor)
-    kinks = (motor.omega_break, motor.omega_hpl, motor.omega_max)
+    assert kinks == (motor.omega_break, motor.omega_hpl, motor.omega_max)
     assert [piece(w) for w in (0.0, *kinks)] == [0, 0, 1, 3]
+    for i, w in enumerate(kinks):
+        assert piece(math.nextafter(w, 0.0)) == i
+        assert piece(math.nextafter(w, math.inf)) == i + 1
     omegas = [w * f for w in kinks for f in (1 - 1e-12, 1.0, 1 + 1e-12)]
     omegas += list(np.linspace(0.0, 1.2 * motor.omega_max, 1000))
     for w in omegas:
+        # Each kink belongs to the piece below it, but omega_max to zero.
+        assert piece(w) == bisect.bisect_left(kinks, w) + (w == kinks[-1])
         assert max_torque(motor, w) == pieces[piece(w)](w)
     w = 1.1 * motor.omega_max
     assert peak(w) == motor.tau_peak and zero(0.5) == 0.0

@@ -7,6 +7,7 @@ import multiprocessing
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -266,14 +267,14 @@ def test_grid_error_marks_only_its_row(leg, motor, deep_crouch, monkeypatch,
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     angles = [-2.6180, -2.2689, -1.9199]
     clean = compare_designs(leg, motor, deep_crouch, small_box(), angles)
-    real = optimize._evaluate
+    real = optimize.simulate_jump
 
-    def failing(leg, motor, cfg, mech):
+    def failing(leg, motor, mech, cfg, record=True):
         if cfg.q2_init == -2.2689:
             raise DomainError("injected")
-        return real(leg, motor, cfg, mech)
+        return real(leg, motor, mech, cfg, record=record)
 
-    monkeypatch.setattr(optimize, "_evaluate", failing)
+    monkeypatch.setattr(optimize, "simulate_jump", failing)
     report = compare_designs(leg, motor, deep_crouch, small_box(), angles,
                              workers=workers)
     assert report.metadata["workers"] == workers
@@ -311,7 +312,8 @@ def test_pool_size_and_chunk_sizes(monkeypatch):
     """Processes: workers clamped to the CPUs and to the largest grid. Each
     grid's chunks: ceil(n / (8 x processes)) candidates."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setattr(optimize, "_evaluate", lambda *args: (1.0, 1.0, True))
+    done = SimpleNamespace(w_takeoff=1.0, h_jump=1.0)
+    monkeypatch.setattr(optimize, "simulate_jump", lambda *args, **kw: done)
     cases = [  # (CPUs, workers, grid sizes, pool sizes made, chunksizes)
         (4, 10 ** 6, [1581], [4], [50]),
         (4, 10 ** 6, [1581, 31], [4], [50, 1]),
