@@ -1,15 +1,21 @@
 import dataclasses
+import hashlib
+import importlib.resources
+import json
 import math
 
 import pytest
 
-from vrrjump import (DomainError, FrrParams, SearchBox, SimConfig,
-                     SimulationRangeError, TakeoffRule, Termination,
-                     VrrParams, com_height, com_jacobian, jump_height,
-                     max_torque, optimize_frr, optimize_vrr, reduction_ratio,
-                     simulate_jump, takeoff_energy)
+from vrrjump import (DomainError, FrrParams, MechanismRangeError, SearchBox,
+                     SimConfig, SimulationRangeError, TakeoffRule,
+                     Termination, VrrParams, com_height, com_jacobian,
+                     jump_height, load_config, max_torque, optimize_frr,
+                     optimize_vrr, reduction_ratio, simulate_jump,
+                     takeoff_energy)
 from vrrjump import sim
+from vrrjump.optimize import _frr_candidates, _vrr_candidates
 from conftest import motor_variant
+from test_golden import BOX as GOLDEN_BOX
 
 
 def test_takeoff_energy_fixture(leg):
@@ -151,6 +157,48 @@ def test_pinned_energies(leg, motor, mech_opt, angle, w_ref, w_frr):
     assert res.w_takeoff == w_ref
     res = simulate_jump(leg, motor, FrrParams(23.0), cfg, record=False)
     assert res.w_takeoff == w_frr
+
+
+def test_kernel_bits_pinned(tmp_path, leg, motor, mech_opt, deep_crouch):
+    """One digest over the exact W, t and q2 at takeoff and the ending of
+    every candidate of the golden box at the three angles, of the stall, the
+    moving timeout and the t_max = 0.05 run, and over every field of the
+    reference design's recorded trajectory. A rewrite of the kernel that is
+    meant to keep its arithmetic must leave this digest as it is."""
+    doc = json.loads(importlib.resources.files("vrrjump.configs")
+                     .joinpath("fullscale.json").read_text())
+    doc["search"] = GOLDEN_BOX
+    path = tmp_path / "golden_box.json"
+    path.write_text(json.dumps(doc))
+    run = load_config(path)
+    digest = hashlib.sha256()
+
+    def add(*values):
+        digest.update(" ".join(v.hex() if isinstance(v, float) else str(v)
+                               for v in values).encode() + b"\n")
+
+    def pin(leg, motor, mech, cfg):
+        try:
+            res = simulate_jump(leg, motor, mech, cfg, record=False)
+        except MechanismRangeError:
+            return add("range")
+        add(res.w_takeoff, res.t_takeoff, res.q2_at_takeoff,
+            res.terminated_by.value)
+
+    mechs = _vrr_candidates(run.search) + _frr_candidates(run.search)
+    for angle in run.angles:
+        cfg = dataclasses.replace(run.sim, q2_init=angle)
+        for mech in mechs:
+            pin(run.leg, run.motor, mech, cfg)
+    weak = motor_variant(motor, tau_peak=3.0, p_peak=3.0 * 160.0)
+    pin(leg, weak, VrrParams(0.047, 0.150, delta_theta=math.radians(-2.5)),
+        SimConfig(q2_init=-0.3))
+    pin(leg, motor, VrrParams(0.035, 0.240), deep_crouch)
+    pin(leg, motor, mech_opt, SimConfig(q2_init=-2.618, t_max=0.05))
+    for s in simulate_jump(leg, motor, mech_opt, deep_crouch).trajectory:
+        add(*dataclasses.astuple(s))
+    assert digest.hexdigest() == (
+        "0052169eaaf704d41c25ed45e5a3f79fece65895055b940efa7daed3fa9f0cd8")
 
 
 VRR_OPTIMA = {-2.618: VrrParams(0.050, 0.100), -2.2689: VrrParams(0.053, 0.100),
