@@ -27,8 +27,8 @@ from .errors import ConfigError, DomainError
 from .leg import JacobianMode, LegModel
 from .mechanism import DEG, FrrParams, VrrParams
 from .motor import RADS_PER_RPM, MotorParams, loss_balance_c_iron2
-from .optimize import SearchBox
-from .report import angle_label
+from .optimize import SearchBox, _axis
+from .report import check_angle_labels
 from .sim import SimConfig, TakeoffRule
 
 
@@ -256,18 +256,24 @@ def _build(resolved: dict) -> RunConfig:
     sim = _build_section(resolved["sim"], _SIM, SimConfig, "sim",
                          q2_init=-math.pi)
     search = _build_section(resolved["search"], _SEARCH, SearchBox, "search")
+    # Every VRR candidate needs s0 > r: the pair of the S0 floor and the
+    # largest r is the first to fail.
+    r_max = _axis(search.r_range)[-1]
+    if search.s0_range[0] <= r_max:
+        raise ConfigError(
+            f"'search.s0_mm': floor {resolved['search']['s0_mm'][0]:g} mm must "
+            f"exceed the largest 'search.r_mm' value, {MM.to_doc(r_max):g} mm")
 
     angles = tuple(resolved["angles_rad"])
-    labelled = {}
     for a in angles:
         try:
             replace(sim, q2_init=a)
         except DomainError as exc:
             raise ConfigError(f"angles_rad: angle {a}: {exc}") from exc
-        if (label := angle_label(a)) in labelled:
-            raise ConfigError(f"angles_rad: angles {labelled[label]} and {a} "
-                              f"share the output file label {label}")
-        labelled[label] = a
+    try:
+        check_angle_labels(angles)
+    except DomainError as exc:
+        raise ConfigError(f"angles_rad: {exc}") from exc
 
     return RunConfig(
         leg=leg, motor=motor, mechanism=mech,

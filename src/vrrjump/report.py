@@ -16,6 +16,7 @@ import logging
 import sys
 from pathlib import Path
 
+from .errors import DomainError
 from .leg import LegModel, com_jacobian
 from .mechanism import DEG, FrrParams, VrrParams, crank_angle, ratio_curve
 from .motor import RPM_PER_RADS
@@ -36,6 +37,17 @@ TRAJECTORY_COLUMNS = [
 def angle_label(angle: float) -> str:
     """An initial angle as output file names carry it: rad, 4 decimals."""
     return f"{angle:.4f}"
+
+
+def check_angle_labels(angles) -> None:
+    """Raise DomainError when two angles share an output file label, so
+    that one angle's files would overwrite the other's."""
+    labelled = {}
+    for angle in angles:
+        if (label := angle_label(angle)) in labelled:
+            raise DomainError(f"angles {labelled[label]} and {angle} share "
+                              f"the output file label {label}")
+        labelled[label] = angle
 
 
 def fmt(value: float | None) -> str:
@@ -122,8 +134,10 @@ def opt_summary(opt: OptResult | None) -> dict | None:
 def emit_report(report: ComparisonReport, out_dir: str | Path) -> list[Path]:
     """Write summary tables and per-optimum channel CSVs; return the manifest.
 
-    An empty report (no rows) produces only metadata.json.
+    An empty report (no rows) produces only metadata.json. Rows whose
+    angles share a file label raise DomainError before any file is written.
     """
+    check_angle_labels(row.angle for row in report.rows)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest: list[Path] = []

@@ -637,6 +637,33 @@ def test_angles_sharing_a_label_rejected(tmp_path, capsys, monkeypatch, angles):
         load_config(cfg)
 
 
+def test_box_with_s0_floor_not_above_largest_r_rejected(tmp_path, capsys,
+                                                        monkeypatch):
+    """An S0 floor of 60 mm with r up to 75 mm would build candidates with
+    s0 <= r, such as (r, s0) = (60, 60) mm: the config is refused, naming
+    both keys, before any candidate is built. The floor must lie above the
+    largest r, not merely reach it."""
+    refuse_work(monkeypatch)
+
+    def build(*args):
+        raise AssertionError("candidates built")
+    monkeypatch.setattr(optimize, "_vrr_candidates", build)
+    cfg = write_config(tmp_path, **{"search.r_mm": [25.0, 75.0, 1.0],
+                                    "search.s0_mm": [60.0, 250.0, 5.0]})
+    out = tmp_path / "rep"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 2
+    assert ("config error: 'search.s0_mm': floor 60 mm must exceed the "
+            "largest 'search.r_mm' value, 75 mm" in capsys.readouterr().err)
+    assert not out.exists()
+    for floor, ok in ((75.0, False), (75.5, True)):
+        cfg = write_config(tmp_path, **{"search.s0_mm": [floor, 250.0, 5.0]})
+        if ok:
+            assert load_config(cfg).search.s0_range[0] == floor / 1000.0
+        else:
+            with pytest.raises(ConfigError, match="'search.r_mm'"):
+                load_config(cfg)
+
+
 @pytest.mark.parametrize("command,extra", [
     ("simulate", []), ("optimize", ["--dump-grid"]), ("compare", []),
     ("sweep-ratio", []), ("envelope", [])])

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from vrrjump import FrrParams, SimConfig, simulate_jump
+from vrrjump import (DomainError, FrrParams, SearchBox, SimConfig,
+                     compare_designs, simulate_jump)
 from vrrjump.optimize import ComparisonReport
 from vrrjump.report import TRAJECTORY_COLUMNS, emit_report, trajectory_rows
 
@@ -16,6 +17,22 @@ def test_empty_report_emits_metadata_only(tmp_path, leg):
     meta = json.loads((tmp_path / "metadata.json").read_text())
     assert meta["config_sha256"] == "x"
     assert "timestamp" in meta and "tool_version" in meta
+
+
+def test_angles_sharing_a_label_write_no_file(tmp_path, leg, motor):
+    """Both angles would write trajectory_evrr_-2.6180.csv and three more
+    files of one name: the report is refused before any file exists."""
+    box = SearchBox(r_range=(0.045, 0.047, 0.002),
+                    s0_range=(0.150, 0.150, 0.005),
+                    dtheta_range=(0.0, 0.0, 1.0), frr_range=(22.0, 23.0, 1.0))
+    report = compare_designs(leg, motor, SimConfig(q2_init=-2.618), box,
+                             [-2.61801, -2.61804])
+    assert all(row.error is None for row in report.rows)
+    out = tmp_path / "rep"
+    with pytest.raises(DomainError, match="share the output file label "
+                                          "-2.6180"):
+        emit_report(report, out)
+    assert not out.exists()
 
 
 def test_frr_trajectory_rows_have_empty_theta(leg, motor):
