@@ -655,13 +655,11 @@ def test_box_with_s0_floor_not_above_largest_r_rejected(tmp_path, capsys,
     assert ("config error: 'search.s0_mm': floor 60 mm must exceed the "
             "largest 'search.r_mm' value, 75 mm" in capsys.readouterr().err)
     assert not out.exists()
-    for floor, ok in ((75.0, False), (75.5, True)):
-        cfg = write_config(tmp_path, **{"search.s0_mm": [floor, 250.0, 5.0]})
-        if ok:
-            assert load_config(cfg).search.s0_range[0] == floor / 1000.0
-        else:
-            with pytest.raises(ConfigError, match="'search.r_mm'"):
-                load_config(cfg)
+    cfg = write_config(tmp_path, **{"search.s0_mm": [75.0, 250.0, 5.0]})
+    with pytest.raises(ConfigError, match="'search.r_mm'"):
+        load_config(cfg)
+    cfg = write_config(tmp_path, **{"search.s0_mm": [75.5, 250.0, 5.0]})
+    assert load_config(cfg).search.s0_range[0] == 75.5 / 1000.0
 
 
 @pytest.mark.parametrize("command,extra", [
