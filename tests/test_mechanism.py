@@ -129,6 +129,21 @@ def test_ratio_curve_error_carries_sample_index(mech_opt):
     assert "sample" in str(exc.value)
 
 
+@pytest.mark.parametrize("dth,lo,hi,n,first", [
+    # theta = q2 + pi: the first sample is already below 0.
+    (0.0, -3.3, -1.0, 10, "sample 0 (q2=-3.3)"),
+    # Sample 6 lands on q2 ~ 0, theta ~ pi, still inside; 7 is past it.
+    (0.0, -1.0, 0.5, 10, "sample 7 (q2=0.166667)"),
+    # theta = q2 + pi + 0.2: only the last sample, q2_hi itself, is out.
+    (-0.2, -2.05, -0.05, 11, "sample 10 (q2=-0.05)"),
+])
+def test_ratio_curve_error_names_first_offending_sample(dth, lo, hi, n, first):
+    params = VrrParams(r=0.047, s0=0.150, delta_theta=dth)
+    with pytest.raises(MechanismRangeError) as exc:
+        ratio_curve(params, lo, hi, n)
+    assert str(exc.value).startswith(first + ": crank angle theta=")
+
+
 def test_ratio_curve_argument_validation(mech_opt):
     with pytest.raises(DomainError):
         ratio_curve(mech_opt, -1.0, -2.0, 10)

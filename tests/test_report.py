@@ -1,3 +1,5 @@
+import hashlib
+import importlib.resources
 import json
 import math
 
@@ -5,8 +7,12 @@ import pytest
 
 from vrrjump import (DomainError, FrrParams, SearchBox, SimConfig,
                      compare_designs, simulate_jump)
+from vrrjump.cli import main
 from vrrjump.optimize import ComparisonReport
-from vrrjump.report import TRAJECTORY_COLUMNS, emit_report, trajectory_rows
+from vrrjump.report import (TRAJECTORY_COLUMNS, emit_report, trajectory_rows,
+                            write_trajectory_csv)
+
+FULLSCALE = str(importlib.resources.files("vrrjump.configs") / "fullscale.json")
 
 
 def test_empty_report_emits_metadata_only(tmp_path, leg):
@@ -61,3 +67,55 @@ def test_vrr_trajectory_rows_channels(leg, motor, mech_opt):
     assert lams[-1] > lams[0]
     for row in rows:
         assert len(row) == len(TRAJECTORY_COLUMNS)
+
+
+SINGLE_DESIGN_SHA256 = {
+    "trajectory_-2.6180.csv":
+        "f020e8b1a13b40ea9823080e54794bb54858001c0f71026c138c89c59b2f3a6a",
+    "trajectory_-2.2689.csv":
+        "246f0ff6fd723659c648dadf33dc1eb22de7b3998cfb66a3250799ffc0ee4f5f",
+    "trajectory_-1.9199.csv":
+        "9e7f30f1a791ab8e5378b1dc4b397b40be7e9b03469d0fa1d7fed8b173282d2a",
+    "trajectory_frr23_-2.6180.csv":
+        "de8fa6dbfdf49b2f8bb4b3a2fb26c778add732829b29f44c7bec55bf3a4626c7",
+    "ratio_curve_default.csv":
+        "7814a52a8e1fe8097bba684c8b73a15b0655c61d7f4f70275e86f14dbecfd653",
+    "ratio_curve_-3.1_-0.02_n57.csv":
+        "9dec1309e2ef75b9cc8136a1f644c09653e086f60c1360e35787522878ca88a4",
+}
+"""sha256 of the files that the single-design commands write for
+fullscale.json: `simulate` at each configured angle, a fixed-ratio
+trajectory (empty theta column) and `sweep-ratio` at its default and at a
+custom range. A change that moves numbers on purpose updates these and says
+in CHANGES.md which files moved."""
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("angle", ["-2.618", "-2.2689", "-1.9199"])
+def test_simulate_trajectory_matches_digest(tmp_path, capsys, angle):
+    assert main(["simulate", "--config", FULLSCALE, "--out", str(tmp_path),
+                 "--angle", angle]) == 0
+    name = f"trajectory_{float(angle):.4f}.csv"
+    assert _sha256(tmp_path / name) == SINGLE_DESIGN_SHA256[name]
+
+
+def test_frr_trajectory_matches_digest(tmp_path, leg, motor):
+    mech = FrrParams(23.0)
+    res = simulate_jump(leg, motor, mech, SimConfig(q2_init=-2.618))
+    path = tmp_path / "trajectory_frr23_-2.6180.csv"
+    write_trajectory_csv(path, leg, mech, res)
+    assert _sha256(path) == SINGLE_DESIGN_SHA256[path.name]
+
+
+@pytest.mark.parametrize("name,extra", [
+    ("ratio_curve_default.csv", []),
+    ("ratio_curve_-3.1_-0.02_n57.csv",
+     ["--lo", "-3.1", "--hi", "-0.02", "--n", "57"]),
+])
+def test_sweep_ratio_csv_matches_digest(tmp_path, capsys, name, extra):
+    assert main(["sweep-ratio", "--config", FULLSCALE, "--out", str(tmp_path),
+                 *extra]) == 0
+    assert _sha256(tmp_path / "ratio_curve.csv") == SINGLE_DESIGN_SHA256[name]
