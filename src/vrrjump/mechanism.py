@@ -119,13 +119,19 @@ def ratio_law(params: VrrParams | FrrParams) -> Callable[[float, float], float]:
     return law
 
 
+def _range_error(params: VrrParams, theta: float,
+                 q2: float) -> MechanismRangeError:
+    """The error for a crank angle theta outside [0, pi] at knee angle q2."""
+    return MechanismRangeError(
+        f"crank angle theta={theta:.6g} rad outside the working range [0, pi] "
+        f"for q2={q2:.6g}, delta_theta={params.delta_theta:.6g}")
+
+
 def _working_theta(params: VrrParams, q2: float) -> float:
     """crank_angle, refused outside [0, pi]."""
     theta = crank_angle(params, q2)
     if not (0.0 <= theta <= math.pi):
-        raise MechanismRangeError(
-            f"crank angle theta={theta:.6g} rad outside the working range [0, pi] "
-            f"for q2={q2:.6g}, delta_theta={params.delta_theta:.6g}")
+        raise _range_error(params, theta, q2)
     return theta
 
 
@@ -171,8 +177,9 @@ def ratio_curve(params: VrrParams, q2_lo: float, q2_hi: float, n: int) -> RatioC
     """Uniformly sample k over [q2_lo, q2_hi] and locate its maximum.
 
     The maximum is the closed-form peak (see peak_crank_angle) when it lies
-    in the range, else the nearer endpoint, since k is unimodal. Sampling
-    errors carry the offending sample index.
+    in the range, else the nearer endpoint, since k is unimodal. A sample
+    whose crank angle leaves [0, pi] raises MechanismRangeError naming the
+    first such sample's index and q2.
     """
     if n < 2:
         raise DomainError(f"need at least 2 samples, got n={n}")
@@ -180,14 +187,16 @@ def ratio_curve(params: VrrParams, q2_lo: float, q2_hi: float, n: int) -> RatioC
         raise DomainError(f"require q2_lo < q2_hi, got [{q2_lo}, {q2_hi}]")
     step = (q2_hi - q2_lo) / (n - 1)
     law = ratio_law(params)
+    th_off = crank_offset(params)
+    sin, cos, pi = math.sin, math.cos, math.pi
     samples: list[tuple[float, float]] = []
     for i in range(n):
         q2 = q2_hi if i == n - 1 else q2_lo + i * step
-        try:
-            theta = _working_theta(params, q2)
-        except DomainError as exc:
+        theta = q2 + th_off
+        if not (0.0 <= theta <= pi):
+            exc = _range_error(params, theta, q2)
             raise MechanismRangeError(f"sample {i} (q2={q2:.6g}): {exc}") from exc
-        samples.append((q2, law(math.sin(theta), math.cos(theta))))
+        samples.append((q2, law(sin(theta), cos(theta))))
 
     argmax_q2 = min(max(joint_angle(params, peak_crank_angle(params)), q2_lo), q2_hi)
     return RatioCurve(samples=samples, argmax_q2=argmax_q2,

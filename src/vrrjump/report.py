@@ -17,8 +17,8 @@ import sys
 from pathlib import Path
 
 from .errors import DomainError
-from .leg import LegModel, com_jacobian
-from .mechanism import DEG, FrrParams, VrrParams, crank_angle, ratio_curve
+from .leg import LegModel, jacobian
+from .mechanism import DEG, FrrParams, VrrParams, crank_offset, ratio_curve
 from .motor import RPM_PER_RADS
 from .optimize import ComparisonReport, OptResult
 from .sim import TakeoffResult
@@ -59,18 +59,20 @@ def fmt(value: float | None) -> str:
 
 def trajectory_rows(leg: LegModel, mech: VrrParams | FrrParams,
                     result: TakeoffResult) -> list[list[str]]:
-    """Render a recorded trajectory as CSV cells in the canonical column order."""
-    rows = []
-    for s in result.trajectory:
-        theta = crank_angle(mech, s.q2) if isinstance(mech, VrrParams) else None
-        rows.append([
-            fmt(s.t), fmt(s.q2), fmt(s.dq2), fmt(theta),
-            fmt(s.k), fmt(1.0 / com_jacobian(leg, s.q2)),
-            fmt(s.tau_m), fmt(s.tau_j), fmt(s.omega_m * RPM_PER_RADS),
-            fmt(s.p_m), fmt(s.p_j), fmt(s.y_com), fmt(s.dy_com),
-            fmt(s.f_contact), fmt(s.w_motor),
-        ])
-    return rows
+    """Render a recorded trajectory as CSV cells in the canonical column order.
+
+    A fixed ratio has no crank: its theta cells are empty. Samples lie in
+    [q2_init, cap] within [-pi, 0], so 1 / J takes the unchecked jacobian.
+    """
+    jfac = leg.jacobian_scale
+    th_off = crank_offset(mech) if isinstance(mech, VrrParams) else None
+    return [[fmt(s.t), fmt(s.q2), fmt(s.dq2),
+             fmt(None if th_off is None else s.q2 + th_off),
+             fmt(s.k), fmt(1.0 / jacobian(jfac, s.q2)),
+             fmt(s.tau_m), fmt(s.tau_j), fmt(s.omega_m * RPM_PER_RADS),
+             fmt(s.p_m), fmt(s.p_j), fmt(s.y_com), fmt(s.dy_com),
+             fmt(s.f_contact), fmt(s.w_motor)]
+            for s in result.trajectory]
 
 
 def write_csv(path: Path | None, header: list[str], rows) -> None:
@@ -89,8 +91,9 @@ def write_trajectory_csv(path: Path, leg: LegModel,
 
 
 def write_ratio_csv(path: Path, mech: VrrParams, samples) -> None:
+    th_off = crank_offset(mech)
     write_csv(path, ["q2_rad", "theta_rad", "k"],
-              ([fmt(q2), fmt(crank_angle(mech, q2)), fmt(k)] for q2, k in samples))
+              ([fmt(q2), fmt(q2 + th_off), fmt(k)] for q2, k in samples))
 
 
 def write_envelope_csv(path: Path | None, table) -> None:
@@ -202,6 +205,7 @@ def emit_report(report: ComparisonReport, out_dir: str | Path) -> list[Path]:
         json.dumps({"rows": json_rows}, sort_keys=True, indent=2) + "\n")
     add("summary.txt").write_text("\n".join(txt_lines) + "\n")
 
+    jfac = report.leg.jacobian_scale
     for row in report.rows:
         if row.error is not None:
             continue
@@ -214,11 +218,11 @@ def emit_report(report: ComparisonReport, out_dir: str | Path) -> list[Path]:
         vp = row.vrr.best_params
         samples = ratio_curve(vp, row.angle, report.cap, RATIO_SAMPLES).samples
         write_ratio_csv(add(f"ratio_curve_evrr_{label}.csv"), vp, samples)
+        k_fixed = row.frr.best_params.k_fixed
         rows_overall = []
         for q2, k in samples:
-            lam = 1.0 / com_jacobian(report.leg, q2)
-            rows_overall.append([fmt(q2), fmt(k * lam),
-                                 fmt(row.frr.best_params.k_fixed * lam)])
+            lam = 1.0 / jacobian(jfac, q2)
+            rows_overall.append([fmt(q2), fmt(k * lam), fmt(k_fixed * lam)])
         write_csv(add(f"overall_ratio_{label}.csv"),
                   ["q2_rad", "evrr_k_lambda_radpm", "frr_k_lambda_radpm"],
                   rows_overall)

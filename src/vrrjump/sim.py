@@ -206,9 +206,13 @@ class SimConfig:
                 f"q2_init={self.q2_init} must lie in [-pi, cap={self.q2_takeoff_cap})")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SimState:
-    """One trajectory sample; joint, CoM, ratio (k), motor and contact channels."""
+    """One trajectory sample; joint, CoM, ratio (k), motor and contact channels.
+
+    Slotted and not frozen: a recorded takeoff builds one per step, and a
+    frozen dataclass pays an object.__setattr__ per field.
+    """
 
     t: float
     q2: float
@@ -404,13 +408,13 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         om = k * v / jj
         tau_m = envelope(om)
         tau_j = tau_m * k * eta
+        # Positional, in field order: keywords cost as much again.
         return SimState(
-            t=s[2], q2=q2, dq2=v / jj,
-            y_com=height(jfac, q2), dy_com=v, k=k,
-            tau_m=tau_m, tau_j=tau_j, omega_m=om,
-            p_m=tau_m * om, p_j=eta * tau_m * om,
-            f_contact=tau_j / jj, w_motor=s[3],
-        )
+            s[2], q2, v / jj,                   # t, q2, dq2
+            height(jfac, q2), v, k,             # y_com, dy_com, k
+            tau_m, tau_j, om,                   # tau_m, tau_j, omega_m
+            tau_m * om, eta * tau_m * om,       # p_m, p_j
+            tau_j / jj, s[3])                   # f_contact, w_motor
 
     def finish(s: tuple, how: Termination) -> TakeoffResult:
         q2 = q2_of(s)
