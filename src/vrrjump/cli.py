@@ -2,8 +2,8 @@
 
 Subcommands: simulate, optimize, compare, sweep-ratio, envelope.
 Exit codes: 0 success, 2 configuration/usage error, 3 no feasible design in
-the search box, 4 simulation left its valid range. The VRRJUMP_LOG
-environment variable (DEBUG/INFO/WARNING/ERROR) sets log verbosity.
+the search box, 4 other package error. The VRRJUMP_LOG environment variable
+(DEBUG/INFO/WARNING/ERROR) sets log verbosity.
 
 The tool is fully deterministic; --seedless is accepted for interface
 compatibility and must be passed as a bare flag.
@@ -23,21 +23,21 @@ from pathlib import Path
 
 from .config import RunConfig, default_motor, load_config
 from .errors import (ConfigError, DomainError, NoFeasibleDesignError,
-                     SimulationRangeError, VrrJumpError)
+                     VrrJumpError)
 from .mechanism import VrrParams, ratio_curve
 from .motor import envelope_table
 from .optimize import (MAX_CANDIDATES, compare_designs, optimize_frr,
                        optimize_vrr)
 from .report import (angle_label, emit_report, opt_summary, write_envelope_csv,
                      write_grid_csv, write_ratio_csv, write_trajectory_csv)
-from .sim import simulate_jump
+from .sim import SimConfig, simulate_jump
 
 log = logging.getLogger("vrrjump")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
-EXIT_SIMULATION = 4
+EXIT_ERROR = 4
 
 
 def _setup_logging() -> None:
@@ -65,14 +65,26 @@ def _int_in(lo: int, hi: float = math.inf):
     return parse
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite number, checked before anything is built from it."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, config_required: bool = True,
-                workers: bool = False, leg: bool = True) -> None:
+                workers: bool = False, leg: bool = True,
+                out_help: str = "output directory (default: config output_dir)") -> None:
     """The options every command takes, plus --workers for the commands that
     search a grid and --jacobian-mode for those that build a leg."""
     parser.add_argument("--config", required=config_required,
                         help="path to the JSON run configuration")
-    parser.add_argument("--out", default=None,
-                        help="output directory (default: config output_dir)")
+    parser.add_argument("--out", default=None, help=out_help)
     if workers:
         parser.add_argument("--workers", type=_int_in(1), default=1,
                             help="parallel candidate evaluations (default 1)")
@@ -99,19 +111,22 @@ def _out_dir(args, cfg: RunConfig | None) -> Path:
     return out
 
 
-def _pick_angle(cfg: RunConfig, args) -> float:
-    if getattr(args, "angle", None) is not None:
-        return args.angle
-    return cfg.angles[0]
+def _sim_at_angle(cfg: RunConfig, args) -> SimConfig:
+    """The sim section at --angle, else at the first config angle."""
+    if args.angle is None:
+        return cfg.sim
+    try:
+        return replace(cfg.sim, q2_init=args.angle)
+    except DomainError as exc:
+        raise ConfigError(f"--angle: {exc}") from exc
 
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     if cfg.mechanism is None:
         raise ConfigError("simulate requires a 'mechanism' section in the config")
-    angle = _pick_angle(cfg, args)
-    sim_cfg = replace(cfg.sim, q2_init=angle)
-    traj_path = _out_dir(args, cfg) / f"trajectory_{angle_label(angle)}.csv"
+    sim_cfg = _sim_at_angle(cfg, args)
+    traj_path = _out_dir(args, cfg) / f"trajectory_{angle_label(sim_cfg.q2_init)}.csv"
     result = simulate_jump(cfg.leg, cfg.motor, cfg.mechanism, sim_cfg)
     write_trajectory_csv(traj_path, cfg.leg, cfg.mechanism, result)
     log.info("wrote %s (%d samples)", traj_path, len(result.trajectory))
@@ -128,8 +143,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_optimize(args) -> int:
     cfg = _load(args)
-    angle = _pick_angle(cfg, args)
-    sim_cfg = replace(cfg.sim, q2_init=angle)
+    sim_cfg = _sim_at_angle(cfg, args)
+    angle = sim_cfg.q2_init
     out = _out_dir(args, cfg) if args.dump_grid else None
     fn = optimize_vrr if args.joint == "vrr" else optimize_frr
     opt = fn(cfg.leg, cfg.motor, sim_cfg, cfg.search, workers=args.workers)
@@ -196,14 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate one maximum-effort takeoff")
     _add_common(p)
-    p.add_argument("--angle", type=float, default=None,
+    p.add_argument("--angle", type=_finite, default=None,
                    help="initial knee angle in rad (default: first config angle)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("optimize", help="grid-search mechanism parameters")
     _add_common(p, workers=True)
     p.add_argument("--joint", choices=["vrr", "frr"], default="vrr")
-    p.add_argument("--angle", type=float, default=None)
+    p.add_argument("--angle", type=_finite, default=None)
     p.add_argument("--dump-grid", action="store_true",
                    help="also write the full evaluation grid as CSV")
     p.set_defaults(func=cmd_optimize)
@@ -217,14 +232,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-ratio", help="sample the reduction-ratio curve")
     _add_common(p, leg=False)
-    p.add_argument("--lo", type=float, default=None, help="range start (rad)")
-    p.add_argument("--hi", type=float, default=None, help="range end (rad)")
-    p.add_argument("--n", type=_int_in(2, MAX_CANDIDATES), default=200)
+    p.add_argument("--lo", type=_finite, default=None, help="range start (rad)")
+    p.add_argument("--hi", type=_finite, default=None, help="range end (rad)")
+    p.add_argument("--n", type=_int_in(2, MAX_CANDIDATES), default=200,
+                   help="knee angles sampled over the range (default 200)")
     p.set_defaults(func=cmd_sweep_ratio)
 
     p = sub.add_parser("envelope", help="sample the motor torque/power envelope")
-    _add_common(p, config_required=False, leg=False)
-    p.add_argument("--n", type=_int_in(2, MAX_CANDIDATES), default=200)
+    _add_common(p, config_required=False, leg=False,
+                out_help="directory for envelope.csv (default: standard output)")
+    p.add_argument("--n", type=_int_in(2, MAX_CANDIDATES), default=200,
+                   help="motor speeds sampled over [0, omega_max] (default 200)")
     p.set_defaults(func=cmd_envelope)
 
     return parser
@@ -245,12 +263,9 @@ def main(argv: list[str] | None = None) -> int:
     except NoFeasibleDesignError as exc:
         print(f"no feasible design: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except SimulationRangeError as exc:
-        print(f"simulation error: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
     except VrrJumpError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

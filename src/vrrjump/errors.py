@@ -31,10 +31,9 @@ class MechanismRangeError(DomainError):
 
 
 class SimulationRangeError(VrrJumpError):
-    """The integrated state left the valid range mid-flight.
-
-    Carries the last valid simulator state so callers can diagnose the
-    failure or record the candidate as infeasible.
+    """The integrated state left the valid range mid-flight, carrying the
+    last valid simulator state. No code in the package raises it; it stays
+    defined and exported because perfbench imports it.
     """
 
     def __init__(self, message: str, last_state=None):

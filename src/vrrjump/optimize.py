@@ -2,9 +2,8 @@
 
 Candidates are evaluated on a fixed grid (row-major over r, S0, delta_theta
 for the variable-ratio joint, or over k for the fixed-ratio baseline).
-Candidates whose crank angle leaves the working range, or whose simulation
-leaves the valid state range mid-flight, are recorded infeasible and excluded
-from the argmax. Ties break toward the smallest (r, S0, |delta_theta|).
+A candidate whose crank angle leaves the working range is recorded
+infeasible, out of the argmax; ties go to the smallest (r, S0, |delta_theta|).
 
 Evaluations are independent; with workers > 1 they run on one process pool
 per command, one Executor.map per grid, and the aggregated result is
@@ -19,8 +18,7 @@ import os
 from dataclasses import dataclass, replace
 from itertools import repeat
 
-from .errors import (DomainError, NoFeasibleDesignError, SimulationRangeError,
-                     VrrJumpError)
+from .errors import DomainError, NoFeasibleDesignError, VrrJumpError
 from .leg import LegModel
 from .mechanism import FrrParams, MechanismRangeError, VrrParams
 from .motor import MotorParams
@@ -95,7 +93,7 @@ def _evaluate(leg: LegModel, motor: MotorParams, cfg: SimConfig,
               mech: VrrParams | FrrParams) -> tuple[float, float, bool]:
     try:
         res = simulate_jump(leg, motor, mech, cfg, record=False)
-    except (MechanismRangeError, SimulationRangeError):
+    except MechanismRangeError:
         return (math.nan, math.nan, False)
     return (res.w_takeoff, res.h_jump, True)
 
@@ -236,7 +234,7 @@ def compare_designs(leg: LegModel, motor: MotorParams, base_cfg: SimConfig,
     per-channel curves. The report's metadata holds the processes used and
     the number of candidates evaluated.
     """
-    row_errors = (DomainError, SimulationRangeError, NoFeasibleDesignError)
+    row_errors = (DomainError, NoFeasibleDesignError)
 
     def fail(row: AngleRow, exc: Exception) -> None:
         row.error = f"{type(exc).__name__}: {exc}"

@@ -71,7 +71,7 @@ bisection) computes its row from u. Either way the results are bit for bit
 those of computing everything per step, and a candidate's result does not
 depend on the others in its grid.
 
-Takeoff events:
+Takeoff is the first of two events (the one takeoff rule, "either"):
 
 * AngleCap -- q2 reaches the configured extension cap, which is the last
   grid point u = sqrt(cap - q2_init).
@@ -85,13 +85,10 @@ the crouch posture is assumed supported, which also keeps under-actuated
 optimizer candidates well defined. A run still moving at t_max ends in a
 Timeout located to well under 1e-9 s. A run whose kinetic energy falls to
 zero mid-stroke (a stall) is held at the stall pose with dq2 = 0 until t_max
-by the same reasoning. Reaching the cap under a rule that only accepts a
-contact-force crossing raises SimulationRangeError carrying the state at the
-cap.
+by the same reasoning.
 
 A recorded trajectory holds one sample per u-step (graded steps included)
-plus one at each kink and event. SimConfig.dt is validated but not read:
-the u-steps replace it.
+plus one at each kink and event.
 """
 
 from __future__ import annotations
@@ -101,7 +98,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import DomainError, SimulationRangeError, require_finite
+from .errors import DomainError, require_finite
 from .leg import LegModel, com_height, height, jacobian
 from .mechanism import (FrrParams, VrrParams, check_working_range,
                         crank_offset, ratio_law)
@@ -168,8 +165,6 @@ def _u_grid(q2_init: float, cap: float, n: int, jfac: float, th_off: float,
 
 
 class TakeoffRule(str, Enum):
-    CONTACT_FORCE_ZERO = "contact_force_zero"
-    ANGLE_CAP = "angle_cap"
     EITHER = "either"
 
 
@@ -183,7 +178,8 @@ class Termination(str, Enum):
 class SimConfig:
     """Initial pose, step size, horizon and takeoff detection rule.
 
-    dt is validated but not read by simulate_jump, which steps in u.
+    simulate_jump steps in u and has one takeoff rule, so dt and
+    takeoff_rule are validated but not read; perfbench passes both.
     """
 
     q2_init: float
@@ -456,9 +452,6 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             trajectory.append(snapshot(stop))
         return finish(stop, Termination.TIMEOUT)
 
-    rule = cfg.takeoff_rule
-    cap_armed = rule in (TakeoffRule.ANGLE_CAP, TakeoffRule.EITHER)
-    force_armed = rule in (TakeoffRule.CONTACT_FORCE_ZERO, TakeoffRule.EITHER)
     trajectory: list[SimState] = []
 
     k0, j0 = geom(q2_init)
@@ -500,7 +493,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                     new = locate(state, new,
                                  lambda s: sign * (s[4][3] - level),
                                  1e-10 * level)
-                    if force_armed and up and piece == len(kinks) - 1:
+                    if up and piece == len(kinks) - 1:
                         ended = Termination.CONTACT_FORCE_ZERO
                     now = piece + (1 if up else -1)
                 if new[2] > t_max:
@@ -521,10 +514,4 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             if ended is not None:
                 return finish(state, ended)
 
-    if not cap_armed:
-        raise SimulationRangeError(
-            f"simulation left the valid range at t={state[2]:.6g} s: knee "
-            f"reached the extension cap {cap:.6g} rad but the takeoff rule "
-            "only accepts a contact-force crossing",
-            last_state=snapshot(state))
     return finish(state, Termination.ANGLE_CAP)

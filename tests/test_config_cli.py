@@ -159,10 +159,17 @@ def test_missing_required_leg_key(tmp_path):
         load_config(path)
 
 
-def test_bad_takeoff_rule(tmp_path):
-    path = write_config(tmp_path, **{"sim.takeoff_rule": "sometimes"})
-    with pytest.raises(ConfigError, match="takeoff_rule"):
-        load_config(path)
+@pytest.mark.parametrize("rule", ["angle_cap", "contact_force_zero",
+                                  "sometimes"])
+def test_bad_takeoff_rule(tmp_path, capsys, monkeypatch, rule):
+    """"either" is the only takeoff rule: any other exits 2 naming the key,
+    before any simulation runs."""
+    refuse_work(monkeypatch)
+    path = write_config(tmp_path, **{"sim.takeoff_rule": rule})
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert (f"config error: 'sim.takeoff_rule': expected one of ['either'], "
+            f"got {rule!r}" in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("key,value,field", [
@@ -456,11 +463,39 @@ def test_exit_code_infeasible(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_exit_code_simulation_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, **{"sim.takeoff_rule": "contact_force_zero"})
-    assert main(["simulate", "--config", cfg, "--angle", "-2.618",
-                 "--out", str(tmp_path / "o")]) == 4
-    capsys.readouterr()
+@pytest.mark.parametrize("argv,message", [
+    (["sweep-ratio", "--lo", "nan"], "argument --lo: must be a finite number, got 'nan'"),
+    (["sweep-ratio", "--hi=-inf"], "argument --hi: must be a finite number, got '-inf'"),
+    (["simulate", "--angle", "x"], "argument --angle: must be a finite number, got 'x'"),
+    (["optimize", "--angle", "inf"], "argument --angle: must be a finite number, got 'inf'"),
+    (["simulate", "--angle", "0.5"],
+     "config error: --angle: q2_init=0.5 must lie in [-pi, cap=-0.05)"),
+    (["optimize", "--angle", "-4", "--dump-grid"],
+     "config error: --angle: q2_init=-4.0 must lie in [-pi, cap=-0.05)"),
+], ids=["lo-nan", "hi-inf", "angle-text", "angle-inf", "simulate-above-cap",
+        "optimize-below-pi"])
+def test_bad_angle_option_names_the_flag(tmp_path, capsys, monkeypatch, argv,
+                                         message):
+    """A non-finite --angle, --lo or --hi, or an --angle outside
+    [-pi, cap), exits 2 naming the flag, before any work or output."""
+    refuse_work(monkeypatch)
+    monkeypatch.setattr(cli, "ratio_curve", lambda *args: pytest.fail("sampled"))
+    out = tmp_path / "o"
+    try:
+        code = main([*argv, "--config", FULLSCALE, "--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_envelope_help_says_where_output_goes(capsys):
+    with pytest.raises(SystemExit):
+        main(["envelope", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--out OUT directory for envelope.csv (default: standard output)" in help_text
+    assert "--n N motor speeds sampled over [0, omega_max] (default 200)" in help_text
 
 
 def test_seedless_flag(tmp_path, capsys):

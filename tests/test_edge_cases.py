@@ -7,9 +7,9 @@ import pickle
 import pytest
 
 from vrrjump import (ConfigError, DomainError, FrrParams, LegModel,
-                     SimConfig, SimulationRangeError, TakeoffRule,
-                     Termination, VrrParams, default_motor, errors,
-                     load_config, ratio_curve, simulate_jump)
+                     SimConfig, SimState, Termination, VrrParams,
+                     default_motor, errors, load_config, ratio_curve,
+                     simulate_jump)
 
 
 def test_takeoff_from_just_below_cap(leg, motor, mech_opt):
@@ -23,10 +23,12 @@ def test_takeoff_from_just_below_cap(leg, motor, mech_opt):
 
 
 def test_takeoff_from_shallow_crouch_frr(leg, motor):
-    cfg = SimConfig(q2_init=-0.8, takeoff_rule=TakeoffRule.ANGLE_CAP)
+    """From a shallow crouch the motor reaches omega_max before the cap."""
+    cfg = SimConfig(q2_init=-0.8)
     res = simulate_jump(leg, motor, FrrParams(22.0), cfg, record=False)
-    assert res.terminated_by is Termination.ANGLE_CAP
-    assert res.h_jump < 0.3
+    assert res.terminated_by is Termination.CONTACT_FORCE_ZERO
+    assert res.h_jump == pytest.approx(0.121, abs=5e-4)
+    assert res.q2_at_takeoff == pytest.approx(-0.357, abs=5e-4)
 
 
 def test_ratio_curve_argmax_at_interval_edge(mech_opt):
@@ -58,15 +60,13 @@ def test_config_angle_above_cap_rejected(tmp_path):
 def test_every_package_error_pickles(leg, motor, mech_opt):
     """Pool workers send errors back pickled: each class must round-trip
     with its message and its extra fields."""
-    with pytest.raises(SimulationRangeError) as raised:
-        simulate_jump(leg, motor, mech_opt, SimConfig(
-            q2_init=-2.618, takeoff_rule=TakeoffRule.CONTACT_FORCE_ZERO))
-    assert raised.value.last_state is not None
+    state = simulate_jump(leg, motor, mech_opt, SimConfig(-2.618)).trajectory[-1]
+    assert isinstance(state, SimState)
     samples = [
         errors.VrrJumpError("base"),
         errors.DomainError("out of domain"),
         errors.MechanismRangeError("theta out of range"),
-        raised.value,
+        errors.SimulationRangeError("left the range", last_state=state),
         errors.NoFeasibleDesignError("no design"),
         errors.ConfigError("bad key"),
     ]

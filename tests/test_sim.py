@@ -7,11 +7,10 @@ import math
 import pytest
 
 from vrrjump import (DomainError, FrrParams, MechanismRangeError, SearchBox,
-                     SimConfig, SimulationRangeError, TakeoffRule,
-                     Termination, VrrParams, com_height, com_jacobian,
-                     jump_height, load_config, max_torque, optimize_frr,
-                     optimize_vrr, reduction_ratio, simulate_jump,
-                     takeoff_energy)
+                     SimConfig, Termination, VrrParams, com_height,
+                     com_jacobian, jump_height, load_config, max_torque,
+                     optimize_frr, optimize_vrr, reduction_ratio,
+                     simulate_jump, takeoff_energy)
 from vrrjump import sim
 from vrrjump.optimize import _frr_candidates, _vrr_candidates
 from conftest import motor_variant
@@ -404,22 +403,6 @@ def test_stall_holds_the_stall_pose(leg, motor):
     scalars = simulate_jump(leg, weak, mech, cfg, record=False)
     assert (scalars.w_takeoff, scalars.q2_at_takeoff) == \
         (res.w_takeoff, res.q2_at_takeoff)
-
-
-def test_angle_cap_rule_only(leg, motor, deep_crouch):
-    cfg = dataclasses.replace(deep_crouch, takeoff_rule=TakeoffRule.ANGLE_CAP)
-    res = simulate_jump(leg, motor, FrrParams(22.0), cfg, record=False)
-    assert res.terminated_by is Termination.ANGLE_CAP
-    assert res.q2_at_takeoff == pytest.approx(-0.05, abs=1e-8)
-
-
-def test_force_zero_rule_unreachable_for_vrr(leg, motor, mech_opt, deep_crouch):
-    cfg = dataclasses.replace(deep_crouch,
-                              takeoff_rule=TakeoffRule.CONTACT_FORCE_ZERO)
-    with pytest.raises(SimulationRangeError) as exc:
-        simulate_jump(leg, motor, mech_opt, cfg)
-    assert exc.value.last_state is not None
-    assert exc.value.last_state.q2 == pytest.approx(-0.05, abs=1e-6)
 
 
 def test_pre_guard_rejects_bad_offset(leg, motor, deep_crouch):

@@ -20,8 +20,8 @@ import dataclasses
 import importlib.resources
 import sys
 
-from vrrjump import (EvalRecord, MechanismRangeError, SimulationRangeError,
-                     Termination, load_config, select_best, simulate_jump)
+from vrrjump import (EvalRecord, MechanismRangeError, Termination, load_config,
+                     select_best, simulate_jump)
 from vrrjump import sim
 from vrrjump.optimize import _frr_candidates, _vrr_candidates
 from vrrjump.report import fmt
@@ -38,7 +38,7 @@ def outcome(cfg, mech, steps: int):
     saved, sim.U_STEPS = sim.U_STEPS, steps
     try:
         res = simulate_jump(cfg.leg, cfg.motor, mech, cfg.sim, record=False)
-    except (MechanismRangeError, SimulationRangeError):
+    except MechanismRangeError:
         return "range_fail", None, None
     finally:
         sim.U_STEPS = saved
