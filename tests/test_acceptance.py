@@ -325,6 +325,10 @@ FULL_BOX_SHA256 = {
         "9f665bcc11cd1f08f48a1eb0d37541d4237c526058cd033059f5940a16b400d5",
     "summary.csv":
         "7ff6904dfca703fb8e15e7b035ddc261b5d944ea813a4fe90fe9c6b47a67fb96",
+    "summary.json":
+        "91ec801f9a4facb9faba113749995f0d5072c3f355df50de2f35fa61005cf29c",
+    "summary.txt":
+        "1d4284bf7fe3b570786c636b8f6fcbe3047032c527739bfe3da0eac35cea7964",
     "trajectory_evrr_-1.9199.csv":
         "6dc31c23794d4cb458a8496841806c3ceeba3e86148850773e3b63c813a70258",
     "trajectory_evrr_-2.2689.csv":
@@ -338,9 +342,11 @@ FULL_BOX_SHA256 = {
     "trajectory_frr_-2.6180.csv":
         "de8fa6dbfdf49b2f8bb4b3a2fb26c778add732829b29f44c7bec55bf3a4626c7",
 }
-"""sha256 of every CSV that `vrrjump compare --dump-grid` writes for
-fullscale.json's full box. A change that moves numbers on purpose updates
-these and says in CHANGES.md which files moved."""
+"""sha256 of every file but metadata.json that `vrrjump compare --dump-grid`
+writes for fullscale.json's full box (the report's metadata carries no
+resolved config here, so no config_resolved.json is written). A change that
+moves numbers on purpose updates these and says in CHANGES.md which files
+moved."""
 
 
 def test_full_box_outputs_match_digests(report, tmp_path):
@@ -352,11 +358,11 @@ def test_full_box_outputs_match_digests(report, tmp_path):
         for joint, opt in (("vrr", row.vrr), ("frr", row.frr)):
             _write_grid_csv(tmp_path / f"grid_{joint}_{row.angle:.4f}.csv", opt)
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in tmp_path.glob("*.csv")}
+           for p in tmp_path.iterdir() if p.name != "metadata.json"}
     moved = sorted(name for name in FULL_BOX_SHA256.keys() | got.keys()
                    if got.get(name) != FULL_BOX_SHA256.get(name))
     check("full-box digests", not moved,
-          f"{len(got)} CSVs, {len(moved)} differ from the committed digests"
+          f"{len(got)} files, {len(moved)} differ from the committed digests"
           + (f": {', '.join(moved)}" if moved else ""))
 
 
