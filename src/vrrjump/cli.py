@@ -24,7 +24,8 @@ from pathlib import Path
 from .config import RunConfig, default_motor, load_config
 from .errors import (ConfigError, DomainError, NoFeasibleDesignError,
                      VrrJumpError)
-from .mechanism import VrrParams, ratio_curve
+from .mechanism import (VrrParams, check_working_range, ratio_curve,
+                        reduction_ratio)
 from .motor import envelope_table
 from .optimize import (MAX_CANDIDATES, compare_designs, optimize_frr,
                        optimize_vrr)
@@ -111,14 +112,20 @@ def _out_dir(args, cfg: RunConfig | None) -> Path:
     return out
 
 
+def _naming(key: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), its DomainError raised as a ConfigError that
+    names key: the flag or config key the bad value came from."""
+    try:
+        return fn(*args, **kwargs)
+    except DomainError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def _sim_at_angle(cfg: RunConfig, args) -> SimConfig:
     """The sim section at --angle, else at the first config angle."""
     if args.angle is None:
         return cfg.sim
-    try:
-        return replace(cfg.sim, q2_init=args.angle)
-    except DomainError as exc:
-        raise ConfigError(f"--angle: {exc}") from exc
+    return _naming("--angle", replace, cfg.sim, q2_init=args.angle)
 
 
 def cmd_simulate(args) -> int:
@@ -126,6 +133,10 @@ def cmd_simulate(args) -> int:
     if cfg.mechanism is None:
         raise ConfigError("simulate requires a 'mechanism' section in the config")
     sim_cfg = _sim_at_angle(cfg, args)
+    if isinstance(cfg.mechanism, VrrParams):
+        for q2, key in ((sim_cfg.q2_init, "angles_rad" if args.angle is None else "--angle"),
+                        (sim_cfg.q2_takeoff_cap, "sim.q2_takeoff_cap_rad")):
+            _naming(key, check_working_range, cfg.mechanism, q2, q2)
     traj_path = _out_dir(args, cfg) / f"trajectory_{angle_label(sim_cfg.q2_init)}.csv"
     result = simulate_jump(cfg.leg, cfg.motor, cfg.mechanism, sim_cfg)
     write_trajectory_csv(traj_path, cfg.leg, cfg.mechanism, result)
@@ -183,8 +194,13 @@ def cmd_sweep_ratio(args) -> int:
     cfg = _load(args)
     if not isinstance(cfg.mechanism, VrrParams):
         raise ConfigError("sweep-ratio requires a variable-ratio 'mechanism' section")
-    lo = args.lo if args.lo is not None else cfg.angles[0]
-    hi = args.hi if args.hi is not None else cfg.sim.q2_takeoff_cap
+    lo, lo_key = (cfg.angles[0], "angles_rad") if args.lo is None else (args.lo, "--lo")
+    hi, hi_key = ((cfg.sim.q2_takeoff_cap, "sim.q2_takeoff_cap_rad") if args.hi is None
+                  else (args.hi, "--hi"))
+    if not lo < hi:
+        raise ConfigError(f"{lo_key}={lo:g} must be below {hi_key}={hi:g}")
+    for q2, key in ((lo, lo_key), (hi, hi_key)):
+        _naming(key, reduction_ratio, cfg.mechanism, q2)
     curve = ratio_curve(cfg.mechanism, lo, hi, args.n)
     path = _out_dir(args, cfg) / "ratio_curve.csv"
     write_ratio_csv(path, cfg.mechanism, curve.samples)

@@ -98,20 +98,12 @@ def _evaluate(leg: LegModel, motor: MotorParams, cfg: SimConfig,
     return (res.w_takeoff, res.h_jump, True)
 
 
-def _records(mechs, outs) -> list[EvalRecord] | VrrJumpError:
-    """A grid's records from its evaluations (an iterable read in order), or
-    the package error one of them raised."""
-    try:
-        return [EvalRecord(m, w, h, ok) for m, (w, h, ok) in zip(mechs, outs)]
-    except VrrJumpError as exc:
-        return exc
-
-
 def _run_grids(leg, motor, grids: list[tuple[SimConfig, list]],
-               workers: int) -> tuple[list[list[EvalRecord] | VrrJumpError], int]:
+               workers: int) -> tuple[list[OptResult | VrrJumpError], int]:
     """Evaluate every (cfg, candidates) grid of a command.
 
-    Returns each grid's outcome, in order, and the number of processes used:
+    Returns each grid's OptResult, or the package error that its evaluations
+    or select_best raised, in order, and the number of processes used:
     workers clamped to the CPUs and to the largest grid. With one process
     every grid runs here. Otherwise one pool maps each grid in chunks of an
     eighth of a process's share. Executor.map submits every chunk at once,
@@ -120,7 +112,7 @@ def _run_grids(leg, motor, grids: list[tuple[SimConfig, list]],
     processes = min(workers, os.cpu_count() or 1,
                     max((len(mechs) for _, mechs in grids), default=1))
     if processes <= 1:
-        return [_records(mechs, map(_evaluate, repeat(leg), repeat(motor),
+        return [_optimum(mechs, map(_evaluate, repeat(leg), repeat(motor),
                                     repeat(cfg), mechs))
                 for cfg, mechs in grids], 1
     # Imported here: the pool pulls in multiprocessing, which a run on one
@@ -130,7 +122,7 @@ def _run_grids(leg, motor, grids: list[tuple[SimConfig, list]],
         outs = [pool.map(_evaluate, repeat(leg), repeat(motor), repeat(cfg),
                          mechs, chunksize=-(-len(mechs) // (8 * processes)))
                 for cfg, mechs in grids]
-        return [_records(mechs, out)
+        return [_optimum(mechs, out)
                 for (_, mechs), out in zip(grids, outs)], processes
 
 
@@ -150,17 +142,18 @@ def select_best(evaluations: list[EvalRecord]) -> EvalRecord:
     return best
 
 
-def _finish(evaluations: list[EvalRecord] | VrrJumpError) -> OptResult:
-    if isinstance(evaluations, VrrJumpError):
-        raise evaluations
-    best = select_best(evaluations)
-    return OptResult(
-        best_params=best.params,
-        w_takeoff=best.w_takeoff,
-        h_jump=best.h_jump,
-        evaluations=evaluations,
-        n_infeasible=sum(1 for r in evaluations if not r.feasible),
-    )
+def _optimum(mechs, outs) -> OptResult | VrrJumpError:
+    """A grid's optimum from its candidates and their evaluations (an
+    iterable read in order), or the package error that an evaluation or
+    select_best raised."""
+    try:
+        evaluations = [EvalRecord(m, w, h, ok) for m, (w, h, ok) in zip(mechs, outs)]
+        best = select_best(evaluations)
+    except VrrJumpError as exc:
+        return exc
+    return OptResult(best_params=best.params, w_takeoff=best.w_takeoff,
+                     h_jump=best.h_jump, evaluations=evaluations,
+                     n_infeasible=sum(1 for r in evaluations if not r.feasible))
 
 
 def _vrr_candidates(box: SearchBox) -> list[VrrParams]:
@@ -174,24 +167,27 @@ def _frr_candidates(box: SearchBox) -> list[FrrParams]:
     return [FrrParams(k_fixed=k) for k in _axis(box.frr_range)]
 
 
+def _search(leg: LegModel, motor: MotorParams, cfg: SimConfig, mechs: list,
+            joint: str, workers: int) -> OptResult:
+    """The optimum of one grid; its error, if any, is raised."""
+    log.info("evaluating %d %s candidates (q2_init=%.4f)",
+             len(mechs), joint, cfg.q2_init)
+    [result], _ = _run_grids(leg, motor, [(cfg, mechs)], workers)
+    if isinstance(result, VrrJumpError):
+        raise result
+    return result
+
+
 def optimize_vrr(leg: LegModel, motor: MotorParams, cfg: SimConfig,
                  box: SearchBox, workers: int = 1) -> OptResult:
     """Grid-search (r, S0, delta_theta) for maximum takeoff energy."""
-    mechs = _vrr_candidates(box)
-    log.info("evaluating %d variable-ratio candidates (q2_init=%.4f)",
-             len(mechs), cfg.q2_init)
-    [outcome], _ = _run_grids(leg, motor, [(cfg, mechs)], workers)
-    return _finish(outcome)
+    return _search(leg, motor, cfg, _vrr_candidates(box), "variable-ratio", workers)
 
 
 def optimize_frr(leg: LegModel, motor: MotorParams, cfg: SimConfig,
                  box: SearchBox, workers: int = 1) -> OptResult:
     """Scan the scalar fixed reduction ratio for maximum takeoff energy."""
-    mechs = _frr_candidates(box)
-    log.info("evaluating %d fixed-ratio candidates (q2_init=%.4f)",
-             len(mechs), cfg.q2_init)
-    [outcome], _ = _run_grids(leg, motor, [(cfg, mechs)], workers)
-    return _finish(outcome)
+    return _search(leg, motor, cfg, _frr_candidates(box), "fixed-ratio", workers)
 
 
 @dataclass
@@ -226,16 +222,16 @@ def compare_designs(leg: LegModel, motor: MotorParams, base_cfg: SimConfig,
                     workers: int = 1) -> ComparisonReport:
     """Optimize both joint types at each initial angle and compare heights.
 
-    Rows are ordered deepest crouch first. A failure at one angle is recorded
-    in that row's error field and does not abort the remaining angles. Every
-    angle's grids are evaluated in one batch (one pool when workers > 1)
-    before the first row is finished. The optimal candidates are then
-    re-simulated with trajectory recording so reports can emit the
-    per-channel curves. The report's metadata holds the processes used and
-    the number of candidates evaluated.
+    Rows are ordered deepest crouch first. Every angle's grids are evaluated
+    in one batch (one pool when workers > 1) before the first row is
+    finished, and each row keeps every optimum its grids found. The first
+    error at an angle (a bad angle, or a package error from a grid or a
+    re-simulation) goes to that row's error field, leaves the row without
+    takeoffs or improvement, and does not abort the remaining angles. The
+    optimal candidates are re-simulated with trajectory recording so reports
+    can emit the per-channel curves. The report's metadata holds the
+    processes used and the number of candidates evaluated.
     """
-    row_errors = (DomainError, NoFeasibleDesignError)
-
     def fail(row: AngleRow, exc: Exception) -> None:
         row.error = f"{type(exc).__name__}: {exc}"
         log.warning("angle %.4f failed: %s", row.angle, row.error)
@@ -247,26 +243,29 @@ def compare_designs(leg: LegModel, motor: MotorParams, base_cfg: SimConfig,
         rows.append(row)
         try:
             cfg = replace(base_cfg, q2_init=angle)
-        except row_errors as exc:
+        except DomainError as exc:
             fail(row, exc)
             continue
         log.info("angle %.4f: evaluating %d variable-ratio and %d fixed-ratio "
                  "candidates", angle, len(vrr_mechs), len(frr_mechs))
         pending.append((row, cfg))
         grids += [(cfg, vrr_mechs), (cfg, frr_mechs)]
-    outcomes, processes = _run_grids(leg, motor, grids, workers)
+    results, processes = _run_grids(leg, motor, grids, workers)
 
-    for (row, cfg), vrr, frr in zip(pending, outcomes[0::2], outcomes[1::2]):
+    for (row, cfg), *pair in zip(pending, results[0::2], results[1::2]):
+        row.vrr, row.frr = (r if isinstance(r, OptResult) else None for r in pair)
         try:
-            row.vrr = _finish(vrr)
-            row.frr = _finish(frr)
-            row.vrr_takeoff = simulate_jump(leg, motor, row.vrr.best_params, cfg)
-            row.frr_takeoff = simulate_jump(leg, motor, row.frr.best_params, cfg)
+            for result in pair:
+                if isinstance(result, VrrJumpError):
+                    raise result
+            row.vrr_takeoff, row.frr_takeoff = (
+                simulate_jump(leg, motor, opt.best_params, cfg)
+                for opt in (row.vrr, row.frr))
             if row.frr.h_jump > 0:
                 row.improvement_pct = 100.0 * (row.vrr.h_jump - row.frr.h_jump) / row.frr.h_jump
             log.info("angle %.4f: vrr h=%.4f m, frr h=%.4f m",
                      row.angle, row.vrr.h_jump, row.frr.h_jump)
-        except row_errors as exc:
+        except VrrJumpError as exc:
             fail(row, exc)
     return ComparisonReport(rows=rows, leg=leg, metadata={
         "workers": processes,

@@ -102,18 +102,27 @@ def write_envelope_csv(path: Path | None, table) -> None:
                 fmt(p.p_loss)] for p in table))
 
 
-def mech_cells(params: VrrParams | FrrParams) -> list[str]:
-    """(r_mm, s0_mm, dtheta_deg, k_fixed) cells for a summary or grid row."""
+DESIGN_COLUMNS = ["r_mm", "s0_mm", "dtheta_deg", "k_fixed"]
+
+
+def design_values(params: VrrParams | FrrParams) -> dict[str, float]:
+    """A design in document units (mm, degrees), keyed by its DESIGN_COLUMNS
+    names; a joint's other columns are absent."""
     if isinstance(params, VrrParams):
-        return [fmt(params.r * 1000.0), fmt(params.s0 * 1000.0),
-                fmt(params.delta_theta / DEG), ""]
-    return ["", "", "", fmt(params.k_fixed)]
+        return {"r_mm": params.r * 1000.0, "s0_mm": params.s0 * 1000.0,
+                "dtheta_deg": params.delta_theta / DEG}
+    return {"k_fixed": params.k_fixed}
+
+
+def mech_cells(params: VrrParams | FrrParams) -> list[str]:
+    """DESIGN_COLUMNS cells for a summary or grid row."""
+    values = design_values(params)
+    return [fmt(values.get(name)) for name in DESIGN_COLUMNS]
 
 
 def write_grid_csv(path: Path, opt: OptResult) -> None:
     """Every evaluated candidate of a grid, feasible or not."""
-    write_csv(path, ["r_mm", "s0_mm", "dtheta_deg", "k_fixed",
-                     "feasible", "w_takeoff_j", "h_jump_m"],
+    write_csv(path, [*DESIGN_COLUMNS, "feasible", "w_takeoff_j", "h_jump_m"],
               ([*mech_cells(rec.params), str(rec.feasible).lower(),
                 fmt(rec.w_takeoff), fmt(rec.h_jump)] for rec in opt.evaluations))
     log.info("wrote %s", path)
@@ -123,15 +132,8 @@ def opt_summary(opt: OptResult | None) -> dict | None:
     """JSON fields of an optimum: energy, height, infeasible count, design."""
     if opt is None:
         return None
-    out = {"w_takeoff_j": opt.w_takeoff, "h_jump_m": opt.h_jump,
-           "n_infeasible": opt.n_infeasible}
-    if isinstance(opt.best_params, VrrParams):
-        out.update(r_mm=opt.best_params.r * 1000.0,
-                   s0_mm=opt.best_params.s0 * 1000.0,
-                   dtheta_deg=opt.best_params.delta_theta / DEG)
-    else:
-        out.update(k_fixed=opt.best_params.k_fixed)
-    return out
+    return {"w_takeoff_j": opt.w_takeoff, "h_jump_m": opt.h_jump,
+            "n_infeasible": opt.n_infeasible, **design_values(opt.best_params)}
 
 
 def emit_report(report: ComparisonReport, out_dir: str | Path) -> list[Path]:
@@ -179,18 +181,15 @@ def emit_report(report: ComparisonReport, out_dir: str | Path) -> list[Path]:
             summary_rows.append(["evrr", fmt(row.angle)] + [""] * 7 + [row.error])
             txt_lines.append(f"evrr   {row.angle:>10.4f}  ERROR: {row.error}")
             continue
-        summary_rows.append(
-            ["evrr", fmt(row.angle), *mech_cells(row.vrr.best_params),
-             fmt(row.vrr.w_takeoff), fmt(row.vrr.h_jump),
-             fmt(row.improvement_pct), ""])
-        summary_rows.append(
-            ["frr", fmt(row.angle), *mech_cells(row.frr.best_params),
-             fmt(row.frr.w_takeoff), fmt(row.frr.h_jump), "", ""])
-        vp = row.vrr.best_params
+        for joint, opt, pct in (("evrr", row.vrr, row.improvement_pct),
+                                ("frr", row.frr, None)):
+            summary_rows.append([joint, fmt(row.angle), *mech_cells(opt.best_params),
+                                 fmt(opt.w_takeoff), fmt(opt.h_jump), fmt(pct), ""])
+        vd = design_values(row.vrr.best_params)
         pct = "" if row.improvement_pct is None else f"{row.improvement_pct:.2f}"
         txt_lines.append(
-            f"{'evrr':<6} {row.angle:>10.4f} {vp.r*1000:>6.1f} {vp.s0*1000:>6.1f} "
-            f"{vp.delta_theta/DEG:>8.2f} {'':>8} {row.vrr.w_takeoff:>10.3f} "
+            f"{'evrr':<6} {row.angle:>10.4f} {vd['r_mm']:>6.1f} {vd['s0_mm']:>6.1f} "
+            f"{vd['dtheta_deg']:>8.2f} {'':>8} {row.vrr.w_takeoff:>10.3f} "
             f"{row.vrr.h_jump:>8.4f} {pct:>10}")
         txt_lines.append(
             f"{'frr':<6} {row.angle:>10.4f} {'':>6} {'':>6} {'':>8} "
@@ -198,8 +197,8 @@ def emit_report(report: ComparisonReport, out_dir: str | Path) -> list[Path]:
             f"{row.frr.h_jump:>8.4f} {'':>10}")
 
     write_csv(add("summary.csv"),
-              ["joint_type", "angle_rad", "r_mm", "s0_mm", "dtheta_deg",
-               "k_fixed", "w_takeoff_j", "h_jump_m", "improvement_pct", "error"],
+              ["joint_type", "angle_rad", *DESIGN_COLUMNS,
+               "w_takeoff_j", "h_jump_m", "improvement_pct", "error"],
               summary_rows)
     add("summary.json").write_text(
         json.dumps({"rows": json_rows}, sort_keys=True, indent=2) + "\n")

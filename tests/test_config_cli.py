@@ -463,26 +463,58 @@ def test_exit_code_infeasible(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv,message", [
-    (["sweep-ratio", "--lo", "nan"], "argument --lo: must be a finite number, got 'nan'"),
-    (["sweep-ratio", "--hi=-inf"], "argument --hi: must be a finite number, got '-inf'"),
-    (["simulate", "--angle", "x"], "argument --angle: must be a finite number, got 'x'"),
-    (["optimize", "--angle", "inf"], "argument --angle: must be a finite number, got 'inf'"),
-    (["simulate", "--angle", "0.5"],
+@pytest.mark.parametrize("argv,overrides,message", [
+    (["sweep-ratio", "--lo", "nan"], {},
+     "argument --lo: must be a finite number, got 'nan'"),
+    (["sweep-ratio", "--hi=-inf"], {},
+     "argument --hi: must be a finite number, got '-inf'"),
+    (["simulate", "--angle", "x"], {},
+     "argument --angle: must be a finite number, got 'x'"),
+    (["optimize", "--angle", "inf"], {},
+     "argument --angle: must be a finite number, got 'inf'"),
+    (["simulate", "--angle", "0.5"], {},
      "config error: --angle: q2_init=0.5 must lie in [-pi, cap=-0.05)"),
-    (["optimize", "--angle", "-4", "--dump-grid"],
+    (["optimize", "--angle", "-4", "--dump-grid"], {},
      "config error: --angle: q2_init=-4.0 must lie in [-pi, cap=-0.05)"),
+    (["simulate", "--angle", "-3.14"], {},
+     "config error: --angle: q2=-3.14 maps to theta=0.00159265 rad outside "
+     "(0.01, 3.14059)"),
+    (["simulate"], {"angles_rad": [-3.14]},
+     "config error: angles_rad: q2=-3.14 maps to theta=0.00159265 rad"),
+    (["simulate"], {"mechanism.delta_theta_deg": -5.0},
+     "config error: sim.q2_takeoff_cap_rad: q2=-0.05 maps to theta=3.17886 rad"),
+    (["sweep-ratio", "--lo", "0.5", "--hi", "0.9"], {},
+     "config error: --lo: crank angle theta=3.64159 rad outside the working "
+     "range [0, pi] for q2=0.5"),
+    (["sweep-ratio", "--lo", "-2", "--hi", "0.9"], {},
+     "config error: --hi: crank angle theta=4.04159 rad outside"),
+    (["sweep-ratio", "--lo", "-0.5", "--hi", "-0.9"], {},
+     "config error: --lo=-0.5 must be below --hi=-0.9"),
+    (["sweep-ratio", "--lo", "0.1"], {},
+     "config error: --lo=0.1 must be below sim.q2_takeoff_cap_rad=-0.05"),
+    (["sweep-ratio", "--hi", "-3"], {},
+     "config error: angles_rad=-2.618 must be below --hi=-3"),
+    (["sweep-ratio"], {"angles_rad": [-3.1], "mechanism.delta_theta_deg": 5.0},
+     "config error: angles_rad: crank angle theta=-0.0456738 rad outside"),
+    (["sweep-ratio"], {"mechanism.delta_theta_deg": -5.0},
+     "config error: sim.q2_takeoff_cap_rad: crank angle theta=3.17886 rad outside"),
 ], ids=["lo-nan", "hi-inf", "angle-text", "angle-inf", "simulate-above-cap",
-        "optimize-below-pi"])
+        "optimize-below-pi", "simulate-unreachable", "simulate-angles_rad",
+        "simulate-cap", "sweep-lo", "sweep-hi", "sweep-lo-above-hi",
+        "sweep-lo-above-cap", "sweep-first-angle-above-hi",
+        "sweep-first-angle", "sweep-cap"])
 def test_bad_angle_option_names_the_flag(tmp_path, capsys, monkeypatch, argv,
-                                         message):
-    """A non-finite --angle, --lo or --hi, or an --angle outside
-    [-pi, cap), exits 2 naming the flag, before any work or output."""
+                                         overrides, message):
+    """A non-finite --angle, --lo or --hi, an --angle outside [-pi, cap), a
+    knee angle the configured crank cannot reach, or a sweep range whose
+    start is not below its end, exits 2 naming the flag, else the config key
+    the value came from, before any work, sample or output directory."""
     refuse_work(monkeypatch)
     monkeypatch.setattr(cli, "ratio_curve", lambda *args: pytest.fail("sampled"))
     out = tmp_path / "o"
     try:
-        code = main([*argv, "--config", FULLSCALE, "--out", str(out)])
+        code = main([*argv, "--config", write_config(tmp_path, **overrides),
+                     "--out", str(out)])
     except SystemExit as exc:
         code = exc.code
     assert code == 2

@@ -17,6 +17,7 @@ from vrrjump import (DomainError, EvalRecord, FrrParams, NoFeasibleDesignError,
                      optimize_frr, optimize_vrr, select_best, simulate_jump)
 from vrrjump import optimize
 from vrrjump.optimize import MAX_CANDIDATES, _axis, _axis_len
+from vrrjump.report import emit_report, opt_summary
 
 DEG = math.pi / 180.0
 
@@ -219,6 +220,38 @@ def test_compare_designs_pool_equals_in_process(leg, motor, deep_crouch,
     assert par.metadata == {"workers": 2, "n_candidates": 2 * (36 + 3)}
 
 
+def test_failed_vrr_grid_keeps_the_frr_optimum(leg, motor, deep_crouch,
+                                               monkeypatch, tmp_path):
+    """At -3.14 every VRR candidate of the box leaves the crank's working
+    range. That row fails with NoFeasibleDesignError but keeps its FRR
+    optimum, from the pool as in-process; summary.json shows it, while
+    summary.csv and summary.txt give the angle one error line."""
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    seq, par = (compare_designs(leg, motor, deep_crouch, small_box(),
+                                [-2.618, -3.14], workers=workers)
+                for workers in (1, 2))
+    row = seq.rows[0]
+    assert row.angle == -3.14
+    assert row.error.startswith("NoFeasibleDesignError")
+    assert (row.vrr, row.vrr_takeoff, row.frr_takeoff) == (None, None, None)
+    assert row.improvement_pct is None
+    assert row.frr.best_params == FrrParams(24.0)
+    assert (len(row.frr.evaluations), row.frr.n_infeasible) == (3, 0)
+    assert seq.rows[1].error is None
+    for a, b in zip(seq.rows, par.rows, strict=True):
+        assert row_difference(a, b) is None
+
+    emit_report(seq, tmp_path)
+    first = json.loads((tmp_path / "summary.json").read_text())["rows"][0]
+    assert first["vrr"] is None
+    assert first["frr"] == opt_summary(row.frr)
+    assert first["frr"]["k_fixed"] == 24.0
+    for name in ("summary.csv", "summary.txt"):
+        [line] = [line for line in (tmp_path / name).read_text().splitlines()
+                  if "-3.14" in line]
+        assert "NoFeasibleDesignError" in line
+
+
 class CountingPool(concurrent.futures.Executor):
     """In-thread stand-in for ProcessPoolExecutor that records the size of
     each pool made and the chunksize of each map."""
@@ -328,10 +361,10 @@ def test_pool_size_and_chunk_sizes(monkeypatch):
         monkeypatch.setattr(CountingPool, "made", [])
         monkeypatch.setattr(CountingPool, "chunks", [])
         grids = [(None, [FrrParams(20.0)] * n) for n in sizes]
-        outcomes, processes = optimize._run_grids(None, None, grids, workers)
+        results, processes = optimize._run_grids(None, None, grids, workers)
         assert (CountingPool.made, CountingPool.chunks) == (made, chunks)
         assert processes == (made or [1])[0]
-        assert [len(records) for records in outcomes] == sizes
+        assert [len(result.evaluations) for result in results] == sizes
 
 
 @pytest.mark.parametrize("exact,over", [
