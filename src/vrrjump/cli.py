@@ -133,6 +133,8 @@ def cmd_simulate(args) -> int:
     if cfg.mechanism is None:
         raise ConfigError("simulate requires a 'mechanism' section in the config")
     sim_cfg = _sim_at_angle(cfg, args)
+    # simulate_jump's range check, made here to name the value's source
+    # before the output directory exists.
     if isinstance(cfg.mechanism, VrrParams):
         for q2, key in ((sim_cfg.q2_init, "angles_rad" if args.angle is None else "--angle"),
                         (sim_cfg.q2_takeoff_cap, "sim.q2_takeoff_cap_rad")):
@@ -199,6 +201,8 @@ def cmd_sweep_ratio(args) -> int:
                   else (args.hi, "--hi"))
     if not lo < hi:
         raise ConfigError(f"{lo_key}={lo:g} must be below {hi_key}={hi:g}")
+    # ratio_curve refuses a sample whose crank angle leaves [0, pi], as
+    # reduction_ratio does; theta is affine in q2, so the two ends decide.
     for q2, key in ((lo, lo_key), (hi, hi_key)):
         _naming(key, reduction_ratio, cfg.mechanism, q2)
     curve = ratio_curve(cfg.mechanism, lo, hi, args.n)
