@@ -79,13 +79,16 @@ Takeoff is the first of two events (the one takeoff rule, "either"):
   happens first where |omega_m| reaches omega_max and the envelope torque
   vanishes. It is located inside its step.
 
-If the commanded torque cannot lift the CoM at the initial pose
-(eta_j k tau_peak <= m g J) the state is held at rest until t_max (Timeout):
-the crouch posture is assumed supported, which also keeps under-actuated
-optimizer candidates well defined. A run still moving at t_max ends in a
-Timeout located to well under 1e-9 s. A run whose kinetic energy falls to
-zero mid-stroke (a stall) is held at the stall pose with dq2 = 0 until t_max
-by the same reasoning.
+Every other run ends at t_max, and the kernel names how:
+
+* StaticHold -- the commanded torque cannot lift the CoM at the initial
+  pose (eta_j k tau_peak <= m g J), and the state is held at rest: the
+  crouch posture is assumed supported, which also keeps under-actuated
+  optimizer candidates well defined.
+* Stall -- the kinetic energy falls to zero mid-stroke, and the knee is
+  held at the stall pose with dq2 = 0 by the same reasoning.
+* Timeout -- the knee is still moving at t_max, located to well under
+  1e-9 s.
 
 A recorded trajectory holds one sample per u-step (graded steps included)
 plus one at each kink and event.
@@ -171,6 +174,8 @@ class TakeoffRule(str, Enum):
 class Termination(str, Enum):
     CONTACT_FORCE_ZERO = "contact_force_zero"
     ANGLE_CAP = "angle_cap"
+    STATIC_HOLD = "static_hold"
+    STALL = "stall"
     TIMEOUT = "timeout"
 
 
@@ -450,7 +455,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         stop = (u_stop, 0.0, t_max, last[3], None)
         if record:
             trajectory.append(snapshot(stop))
-        return finish(stop, Termination.TIMEOUT)
+        return finish(stop, Termination.STALL)
 
     trajectory: list[SimState] = []
 
@@ -461,7 +466,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         held = (0.0, 0.0, t_max, 0.0, None)
         if record:
             trajectory += [snapshot((0.0, 0.0, 0.0, 0.0, None)), snapshot(held)]
-        return finish(held, Termination.TIMEOUT)
+        return finish(held, Termination.STATIC_HOLD)
     # At rest K ~ f0 u^2, which gives the limits dp/du = sqrt(f0) and
     # dt/du = 2 J0 / (sqrt(2/m) sqrt(f0)).
     rate = math.sqrt(lift - mg * j0)

@@ -369,10 +369,12 @@ def test_full_box_outputs_match_digests(report, tmp_path):
 # ------------------------------------------------- reference sanity extras ----
 
 def test_reference_rows_terminate_by_takeoff_not_timeout(report):
-    """Under the default either-rule no reference run may time out."""
+    """Under the default either-rule every reference run takes off, at the
+    angle cap or at contact-force zero: none holds, stalls or times out."""
     terms = {(r.angle, j): t.terminated_by
              for r in report.rows
              for j, t in (("evrr", r.vrr_takeoff), ("frr", r.frr_takeoff))}
-    ok = all(t is not Termination.TIMEOUT for t in terms.values())
+    ok = all(t in (Termination.ANGLE_CAP, Termination.CONTACT_FORCE_ZERO)
+             for t in terms.values())
     check("takeoff-rule consistency", ok,
           "; ".join(f"{a:+.4f}/{j}: {t.value}" for (a, j), t in terms.items()))

@@ -181,8 +181,9 @@ def test_kernel_bits_pinned(tmp_path, leg, motor, mech_opt, deep_crouch):
             res = simulate_jump(leg, motor, mech, cfg, record=False)
         except MechanismRangeError:
             return add("range")
+        how = res.terminated_by.value
         add(res.w_takeoff, res.t_takeoff, res.q2_at_takeoff,
-            res.terminated_by.value)
+            "timeout" if how in ("static_hold", "stall") else how)
 
     mechs = _vrr_candidates(run.search) + _frr_candidates(run.search)
     for angle in run.angles:
@@ -374,7 +375,7 @@ def test_coincident_kinks_add_no_duplicate_row(leg, motor):
 def test_static_hold_on_insufficient_torque(leg, motor, mech_opt, deep_crouch):
     weak = motor_variant(motor, tau_peak=1e-6, p_peak=1e-6 * 160.0)
     res = simulate_jump(leg, weak, mech_opt, deep_crouch)
-    assert res.terminated_by is Termination.TIMEOUT
+    assert res.terminated_by is Termination.STATIC_HOLD
     assert res.q2_at_takeoff == deep_crouch.q2_init
     assert res.t_takeoff == deep_crouch.t_max
     assert res.w_takeoff == pytest.approx(
@@ -391,7 +392,7 @@ def test_stall_holds_the_stall_pose(leg, motor):
     mech = VrrParams(0.047, 0.150, delta_theta=math.radians(-2.5))
     cfg = SimConfig(q2_init=-0.3)
     res = simulate_jump(leg, weak, mech, cfg)
-    assert res.terminated_by is Termination.TIMEOUT
+    assert res.terminated_by is Termination.STALL
     assert res.t_takeoff == cfg.t_max
     # RK45 in time at rtol 1e-12 stops the knee at q2 = -0.2355195 rad.
     assert res.q2_at_takeoff == pytest.approx(-0.2355195, abs=1e-4)
@@ -403,6 +404,23 @@ def test_stall_holds_the_stall_pose(leg, motor):
     scalars = simulate_jump(leg, weak, mech, cfg, record=False)
     assert (scalars.w_takeoff, scalars.q2_at_takeoff) == \
         (res.w_takeoff, res.q2_at_takeoff)
+
+
+def test_stall_after_t_max_is_a_timeout(leg, motor):
+    """The same stall with t_max inside the step that stalls: the stall
+    bisection reaches t_max first, and the knee is still moving there."""
+    weak = motor_variant(motor, tau_peak=3.0, p_peak=3.0 * 160.0)
+    mech = VrrParams(0.047, 0.150, delta_theta=math.radians(-2.5))
+    stalled = simulate_jump(leg, weak, mech, SimConfig(q2_init=-0.3))
+    # The samples before the last two are the state the stalling step
+    # starts from and the last state before the stall.
+    start, last = stalled.trajectory[-3], stalled.trajectory[-2]
+    cfg = SimConfig(q2_init=-0.3, t_max=0.5 * (start.t + last.t))
+    res = simulate_jump(leg, weak, mech, cfg)
+    assert res.terminated_by is Termination.TIMEOUT
+    assert res.t_takeoff == pytest.approx(cfg.t_max, abs=1e-9)
+    assert start.q2 < res.q2_at_takeoff < stalled.q2_at_takeoff
+    assert res.trajectory[-1].dq2 > 0.0
 
 
 def test_pre_guard_rejects_bad_offset(leg, motor, deep_crouch):

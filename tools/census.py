@@ -9,8 +9,9 @@ significant digits.
     PYTHONPATH=src python tools/census.py --angle -2.618 [--check]
 
 With --check the exit status is 1 when an angle-cap or contact-force-zero
-W error exceeds 1e-10, a moving timeout's exceeds 1e-8, a candidate
-changes class between n and 16n, or an optimum moves.
+W error exceeds 1e-10, a stall's or a moving timeout's exceeds 1e-8, a
+candidate changes class between n and 16n, or an optimum moves. The classes
+are the kernel's Termination values and range_fail.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ from vrrjump.optimize import _frr_candidates, _vrr_candidates
 from vrrjump.report import fmt
 
 REFINE = 16
-CLASSES = ("angle_cap", "contact_force_zero", "timeout_moving",
-           "static_hold", "range_fail")
+CLASSES = (*(how.value for how in Termination), "range_fail")
 W_BOUND = {"angle_cap": 1e-10, "contact_force_zero": 1e-10,
-           "timeout_moving": 1e-8}
+           "stall": 1e-8, "timeout": 1e-8}
 
 
 def outcome(cfg, mech, steps: int):
@@ -42,13 +42,7 @@ def outcome(cfg, mech, steps: int):
         return "range_fail", None, None
     finally:
         sim.U_STEPS = saved
-    how = res.terminated_by
-    if how is Termination.TIMEOUT:
-        moved = res.q2_at_takeoff != cfg.sim.q2_init
-        how = "timeout_moving" if moved else "static_hold"
-    else:
-        how = how.value
-    return how, res.w_takeoff, res.t_takeoff
+    return res.terminated_by.value, res.w_takeoff, res.t_takeoff
 
 
 def census(cfg) -> dict:
