@@ -180,21 +180,21 @@ def emit_report(report: ComparisonReport, out_dir: str | Path) -> list[Path]:
         if row.error is not None:
             summary_rows.append(["evrr", fmt(row.angle)] + [""] * 7 + [row.error])
             txt_lines.append(f"evrr   {row.angle:>10.4f}  ERROR: {row.error}")
-            continue
+        # Every optimum the row kept, after its error line if it has one, as
+        # summary.json carries it.
         for joint, opt, pct in (("evrr", row.vrr, row.improvement_pct),
                                 ("frr", row.frr, None)):
+            if opt is None:
+                continue
             summary_rows.append([joint, fmt(row.angle), *mech_cells(opt.best_params),
                                  fmt(opt.w_takeoff), fmt(opt.h_jump), fmt(pct), ""])
-        vd = design_values(row.vrr.best_params)
-        pct = "" if row.improvement_pct is None else f"{row.improvement_pct:.2f}"
-        txt_lines.append(
-            f"{'evrr':<6} {row.angle:>10.4f} {vd['r_mm']:>6.1f} {vd['s0_mm']:>6.1f} "
-            f"{vd['dtheta_deg']:>8.2f} {'':>8} {row.vrr.w_takeoff:>10.3f} "
-            f"{row.vrr.h_jump:>8.4f} {pct:>10}")
-        txt_lines.append(
-            f"{'frr':<6} {row.angle:>10.4f} {'':>6} {'':>6} {'':>8} "
-            f"{row.frr.best_params.k_fixed:>8.1f} {row.frr.w_takeoff:>10.3f} "
-            f"{row.frr.h_jump:>8.4f} {'':>10}")
+            vd = design_values(opt.best_params)
+            design = (f"{vd['r_mm']:>6.1f} {vd['s0_mm']:>6.1f} "
+                      f"{vd['dtheta_deg']:>8.2f} {'':>8}" if joint == "evrr" else
+                      f"{'':>6} {'':>6} {'':>8} {vd['k_fixed']:>8.1f}")
+            pct = "" if pct is None else f"{pct:.2f}"
+            txt_lines.append(f"{joint:<6} {row.angle:>10.4f} {design} "
+                             f"{opt.w_takeoff:>10.3f} {opt.h_jump:>8.4f} {pct:>10}")
 
     write_csv(add("summary.csv"),
               ["joint_type", "angle_rad", *DESIGN_COLUMNS,

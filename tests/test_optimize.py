@@ -17,7 +17,7 @@ from vrrjump import (DomainError, EvalRecord, FrrParams, NoFeasibleDesignError,
                      optimize_frr, optimize_vrr, select_best, simulate_jump)
 from vrrjump import optimize
 from vrrjump.optimize import MAX_CANDIDATES, _axis, _axis_len
-from vrrjump.report import emit_report, opt_summary
+from vrrjump.report import emit_report, fmt, mech_cells, opt_summary
 
 DEG = math.pi / 180.0
 
@@ -224,8 +224,9 @@ def test_failed_vrr_grid_keeps_the_frr_optimum(leg, motor, deep_crouch,
                                                monkeypatch, tmp_path):
     """At -3.14 every VRR candidate of the box leaves the crank's working
     range. That row fails with NoFeasibleDesignError but keeps its FRR
-    optimum, from the pool as in-process; summary.json shows it, while
-    summary.csv and summary.txt give the angle one error line."""
+    optimum, from the pool as in-process. summary.json shows it, and
+    summary.csv and summary.txt give the angle its error line and then the
+    FRR row."""
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     seq, par = (compare_designs(leg, motor, deep_crouch, small_box(),
                                 [-2.618, -3.14], workers=workers)
@@ -246,10 +247,18 @@ def test_failed_vrr_grid_keeps_the_frr_optimum(leg, motor, deep_crouch,
     assert first["vrr"] is None
     assert first["frr"] == opt_summary(row.frr)
     assert first["frr"]["k_fixed"] == 24.0
+    lines = {}
     for name in ("summary.csv", "summary.txt"):
-        [line] = [line for line in (tmp_path / name).read_text().splitlines()
-                  if "-3.14" in line]
-        assert "NoFeasibleDesignError" in line
+        error, lines[name] = [line for line in
+                              (tmp_path / name).read_text().splitlines()
+                              if "-3.14" in line]
+        assert error.startswith("evrr") and "NoFeasibleDesignError" in error
+    assert lines["summary.csv"] == ",".join([
+        "frr", "-3.14", *mech_cells(row.frr.best_params),
+        fmt(row.frr.w_takeoff), fmt(row.frr.h_jump), "", ""])
+    assert lines["summary.txt"].split() == [
+        "frr", "-3.1400", "24.0", f"{row.frr.w_takeoff:.3f}",
+        f"{row.frr.h_jump:.4f}"]
 
 
 class CountingPool(concurrent.futures.Executor):
