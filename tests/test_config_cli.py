@@ -397,6 +397,16 @@ def test_simulate_cli(tmp_path, capsys):
                       "f_contact_n,w_motor_j")
 
 
+def test_simulate_cli_names_a_static_hold(tmp_path, capsys):
+    """A motor too weak to lift the CoM: simulate prints the kernel's class,
+    not a timeout."""
+    cfg = write_config(tmp_path, motor={
+        "tau_peak_nm": 0.5, "i_q_peak_a": 5.0, "p_peak_w": 80.0})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--angle", "-2.618"]) == 0
+    assert '"terminated_by": "static_hold"' in capsys.readouterr().out
+
+
 def test_optimize_cli_with_grid_dump(tmp_path, capsys):
     cfg = tiny_search(tmp_path)
     assert main(["optimize", "--config", cfg, "--out", str(tmp_path),
