@@ -45,7 +45,6 @@ def test_census_classes_are_the_kernels(tmp_path, capsys):
     result = census.census(cfg)
     assert census.CLASSES == (*(how.value for how in Termination),
                               "range_fail")
-    assert list(result["rows"]) == list(census.CLASSES)
     counts = {c: row["count"] for c, row in result["rows"].items()}
     assert counts == {c: kernel[c] for c in census.CLASSES}
     assert census.failures(result) == []
