@@ -4,6 +4,10 @@ All numeric CSV fields are written with 9 significant digits in C locale
 formatting, so re-running an identical configuration reproduces every CSV
 byte for byte. metadata.json is the only file with run-varying content
 (timestamp and wall time).
+
+Each numeric table renders a row with one %-format built from CELL and
+streams its lines to the file or to standard output. summary.csv alone
+goes through csv.writer, for the quoting its error cell can need.
 """
 
 from __future__ import annotations
@@ -50,56 +54,70 @@ def check_angle_labels(angles) -> None:
         labelled[label] = angle
 
 
+CELL = "%.9g"
+"""The one numeric cell spec: fmt and every row format render with it.
+For floats and ints "%.9g" % x is the same text as f"{x:.9g}"."""
+
+EMPTY = "%.0s"
+"""Row-format cell that consumes its value and renders nothing: the empty
+cell of a column that a row lacks."""
+
+
 def fmt(value: float | None) -> str:
     """Canonical numeric cell: 9 significant digits, empty for missing."""
     if value is None:
         return ""
-    return f"{value:.9g}"
+    return CELL % value
 
 
-def trajectory_rows(leg: LegModel, mech: VrrParams | FrrParams,
-                    result: TakeoffResult) -> list[list[str]]:
-    """Render a recorded trajectory as CSV cells in the canonical column order.
-
-    A fixed ratio has no crank: its theta cells are empty. Samples lie in
-    [q2_init, cap] within [-pi, 0], so 1 / J takes the unchecked jacobian.
-    """
-    jfac = leg.jacobian_scale
-    th_off = crank_offset(mech) if isinstance(mech, VrrParams) else None
-    return [[fmt(s.t), fmt(s.q2), fmt(s.dq2),
-             fmt(None if th_off is None else s.q2 + th_off),
-             fmt(s.k), fmt(1.0 / jacobian(jfac, s.q2)),
-             fmt(s.tau_m), fmt(s.tau_j), fmt(s.omega_m * RPM_PER_RADS),
-             fmt(s.p_m), fmt(s.p_j), fmt(s.y_com), fmt(s.dy_com),
-             fmt(s.f_contact), fmt(s.w_motor)]
-            for s in result.trajectory]
+def row_format(*cells: str) -> str:
+    """%-format of one CSV line from its cell specs (CELL, EMPTY or "%s")."""
+    return ",".join(cells) + "\n"
 
 
-def write_csv(path: Path | None, header: list[str], rows) -> None:
-    """Write a header and rows to path, or to standard output when it is None."""
+def write_csv(path: Path | None, header: list[str], lines) -> None:
+    """Write a header and already formatted lines to path, or to standard
+    output when it is None. The lines are streamed, not joined."""
     with (path.open("w", newline="") if path is not None
           else contextlib.nullcontext(sys.stdout)) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(row_format(*header))
+        fh.writelines(lines)
 
 
 def write_trajectory_csv(path: Path, leg: LegModel,
                          mech: VrrParams | FrrParams,
                          result: TakeoffResult) -> None:
-    write_csv(path, TRAJECTORY_COLUMNS, trajectory_rows(leg, mech, result))
+    """A recorded trajectory in the canonical column order.
+
+    A fixed ratio has no crank: its theta cells are empty. Samples lie in
+    [q2_init, cap] within [-pi, 0], so 1 / J takes the unchecked jacobian.
+    """
+    jfac = leg.jacobian_scale
+    vrr = isinstance(mech, VrrParams)
+    th_off = crank_offset(mech) if vrr else 0.0
+    cells = [CELL] * len(TRAJECTORY_COLUMNS)
+    cells[TRAJECTORY_COLUMNS.index("theta_rad")] = CELL if vrr else EMPTY
+    line = row_format(*cells)
+    write_csv(path, TRAJECTORY_COLUMNS,
+              (line % (s.t, s.q2, s.dq2, s.q2 + th_off, s.k,
+                       1.0 / jacobian(jfac, s.q2), s.tau_m, s.tau_j,
+                       s.omega_m * RPM_PER_RADS, s.p_m, s.p_j, s.y_com,
+                       s.dy_com, s.f_contact, s.w_motor)
+               for s in result.trajectory))
 
 
 def write_ratio_csv(path: Path, mech: VrrParams, samples) -> None:
     th_off = crank_offset(mech)
+    line = row_format(CELL, CELL, CELL)
     write_csv(path, ["q2_rad", "theta_rad", "k"],
-              ([fmt(q2), fmt(q2 + th_off), fmt(k)] for q2, k in samples))
+              (line % (q2, q2 + th_off, k) for q2, k in samples))
 
 
 def write_envelope_csv(path: Path | None, table) -> None:
+    line = row_format(CELL, CELL, CELL, CELL)
     write_csv(path, ["omega_rpm", "tau_max_nm", "p_out_w", "p_loss_w"],
-              ([fmt(p.omega * RPM_PER_RADS), fmt(p.tau_max), fmt(p.p_out),
-                fmt(p.p_loss)] for p in table))
+              (line % (p.omega * RPM_PER_RADS, p.tau_max, p.p_out, p.p_loss)
+               for p in table))
 
 
 DESIGN_COLUMNS = ["r_mm", "s0_mm", "dtheta_deg", "k_fixed"]
@@ -115,16 +133,23 @@ def design_values(params: VrrParams | FrrParams) -> dict[str, float]:
 
 
 def mech_cells(params: VrrParams | FrrParams) -> list[str]:
-    """DESIGN_COLUMNS cells for a summary or grid row."""
+    """DESIGN_COLUMNS cells for a summary row."""
     values = design_values(params)
     return [fmt(values.get(name)) for name in DESIGN_COLUMNS]
 
 
 def write_grid_csv(path: Path, opt: OptResult) -> None:
     """Every evaluated candidate of a grid, feasible or not."""
+    def lines():
+        for rec in opt.evaluations:
+            values = design_values(rec.params)
+            line = row_format(*(CELL if name in values else EMPTY
+                                for name in DESIGN_COLUMNS), "%s", CELL, CELL)
+            yield line % (*(values.get(name) for name in DESIGN_COLUMNS),
+                          str(rec.feasible).lower(), rec.w_takeoff, rec.h_jump)
+
     write_csv(path, [*DESIGN_COLUMNS, "feasible", "w_takeoff_j", "h_jump_m"],
-              ([*mech_cells(rec.params), str(rec.feasible).lower(),
-                fmt(rec.w_takeoff), fmt(rec.h_jump)] for rec in opt.evaluations))
+              lines())
     log.info("wrote %s", path)
 
 
@@ -196,10 +221,12 @@ def emit_report(report: ComparisonReport, out_dir: str | Path) -> list[Path]:
             txt_lines.append(f"{joint:<6} {row.angle:>10.4f} {design} "
                              f"{opt.w_takeoff:>10.3f} {opt.h_jump:>8.4f} {pct:>10}")
 
-    write_csv(add("summary.csv"),
-              ["joint_type", "angle_rad", *DESIGN_COLUMNS,
-               "w_takeoff_j", "h_jump_m", "improvement_pct", "error"],
-              summary_rows)
+    # The error cell can hold commas: summary.csv alone needs csv quoting.
+    with add("summary.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["joint_type", "angle_rad", *DESIGN_COLUMNS,
+                         "w_takeoff_j", "h_jump_m", "improvement_pct", "error"])
+        writer.writerows(summary_rows)
     add("summary.json").write_text(
         json.dumps({"rows": json_rows}, sort_keys=True, indent=2) + "\n")
     add("summary.txt").write_text("\n".join(txt_lines) + "\n")
@@ -218,13 +245,11 @@ def emit_report(report: ComparisonReport, out_dir: str | Path) -> list[Path]:
         samples = ratio_curve(vp, row.angle, report.cap, RATIO_SAMPLES).samples
         write_ratio_csv(add(f"ratio_curve_evrr_{label}.csv"), vp, samples)
         k_fixed = row.frr.best_params.k_fixed
-        rows_overall = []
-        for q2, k in samples:
-            lam = 1.0 / jacobian(jfac, q2)
-            rows_overall.append([fmt(q2), fmt(k * lam), fmt(k_fixed * lam)])
+        line = row_format(CELL, CELL, CELL)
         write_csv(add(f"overall_ratio_{label}.csv"),
                   ["q2_rad", "evrr_k_lambda_radpm", "frr_k_lambda_radpm"],
-                  rows_overall)
+                  (line % (q2, k * (lam := 1.0 / jacobian(jfac, q2)), k_fixed * lam)
+                   for q2, k in samples))
 
     return manifest
 

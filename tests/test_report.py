@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib.resources
 import json
@@ -9,8 +10,8 @@ from vrrjump import (DomainError, FrrParams, SearchBox, SimConfig,
                      compare_designs, simulate_jump)
 from vrrjump.cli import main
 from vrrjump.optimize import ComparisonReport
-from vrrjump.report import (TRAJECTORY_COLUMNS, emit_report, trajectory_rows,
-                            write_trajectory_csv)
+from vrrjump.report import (CELL, EMPTY, TRAJECTORY_COLUMNS, emit_report, fmt,
+                            row_format, write_trajectory_csv)
 
 FULLSCALE = str(importlib.resources.files("vrrjump.configs") / "fullscale.json")
 
@@ -41,9 +42,19 @@ def test_angles_sharing_a_label_write_no_file(tmp_path, leg, motor):
     assert not out.exists()
 
 
-def test_frr_trajectory_rows_have_empty_theta(leg, motor):
+def _trajectory_rows(tmp_path, leg, mech, res) -> list[list[str]]:
+    """The cells of a written trajectory CSV, below its header."""
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(path, leg, mech, res)
+    with path.open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == TRAJECTORY_COLUMNS
+    return rows
+
+
+def test_frr_trajectory_rows_have_empty_theta(tmp_path, leg, motor):
     res = simulate_jump(leg, motor, FrrParams(22.0), SimConfig(q2_init=-2.618))
-    rows = trajectory_rows(leg, FrrParams(22.0), res)
+    rows = _trajectory_rows(tmp_path, leg, FrrParams(22.0), res)
     assert len(rows) == len(res.trajectory)
     i_theta = TRAJECTORY_COLUMNS.index("theta_rad")
     i_k = TRAJECTORY_COLUMNS.index("k")
@@ -51,9 +62,9 @@ def test_frr_trajectory_rows_have_empty_theta(leg, motor):
     assert all(r[i_k] == "22" for r in rows)
 
 
-def test_vrr_trajectory_rows_channels(leg, motor, mech_opt):
+def test_vrr_trajectory_rows_channels(tmp_path, leg, motor, mech_opt):
     res = simulate_jump(leg, motor, mech_opt, SimConfig(q2_init=-2.618))
-    rows = trajectory_rows(leg, mech_opt, res)
+    rows = _trajectory_rows(tmp_path, leg, mech_opt, res)
     i_t = TRAJECTORY_COLUMNS.index("t_s")
     i_q2 = TRAJECTORY_COLUMNS.index("q2_rad")
     i_th = TRAJECTORY_COLUMNS.index("theta_rad")
@@ -67,6 +78,23 @@ def test_vrr_trajectory_rows_channels(leg, motor, mech_opt):
     assert lams[-1] > lams[0]
     for row in rows:
         assert len(row) == len(TRAJECTORY_COLUMNS)
+
+
+@pytest.mark.parametrize("value", [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308,
+    1.0 / 3.0, 123456789012.0, -2.618, 0, 5,
+])
+def test_row_format_renders_cells_as_fmt(value):
+    """A row format renders each value as fmt does, the f-string
+    {:.9g} rendering, and an EMPTY cell as nothing."""
+    assert fmt(value) == f"{value:.9g}"
+    line = row_format(CELL, EMPTY, CELL)
+    assert line % (value, value, -value) == f"{fmt(value)},,{fmt(-value)}\n"
+
+
+def test_row_format_renders_none_empty():
+    assert fmt(None) == ""
+    assert row_format(CELL, EMPTY, CELL) % (1.5, None, 2) == "1.5,,2\n"
 
 
 SINGLE_DESIGN_SHA256 = {
