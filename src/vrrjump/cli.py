@@ -2,7 +2,10 @@
 
 Subcommands: simulate, optimize, compare, sweep-ratio, envelope.
 Exit codes: 0 success, 2 configuration/usage error, 3 no feasible design in
-the search box, 4 other package error. The VRRJUMP_LOG environment variable
+the search box, 4 other package error, 141 standard output closed by its
+reader (as in `vrrjump envelope | head -1`; 128 + SIGPIPE, the status a
+shell reports for a tool that a closed pipe ends), with nothing on standard
+error. The VRRJUMP_LOG environment variable
 (DEBUG/INFO/WARNING/ERROR) sets log verbosity.
 
 The tool is fully deterministic; --seedless is accepted for interface
@@ -39,6 +42,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_ERROR = 4
+EXIT_PIPE = 141
 
 
 def _setup_logging() -> None:
@@ -273,7 +277,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush here, so that a reader that closed the pipe is seen below
+        # and not in the interpreter's own flush at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at the null device, so that the flush at exit does
+        # not raise again on the output still buffered.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -374,6 +374,43 @@ def test_envelope_to_file(tmp_path):
     assert len(lines) == 11
 
 
+def _cli(*argv: str, **kwargs):
+    """`python -m vrrjump argv` in a fresh interpreter on this package."""
+    src = str(Path(vrrjump.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen([sys.executable, "-m", "vrrjump", *argv],
+                            env=env, **kwargs)
+
+
+def test_envelope_stdout_and_file_are_the_same_bytes(tmp_path):
+    """The writer's two sinks: standard output and --out write one table,
+    with bare \n line ends."""
+    proc = _cli("envelope", "--n", "50", stdout=subprocess.PIPE)
+    stdout, _ = proc.communicate()
+    assert proc.returncode == 0
+    with _cli("envelope", "--n", "50", "--out", str(tmp_path),
+              stdout=subprocess.DEVNULL) as proc:
+        assert proc.wait() == 0
+    written = (tmp_path / "envelope.csv").read_bytes()
+    assert stdout == written
+    assert b"\r\n" not in written and written.count(b"\n") == 51
+
+
+def test_envelope_into_a_closed_pipe_exits_quietly():
+    """A reader that closes after one line, as `| head -1` does: no
+    traceback, and the closed-pipe exit status. The table is far larger
+    than a pipe's buffer, so the writer meets the closed pipe."""
+    proc = _cli("envelope", "--n", "20000", stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"omega_rpm,tau_max_nm,p_out_w,p_loss_w\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == cli.EXIT_PIPE
+    assert b"Traceback" not in stderr and b"BrokenPipeError" not in stderr, stderr
+
+
 def test_sweep_ratio(tmp_path, capsys):
     assert main(["sweep-ratio", "--config", FULLSCALE, "--out", str(tmp_path),
                  "--n", "50"]) == 0
