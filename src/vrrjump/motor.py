@@ -18,7 +18,7 @@ derived values are the defaults of the config's motor table.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 from .errors import DomainError, require_finite
@@ -167,23 +167,19 @@ def power_loss(params: MotorParams, i_q: float, omega: float) -> float:
             + params.c_iron2 * omega * omega)
 
 
-def envelope_table(params: MotorParams, n: int) -> list[EnvelopePoint]:
-    """n uniform envelope samples over omega in [0, omega_max].
-
-    Loss is evaluated at the envelope current i_q = tau_max/k_t.
+def envelope_table(params: MotorParams, n: int) -> Iterator[EnvelopePoint]:
+    """n uniform envelope samples over omega in [0, omega_max], made as they
+    are read; n is checked at the call. Loss is evaluated at the envelope
+    current i_q = tau_max/k_t.
     """
     if n < 2:
         raise DomainError(f"need at least 2 samples, got n={n}")
     step = params.omega_max / (n - 1)
     envelope = torque_envelope(params)
-    table = []
-    for i in range(n):
+
+    def point(i: int) -> EnvelopePoint:
         omega = params.omega_max if i == n - 1 else i * step
         tau = envelope(omega)
-        table.append(EnvelopePoint(
-            omega=omega,
-            tau_max=tau,
-            p_out=tau * omega,
-            p_loss=power_loss(params, tau / params.k_t, omega),
-        ))
-    return table
+        return EnvelopePoint(omega=omega, tau_max=tau, p_out=tau * omega,
+                             p_loss=power_loss(params, tau / params.k_t, omega))
+    return map(point, range(n))

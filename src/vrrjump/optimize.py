@@ -22,7 +22,7 @@ from .errors import DomainError, NoFeasibleDesignError, VrrJumpError
 from .leg import LegModel
 from .mechanism import FrrParams, MechanismRangeError, VrrParams
 from .motor import MotorParams
-from .sim import SimConfig, TakeoffResult, simulate_jump
+from .sim import SimConfig, TakeoffResult, Termination, simulate_jump
 
 log = logging.getLogger(__name__)
 
@@ -72,12 +72,15 @@ def _axis(rng: tuple[float, float, float]) -> list[float]:
 
 @dataclass(frozen=True)
 class EvalRecord:
-    """Outcome of one candidate; w/h are NaN when infeasible."""
+    """Outcome of one candidate; when infeasible, w/h/t are NaN and
+    terminated_by is None."""
 
     params: VrrParams | FrrParams
     w_takeoff: float
     h_jump: float
     feasible: bool
+    terminated_by: Termination | None = None
+    t_takeoff: float = math.nan
 
 
 @dataclass
@@ -90,12 +93,12 @@ class OptResult:
 
 
 def _evaluate(leg: LegModel, motor: MotorParams, cfg: SimConfig,
-              mech: VrrParams | FrrParams) -> tuple[float, float, bool]:
+              mech: VrrParams | FrrParams) -> tuple:
     try:
         res = simulate_jump(leg, motor, mech, cfg, record=False)
     except MechanismRangeError:
         return (math.nan, math.nan, False)
-    return (res.w_takeoff, res.h_jump, True)
+    return (res.w_takeoff, res.h_jump, True, res.terminated_by, res.t_takeoff)
 
 
 def _run_grids(leg, motor, grids: list[tuple[SimConfig, list]],
@@ -147,7 +150,7 @@ def _optimum(mechs, outs) -> OptResult | VrrJumpError:
     iterable read in order), or the package error that an evaluation or
     select_best raised."""
     try:
-        evaluations = [EvalRecord(m, w, h, ok) for m, (w, h, ok) in zip(mechs, outs)]
+        evaluations = [EvalRecord(m, *out) for m, out in zip(mechs, outs)]
         best = select_best(evaluations)
     except VrrJumpError as exc:
         return exc

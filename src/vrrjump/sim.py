@@ -25,8 +25,8 @@ kinetic energy K = m v^2 / 2 with v = J dq2,
 on the fixed interval [q2_init, cap]. The kernel substitutes
 q2 = q2_init + u^2 and integrates the state (p = sqrt(K), t, w_motor) with
 Butcher's 7-stage order-6 Runge-Kutta method (nodes 0, 1/3, 2/3, 1/3, 1/2,
-1/2, 1; Hairer, Norsett & Wanner, Solving ODEs I, section II.5) on U_STEPS
-uniform steps in u:
+1/2, 1; Hairer, Norsett & Wanner, Solving ODEs I, section II.5) on
+SimConfig.u_steps uniform steps in u:
 
     dp/du     = u f / p         f = dK/dq2
     dt/du     = 2 u J / v       v = sqrt(2/m) p
@@ -60,7 +60,7 @@ stay uniform.
 Every candidate at one angle walks the same u-grid, and the geometry at a
 grid step does not depend on the design: the Jacobian J and, for the
 crank angle theta = q2 + (pi - delta_theta), sin(theta) and cos(theta).
-_u_grid tabulates them once per (q2_init, cap, U_STEPS, jacobian scale,
+_u_grid tabulates them once per (q2_init, cap, u_steps, jacobian scale,
 delta_theta, graded) at each step's stage nodes 1/3, 1/2, 2/3 and 1,
 through the same _row the kernel uses off the grid, in a bounded cache that
 each process (each pool worker too) fills on first use. A full grid step
@@ -108,7 +108,7 @@ from .mechanism import (FrrParams, VrrParams, check_working_range,
 from .motor import MotorParams, envelope_pieces, torque_envelope
 
 U_STEPS = 75
-"""Uniform order-6 steps in u per takeoff, before kink and event splits."""
+"""SimConfig.u_steps default: order-6 u-steps before kink and event splits."""
 
 GRADED_MARGIN = 0.05
 """A run whose lift margin 1 - m g J0 / (eta_j k0 tau_peak) is below this
@@ -150,8 +150,8 @@ def _u_grid(q2_init: float, cap: float, n: int, jfac: float, th_off: float,
     long: at the 21st node a step of ratio 1.05 is one uniform step long,
     so no graded step is longer than a uniform one. The table depends on no
     design parameter but the crank offset th_off, so every candidate of a
-    grid at one angle shares it. 64 tables hold the default box's 7 offsets
-    at three angles, graded and uniform.
+    grid at one angle shares it. 64 tables hold the default box's 8 offsets,
+    graded and uniform, at three angles or at a census angle's n and 16n.
     """
     u_cap = math.sqrt(cap - q2_init)
     nodes = [u_cap * i / n for i in range(n)] + [u_cap]
@@ -181,10 +181,10 @@ class Termination(str, Enum):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Initial pose, step size, horizon and takeoff detection rule.
+    """Initial pose, step size, horizon, takeoff rule and u-step count.
 
-    simulate_jump steps in u and has one takeoff rule, so dt and
-    takeoff_rule are validated but not read; perfbench passes both.
+    simulate_jump takes u_steps steps in u and has one takeoff rule, so dt
+    and takeoff_rule are still validated but not read; perfbench passes both.
     """
 
     q2_init: float
@@ -192,9 +192,12 @@ class SimConfig:
     t_max: float = 1.0
     q2_takeoff_cap: float = -0.05
     takeoff_rule: TakeoffRule = TakeoffRule.EITHER
+    u_steps: int = U_STEPS
 
     def __post_init__(self):
         require_finite(self)
+        if type(self.u_steps) is not int or self.u_steps < 1:
+            raise DomainError(f"u_steps={self.u_steps!r} must be an int >= 1")
         if self.dt <= 0:
             raise DomainError(f"dt={self.dt} must be positive")
         if self.t_max < 10 * self.dt:
@@ -479,7 +482,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     # With a small lift margin f0 is small against the growth of f, and K
     # bends within the first uniform step: those runs start graded.
     graded = 1.0 - mg * j0 / lift < GRADED_MARGIN
-    for row in _u_grid(q2_init, cap, U_STEPS, jfac, th_off, graded):
+    for row in _u_grid(q2_init, cap, cfg.u_steps, jfac, th_off, graded):
         ue = row[1]
         while state[0] < ue:
             ended = None

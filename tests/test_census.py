@@ -3,6 +3,7 @@
 reach the angle cap, and the two fixed ratios end at contact-force zero."""
 
 import collections
+import copy
 import dataclasses
 import importlib.resources
 import importlib.util
@@ -31,7 +32,7 @@ def small_box(tmp_path) -> Path:
     return path
 
 
-def test_census_classes_are_the_kernels(tmp_path, capsys):
+def test_census_classes_are_the_kernels(tmp_path, capsys, monkeypatch):
     path = small_box(tmp_path)
     cfg = load_config(path)
     cfg = dataclasses.replace(
@@ -48,6 +49,15 @@ def test_census_classes_are_the_kernels(tmp_path, capsys):
     counts = {c: row["count"] for c, row in result["rows"].items()}
     assert counts == {c: kernel[c] for c in census.CLASSES}
     assert census.failures(result) == []
+    # The pooled path (with two or more CPUs) and the in-process path agree.
+    with monkeypatch.context() as patch:
+        patch.setattr("os.cpu_count", lambda: 1)
+        assert census.census(cfg) == result
+    # A refinement that never reached the kernel leaves every cap W as it is.
+    unrefined = copy.deepcopy(result)
+    unrefined["rows"]["angle_cap"]["w"] = 0.0
+    assert [line for line in census.failures(unrefined)
+            if "did not reach the kernel" in line]
 
     assert census.main(["--config", str(path), "--angle", str(ANGLE),
                         "--check"]) == 0

@@ -119,7 +119,7 @@ def test_power_loss_monotone_and_convex_in_current(motor):
 
 
 def test_envelope_table(motor):
-    table = envelope_table(motor, 501)
+    table = list(envelope_table(motor, 501))
     assert len(table) == 501
     assert table[0].omega == 0.0 and table[0].p_out == 0.0
     assert table[-1].omega == motor.omega_max and table[-1].tau_max == 0.0

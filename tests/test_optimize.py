@@ -13,8 +13,9 @@ import pytest
 
 import vrrjump
 from vrrjump import (DomainError, EvalRecord, FrrParams, NoFeasibleDesignError,
-                     SearchBox, VrrParams, compare_designs, load_config,
-                     optimize_frr, optimize_vrr, select_best, simulate_jump)
+                     SearchBox, Termination, VrrParams, compare_designs,
+                     load_config, optimize_frr, optimize_vrr, select_best,
+                     simulate_jump)
 from vrrjump import optimize
 from vrrjump.optimize import MAX_CANDIDATES, _axis, _axis_len
 from vrrjump.report import emit_report, fmt, mech_cells, opt_summary
@@ -354,7 +355,8 @@ def test_pool_size_and_chunk_sizes(monkeypatch):
     """Processes: workers clamped to the CPUs and to the largest grid. Each
     grid's chunks: ceil(n / (8 x processes)) candidates."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    done = SimpleNamespace(w_takeoff=1.0, h_jump=1.0)
+    done = SimpleNamespace(w_takeoff=1.0, h_jump=1.0, t_takeoff=1.0,
+                           terminated_by=Termination.ANGLE_CAP)
     monkeypatch.setattr(optimize, "simulate_jump", lambda *args, **kw: done)
     cases = [  # (CPUs, workers, grid sizes, pool sizes made, chunksizes)
         (4, 10 ** 6, [1581], [4], [50]),

@@ -135,12 +135,30 @@ def test_monotone_in_peak_power(leg, motor, mech_opt, deep_crouch):
     assert heights[0] < heights[1] < heights[2]
 
 
-def test_step_halving_convergence(leg, motor, mech_opt, monkeypatch):
+def test_step_halving_convergence(leg, motor, mech_opt):
     cfg = SimConfig(q2_init=-2.6180)
     h1 = simulate_jump(leg, motor, mech_opt, cfg, record=False).h_jump
-    monkeypatch.setattr(sim, "U_STEPS", 2 * sim.U_STEPS)
-    h2 = simulate_jump(leg, motor, mech_opt, cfg, record=False).h_jump
+    h2 = _refined(leg, motor, mech_opt, cfg, 2).h_jump
+    assert h1 != h2
     assert abs(h1 - h2) <= 1e-6
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, True])
+def test_u_steps_must_be_a_positive_int(bad):
+    with pytest.raises(DomainError, match="u_steps"):
+        SimConfig(q2_init=-2.618, u_steps=bad)
+
+
+def test_u_steps_reaches_the_kernel(leg, motor, mech_opt, deep_crouch):
+    """The step count travels in SimConfig: 150 steps change W, and the
+    geometry cache holds the two tables under different keys."""
+    sim._u_grid.cache_clear()
+    coarse = simulate_jump(leg, motor, mech_opt, deep_crouch, record=False)
+    fine = simulate_jump(leg, motor, mech_opt,
+                         dataclasses.replace(deep_crouch, u_steps=150),
+                         record=False)
+    assert fine.w_takeoff != coarse.w_takeoff
+    assert sim._u_grid.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("angle, w_ref, w_frr", [
@@ -204,11 +222,11 @@ VRR_OPTIMA = {-2.618: VrrParams(0.050, 0.100), -2.2689: VrrParams(0.053, 0.100),
               -1.9199: VrrParams(0.056, 0.100)}
 
 
-def _refined(leg, motor, mech, cfg, monkeypatch, factor):
+def _refined(leg, motor, mech, cfg, factor):
     """The result with factor times as many u-steps."""
-    with monkeypatch.context() as patch:
-        patch.setattr(sim, "U_STEPS", factor * sim.U_STEPS)
-        return simulate_jump(leg, motor, mech, cfg, record=False)
+    return simulate_jump(
+        leg, motor, mech,
+        dataclasses.replace(cfg, u_steps=factor * cfg.u_steps), record=False)
 
 
 @pytest.mark.parametrize("angle", sorted(VRR_OPTIMA))
@@ -224,30 +242,32 @@ def test_work_energy_residual(leg, motor, mech_opt, angle):
         assert abs(lhs - res.w_takeoff) / res.w_takeoff <= 1e-10, mech
 
 
-def test_near_rest_start_is_resolved(leg, motor, monkeypatch):
+def test_near_rest_start_is_resolved(leg, motor):
     """A lift margin of 8e-5 (a moving timeout at the deepest crouch): the
     graded start keeps W within 1e-9 of the 16-fold refined run, where 250
     uniform RK4 steps were 2.5e-4 off."""
     mech, cfg = VrrParams(0.035, 0.240), SimConfig(q2_init=-2.618)
     res = simulate_jump(leg, motor, mech, cfg, record=False)
-    ref = _refined(leg, motor, mech, cfg, monkeypatch, 16)
+    ref = _refined(leg, motor, mech, cfg, 16)
     assert res.terminated_by is ref.terminated_by is Termination.TIMEOUT
     assert res.q2_at_takeoff > cfg.q2_init
+    assert res.w_takeoff != ref.w_takeoff
     assert abs(res.w_takeoff - ref.w_takeoff) / ref.w_takeoff <= 1e-9
 
 
 @pytest.mark.parametrize("k", [22.0, 23.0])
 @pytest.mark.parametrize("angle", sorted(VRR_OPTIMA))
-def test_step_doubling_shows_order_6(leg, motor, monkeypatch, angle, k):
+def test_step_doubling_shows_order_6(leg, motor, angle, k):
     """These ratios cross all three envelope kinks and end at contact-force
     zero. With each step on one smooth envelope piece, doubling the steps
     cuts the error by about 2^6; a right-hand side that changes piece
     inside a step gives erratic ratios, near 1 for k = 22."""
     mech, cfg = FrrParams(k), SimConfig(q2_init=angle)
-    ref = _refined(leg, motor, mech, cfg, monkeypatch, 16)
+    ref = _refined(leg, motor, mech, cfg, 16)
     assert ref.terminated_by is Termination.CONTACT_FORCE_ZERO
-    err = [abs(_refined(leg, motor, mech, cfg, monkeypatch, f).w_takeoff
+    err = [abs(_refined(leg, motor, mech, cfg, f).w_takeoff
                - ref.w_takeoff) for f in (1, 2)]
+    assert err[1] > 0
     assert err[1] * 32 <= err[0]
 
 
@@ -258,7 +278,7 @@ def _outcome(res):
 
 @pytest.mark.parametrize("double_steps", [False, True])
 def test_shared_u_grid_is_bitwise_neutral(leg, motor, deep_crouch,
-                                          monkeypatch, double_steps):
+                                          double_steps):
     """Every grid evaluation equals, bit for bit, a lone run that built its
     own u-grid table, and warm-cache runs match in either candidate order.
     With the step count doubled after the cache is warm, a table not keyed
@@ -271,19 +291,19 @@ def test_shared_u_grid_is_bitwise_neutral(leg, motor, deep_crouch,
                                   math.radians(1.0)),
                     frr_range=(20.0, 24.0, 2.0))
 
-    def grid():
-        return (optimize_vrr(leg, motor, deep_crouch, box).evaluations
-                + optimize_frr(leg, motor, deep_crouch, box).evaluations)
+    def grid(cfg):
+        return (optimize_vrr(leg, motor, cfg, box).evaluations
+                + optimize_frr(leg, motor, cfg, box).evaluations)
 
     def run(mech, record):
-        return _outcome(simulate_jump(leg, motor, mech, deep_crouch,
-                                      record=record))
+        return _outcome(simulate_jump(leg, motor, mech, cfg, record=record))
 
+    cfg = deep_crouch
     sim._u_grid.cache_clear()
     if double_steps:
-        before = grid()
-        monkeypatch.setattr(sim, "U_STEPS", 2 * sim.U_STEPS)
-    evals = grid()
+        before = grid(cfg)
+        cfg = dataclasses.replace(cfg, u_steps=2 * cfg.u_steps)
+    evals = grid(cfg)
     assert all(rec.feasible for rec in evals)
     if double_steps:
         assert [r.w_takeoff for r in evals] != [r.w_takeoff for r in before]
