@@ -5,8 +5,9 @@ Exit codes: 0 success, 2 configuration/usage error, 3 no feasible design in
 the search box, 4 other package error, 141 standard output closed by its
 reader (as in `vrrjump envelope | head -1`; 128 + SIGPIPE, the status a
 shell reports for a tool that a closed pipe ends), with nothing on standard
-error. The VRRJUMP_LOG environment variable
-(DEBUG/INFO/WARNING/ERROR) sets log verbosity.
+error. The VRRJUMP_LOG environment variable sets log verbosity: a level
+name of the logging module, such as DEBUG, INFO, WARNING, ERROR or
+CRITICAL, in any case; any other value means WARNING.
 
 The tool is fully deterministic; --seedless is accepted for interface
 compatibility and must be passed as a bare flag.
@@ -27,8 +28,8 @@ from pathlib import Path
 from .config import RunConfig, default_motor, load_config
 from .errors import (ConfigError, DomainError, NoFeasibleDesignError,
                      VrrJumpError)
-from .mechanism import (VrrParams, check_working_range, ratio_curve,
-                        reduction_ratio)
+from .mechanism import (VrrParams, check_working_range, ratio_peak,
+                        ratio_samples, reduction_ratio)
 from .motor import envelope_table
 from .optimize import (MAX_CANDIDATES, compare_designs, optimize_frr,
                        optimize_vrr)
@@ -46,9 +47,9 @@ EXIT_PIPE = 141
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("VRRJUMP_LOG", "WARNING").upper()
+    level = getattr(logging, os.environ.get("VRRJUMP_LOG", "").upper(), None)
     logging.basicConfig(
-        level=getattr(logging, level, logging.WARNING),
+        level=level if isinstance(level, int) else logging.WARNING,
         format="%(asctime)s %(levelname)s %(name)s: %(message)s",
     )
 
@@ -205,14 +206,16 @@ def cmd_sweep_ratio(args) -> int:
                   else (args.hi, "--hi"))
     if not lo < hi:
         raise ConfigError(f"{lo_key}={lo:g} must be below {hi_key}={hi:g}")
-    # ratio_curve refuses a sample whose crank angle leaves [0, pi], as
-    # reduction_ratio does; theta is affine in q2, so the two ends decide.
+    # ratio_samples refuses a sample whose crank angle leaves [0, pi], as
+    # reduction_ratio does; theta is affine in q2, so the two ends decide,
+    # before the first row is written.
     for q2, key in ((lo, lo_key), (hi, hi_key)):
         _naming(key, reduction_ratio, cfg.mechanism, q2)
-    curve = ratio_curve(cfg.mechanism, lo, hi, args.n)
     path = _out_dir(args, cfg) / "ratio_curve.csv"
-    write_ratio_csv(path, cfg.mechanism, curve.samples)
-    print(json.dumps({"argmax_q2_rad": curve.argmax_q2, "k_max": curve.k_max,
+    write_ratio_csv(path, cfg.mechanism,
+                    ratio_samples(cfg.mechanism, lo, hi, args.n))
+    argmax_q2, k_max = ratio_peak(cfg.mechanism, lo, hi)
+    print(json.dumps({"argmax_q2_rad": argmax_q2, "k_max": k_max,
                       "csv": str(path)}, indent=2, sort_keys=True))
     return EXIT_OK
 

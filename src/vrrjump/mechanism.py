@@ -24,7 +24,7 @@ theta* in (pi/3, pi/2), i.e. the knee-angle argmax in (-2*pi/3, -pi/2).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .errors import DomainError, MechanismRangeError, require_finite
@@ -104,7 +104,7 @@ def ratio_law(params: VrrParams | FrrParams) -> Callable[[float, float], float]:
     bound once; unchecked, for the simulator's inner loop. In float form,
     k = (pi a_cos / Q) sin(theta) / sqrt(a_sq - a_cos cos(theta)) with
     a_cos = 2 r (S0 + r), a_sq = (S0 + r)^2 + r^2; k_fixed for a fixed ratio.
-    The one definition of k: reduction_ratio and ratio_curve call it.
+    The one definition of k: reduction_ratio and ratio_samples call it.
     """
     if isinstance(params, FrrParams):
         k_fixed = params.k_fixed
@@ -173,13 +173,12 @@ def peak_crank_angle(params: VrrParams) -> float:
     return math.acos(params.r / (params.s0 + params.r))
 
 
-def ratio_curve(params: VrrParams, q2_lo: float, q2_hi: float, n: int) -> RatioCurve:
-    """Uniformly sample k over [q2_lo, q2_hi] and locate its maximum.
-
-    The maximum is the closed-form peak (see peak_crank_angle) when it lies
-    in the range, else the nearer endpoint, since k is unimodal. A sample
-    whose crank angle leaves [0, pi] raises MechanismRangeError naming the
-    first such sample's index and q2.
+def ratio_samples(params: VrrParams, q2_lo: float, q2_hi: float,
+                  n: int) -> Iterator[tuple[float, float]]:
+    """(q2, k) at n uniform knee angles over [q2_lo, q2_hi], made as they
+    are read. A sample whose crank angle leaves [0, pi] raises
+    MechanismRangeError naming its index and q2 when it is reached; n and
+    the range are checked when the first sample is read.
     """
     if n < 2:
         raise DomainError(f"need at least 2 samples, got n={n}")
@@ -189,15 +188,24 @@ def ratio_curve(params: VrrParams, q2_lo: float, q2_hi: float, n: int) -> RatioC
     law = ratio_law(params)
     th_off = crank_offset(params)
     sin, cos, pi = math.sin, math.cos, math.pi
-    samples: list[tuple[float, float]] = []
     for i in range(n):
         q2 = q2_hi if i == n - 1 else q2_lo + i * step
         theta = q2 + th_off
         if not (0.0 <= theta <= pi):
             exc = _range_error(params, theta, q2)
             raise MechanismRangeError(f"sample {i} (q2={q2:.6g}): {exc}") from exc
-        samples.append((q2, law(sin(theta), cos(theta))))
+        yield q2, law(sin(theta), cos(theta))
 
+
+def ratio_peak(params: VrrParams, q2_lo: float, q2_hi: float) -> tuple[float, float]:
+    """(argmax_q2, k_max) of k over [q2_lo, q2_hi]: the closed-form peak
+    (see peak_crank_angle) when it lies in the range, else the nearer
+    endpoint, since k is unimodal."""
     argmax_q2 = min(max(joint_angle(params, peak_crank_angle(params)), q2_lo), q2_hi)
-    return RatioCurve(samples=samples, argmax_q2=argmax_q2,
-                      k_max=reduction_ratio(params, argmax_q2))
+    return argmax_q2, reduction_ratio(params, argmax_q2)
+
+
+def ratio_curve(params: VrrParams, q2_lo: float, q2_hi: float, n: int) -> RatioCurve:
+    """ratio_samples as a list, with ratio_peak's maximum."""
+    samples = list(ratio_samples(params, q2_lo, q2_hi, n))
+    return RatioCurve(samples, *ratio_peak(params, q2_lo, q2_hi))
