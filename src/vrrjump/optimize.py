@@ -7,7 +7,10 @@ infeasible, out of the argmax; ties go to the smallest (r, S0, |delta_theta|).
 
 Evaluations are independent; with workers > 1 they run on one process pool
 per command, one Executor.map per grid, and the aggregated result is
-identical to a sequential run.
+identical to a sequential run. The pool has at most as many processes as
+the CPUs the process may use (its CPU affinity, see usable_cpus), and every
+map sends chunks of one size, taken from the command's candidate count n:
+ceil(sqrt(n)), capped so that each process gets at least four chunks.
 """
 
 from __future__ import annotations
@@ -101,29 +104,41 @@ def _evaluate(leg: LegModel, motor: MotorParams, cfg: SimConfig,
     return (res.w_takeoff, res.h_jump, True, res.terminated_by, res.t_takeoff)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its CPU affinity where the platform
+    reports one, otherwise os.cpu_count(), and at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
+
+
 def _run_grids(leg, motor, grids: list[tuple[SimConfig, list]],
                workers: int) -> tuple[list[OptResult | VrrJumpError], int]:
     """Evaluate every (cfg, candidates) grid of a command.
 
     Returns each grid's OptResult, or the package error that its evaluations
     or select_best raised, in order, and the number of processes used:
-    workers clamped to the CPUs and to the largest grid. With one process
-    every grid runs here. Otherwise one pool maps each grid in chunks of an
-    eighth of a process's share. Executor.map submits every chunk at once,
-    so no grid waits for the one before it to drain.
+    workers clamped to usable_cpus() and to the largest grid. With one
+    process every grid runs here. Otherwise one pool maps each grid in
+    chunks of one size for the whole command: ceil(sqrt(n)) of its n
+    candidates, but no more than n / (4 x processes), so that every process
+    gets at least four chunks. Executor.map submits every chunk at once, so
+    no grid waits for the one before it to drain.
     """
-    processes = min(workers, os.cpu_count() or 1,
+    processes = min(workers, usable_cpus(),
                     max((len(mechs) for _, mechs in grids), default=1))
     if processes <= 1:
         return [_optimum(mechs, map(_evaluate, repeat(leg), repeat(motor),
                                     repeat(cfg), mechs))
                 for cfg, mechs in grids], 1
+    n = sum(len(mechs) for _, mechs in grids)
+    chunk = max(1, min(math.isqrt(n - 1) + 1, n // (4 * processes)))
     # Imported here: the pool pulls in multiprocessing, which a run on one
     # process never needs.
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=processes) as pool:
         outs = [pool.map(_evaluate, repeat(leg), repeat(motor), repeat(cfg),
-                         mechs, chunksize=-(-len(mechs) // (8 * processes)))
+                         mechs, chunksize=chunk)
                 for cfg, mechs in grids]
         return [_optimum(mechs, out)
                 for (_, mechs), out in zip(grids, outs)], processes

@@ -36,9 +36,10 @@ At u = 0 the knee is at rest (p = 0) and the derivatives take their limits
 dp/du = sqrt(f0) and dt/du = 2 J0 / (sqrt(2/m) sqrt(f0)), so the square-root
 singularity of the start never enters a step, and the 1/J growth of dq2 near
 full extension does not shrink the steps. advance writes rhs out for stages
-2 to 7, in rhs's order of operations and with 2u, 2uJ and m g J formed once
-per node, so each stage is rhs's bit for bit; the six calls this replaces
-took 13 % of a grid's time.
+2 to 7 and for the derivative at the step's end, in rhs's order of
+operations and with its products read from the step's row (below), so each
+is rhs's bit for bit; rhs itself gives only the derivative after a switch
+of envelope piece.
 
 The envelope has kinks, and a method of order 6 keeps its order only on a
 smooth right-hand side. One motor.envelope_pieces call gives the kernel the
@@ -57,19 +58,20 @@ steps that grow by 1.05 from 1e-4 u_cap, so that the bend in K near u = 0,
 and the nearly singular t = int J/v dq2 there, are resolved; other runs
 stay uniform.
 
-Every candidate at one angle walks the same u-grid, and the geometry at a
-grid step does not depend on the design: the Jacobian J and, for the
-crank angle theta = q2 + (pi - delta_theta), sin(theta) and cos(theta).
-_u_grid tabulates them once per (q2_init, cap, u_steps, jacobian scale,
-delta_theta, graded) at each step's stage nodes 1/3, 1/2, 2/3 and 1,
-through the same _row the kernel uses off the grid, in a bounded cache that
-each process (each pool worker too) fills on first use. A full grid step
-reads the table and computes only k from it, at those four nodes; the
-fixed-ratio kernel reads only J. A step that starts off the grid (after a
-kink or event split, and the trial steps of event location and stall
-bisection) computes its row from u. Either way the results are bit for bit
-those of computing everything per step, and a candidate's result does not
-depend on the others in its grid.
+Every candidate at one angle walks the same u-grid, and at a grid step only
+k depends on r and S0. A row holds the rest: the step's nodes, h = ue - u
+and h/120, and at each stage node x (1/3, 1/2, 2/3 and 1 of the step) the
+Jacobian J, sin(theta) and cos(theta) for the crank angle
+theta = q2 + (pi - delta_theta), and rhs's products 2x, 2x J and m g J.
+_u_grid tabulates one row per step, once per (q2_init, cap, u_steps,
+Jacobian scale, m g, delta_theta, graded), through the same _row the kernel
+uses off the grid, in a bounded cache that each process (each pool worker
+too) fills on first use. A full grid step reads its row and computes only k
+from it, at the four nodes; the fixed-ratio kernel's k is constant. A step
+that starts off the grid (after a kink or event split, and the trial steps
+of event location and stall bisection) computes its row from u. Either way
+the results are bit for bit those of computing everything per step, and a
+candidate's result does not depend on the others in its grid.
 
 Takeoff is the first of two events (the one takeoff rule, "either"):
 
@@ -127,31 +129,39 @@ def _geometry(q2: float, jfac: float,
     return jacobian(jfac, q2), math.sin(th), math.cos(th)
 
 
-def _row(u: float, ue: float, q2_init: float, jfac: float,
+def _row(u: float, ue: float, q2_init: float, jfac: float, mg: float,
          th_off: float) -> tuple[float, ...]:
-    """One step from u to ue with its geometry: (u, ue, the stage nodes
-    u + h/3, u + h/2 and u + 2h/3, then J, sin theta and cos theta at each
-    of those nodes and at ue)."""
+    """One step from u to ue with every value of it that no design changes:
+    (u, ue, the stage nodes u + h/3, u + h/2 and u + 2h/3, then J, sin theta
+    and cos theta at each of those nodes and at ue; then h = ue - u, h/120,
+    and 2x, 2x J and m g J at the four nodes x), for the weight mg."""
     h = ue - u
-    nodes = (u + h / 3.0, u + 0.5 * h, u + 2.0 * h / 3.0)
-    geometry = []
-    for x in nodes + (ue,):
-        geometry += _geometry(q2_init + x * x, jfac, th_off)
-    return (u, ue, *nodes, *geometry)
+    u1, u2, u3 = u + h / 3.0, u + 0.5 * h, u + 2.0 * h / 3.0
+    j1, sin1, cos1 = _geometry(q2_init + u1 * u1, jfac, th_off)
+    j2, sin2, cos2 = _geometry(q2_init + u2 * u2, jfac, th_off)
+    j3, sin3, cos3 = _geometry(q2_init + u3 * u3, jfac, th_off)
+    je, sin_e, cos_e = _geometry(q2_init + ue * ue, jfac, th_off)
+    d1, d2, d3, de = 2.0 * u1, 2.0 * u2, 2.0 * u3, 2.0 * ue
+    return (u, ue, u1, u2, u3, j1, sin1, cos1, j2, sin2, cos2, j3, sin3, cos3,
+            je, sin_e, cos_e, h, h / 120.0, d1, d2, d3, de,
+            d1 * j1, d2 * j2, d3 * j3, de * je, mg * j1, mg * j2, mg * j3,
+            mg * je)
 
 
 @functools.lru_cache(maxsize=64)
-def _u_grid(q2_init: float, cap: float, n: int, jfac: float, th_off: float,
-            graded: bool) -> tuple[tuple[float, ...], ...]:
-    """The u-steps of a takeoff with their geometry, one _row per step.
+def _u_grid(q2_init: float, cap: float, n: int, jfac: float, mg: float,
+            th_off: float, graded: bool) -> tuple[tuple[float, ...], ...]:
+    """The u-steps of a takeoff, one _row per step.
 
     n uniform steps. graded replaces the first 21 of them with steps that
     shrink by 1.05 toward u = 0, the first of them at least 1e-4 * u_cap
     long: at the 21st node a step of ratio 1.05 is one uniform step long,
     so no graded step is longer than a uniform one. The table depends on no
-    design parameter but the crank offset th_off, so every candidate of a
-    grid at one angle shares it. 64 tables hold the default box's 8 offsets,
-    graded and uniform, at three angles or at a census angle's n and 16n.
+    design parameter but the crank offset th_off, and on the leg only
+    through its Jacobian scale jfac and weight mg, so every candidate of a
+    grid at one angle shares it. 64 tables hold the default box's 8
+    offsets, graded and uniform, at three angles or at a census angle's n
+    and 16n.
     """
     u_cap = math.sqrt(cap - q2_init)
     nodes = [u_cap * i / n for i in range(n)] + [u_cap]
@@ -163,7 +173,7 @@ def _u_grid(q2_init: float, cap: float, n: int, jfac: float, th_off: float,
             x /= 1.05
             first.append(x)
         nodes[1:last] = first[::-1]
-    return tuple(_row(u, ue, q2_init, jfac, th_off)
+    return tuple(_row(u, ue, q2_init, jfac, mg, th_off)
                  for u, ue in zip(nodes, nodes[1:]))
 
 
@@ -308,18 +318,16 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     def advance(s: tuple, row: tuple) -> tuple:
         """One step of Butcher's 7-stage order-6 Runge-Kutta method from
         state s over row (see _row); s[0] is the row's start."""
-        u, p, t, w, (a1, b1, c1, _) = s
+        _, p, t, w, (a1, b1, c1, _) = s
         (_, ue, u1, u2, u3, j1, sin1, cos1, j2, sin2, cos2, j3, sin3, cos3,
-         je, sin_e, cos_e) = row
+         je, sin_e, cos_e, h, h120, d1, d2, d3, de, dj1, dj2, dj3, dje,
+         g1, g2, g3, ge) = row
         k1, k2, k3, ke = (ratio(sin1, cos1), ratio(sin2, cos2),
                           ratio(sin3, cos3), ratio(sin_e, cos_e))
-        h = ue - u
         # Only p feeds back into the stages; t and w_motor are quadratures
         # that take the same weights b = (11, 0, 81, 81, -32, -32, 11)/120.
-        # Stages 2 to 7 are rhs written out (see the module docstring).
-        d1, d2, d3, de = 2.0 * u1, 2.0 * u2, 2.0 * u3, 2.0 * ue
-        dj1, dj2, dj3 = d1 * j1, d2 * j2, d3 * j3
-        g1, g2, g3 = mg * j1, mg * j2, mg * j3
+        # Stages 2 to 7 and the derivative at the end are rhs written out
+        # (see the module docstring).
         x = p + h * a1 / 3.0
         if x <= 0.0:
             raise _Stall
@@ -356,21 +364,25 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             raise _Stall
         v = c_v * x
         tk = tau(ke * v / je) * ke
-        a7, b7, c7 = ue * (eta * tk - mg * je) / x, de * je / v, de * tk
-        h120 = h / 120.0
+        a7, b7, c7 = ue * (eta * tk - ge) / x, dje / v, de * tk
         pe = p + h120 * (11.0 * (a1 + a7) + 81.0 * (a3 + a4)
                          - 32.0 * (a5 + a6))
+        if pe <= 0.0:
+            raise _Stall
+        v = c_v * pe
+        om = ke * v / je
+        tk = tau(om) * ke
         return (ue, pe,
                 t + h120 * (11.0 * (b1 + b7) + 81.0 * (b3 + b4)
                             - 32.0 * (b5 + b6)),
                 w + h120 * (11.0 * (c1 + c7) + 81.0 * (c3 + c4)
                             - 32.0 * (c5 + c6)),
-                rhs(ue, pe, ke, je))
+                (ue * (eta * tk - ge) / pe, dje / v, de * tk, om))
 
     def step(s: tuple, ue: float) -> tuple:
-        """One step from s to ue, with the geometry computed from u: for
-        steps that do not start on a grid point."""
-        return advance(s, _row(s[0], ue, q2_init, jfac, th_off))
+        """One step from s to ue, with its row computed from u: for steps
+        that do not start on a grid point."""
+        return advance(s, _row(s[0], ue, q2_init, jfac, mg, th_off))
 
     def locate(s: tuple, end: tuple, phi, tol: float) -> tuple:
         """The first state past the root of phi on the step from s to end.
@@ -482,7 +494,8 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     # With a small lift margin f0 is small against the growth of f, and K
     # bends within the first uniform step: those runs start graded.
     graded = 1.0 - mg * j0 / lift < GRADED_MARGIN
-    for row in _u_grid(q2_init, cap, cfg.u_steps, jfac, th_off, graded):
+    for row in _u_grid(q2_init, cap, cfg.u_steps, jfac, mg, th_off,
+                       graded):
         ue = row[1]
         while state[0] < ue:
             ended = None

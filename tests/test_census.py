@@ -11,6 +11,7 @@ import json
 from pathlib import Path
 
 from vrrjump import Termination, load_config, simulate_jump
+from vrrjump import optimize
 from vrrjump.optimize import _frr_candidates, _vrr_candidates
 
 spec = importlib.util.spec_from_file_location(
@@ -51,7 +52,7 @@ def test_census_classes_are_the_kernels(tmp_path, capsys, monkeypatch):
     assert census.failures(result) == []
     # The pooled path (with two or more CPUs) and the in-process path agree.
     with monkeypatch.context() as patch:
-        patch.setattr("os.cpu_count", lambda: 1)
+        patch.setattr(optimize, "usable_cpus", lambda: 1)
         assert census.census(cfg) == result
     # A refinement that never reached the kernel leaves every cap W as it is.
     unrefined = copy.deepcopy(result)

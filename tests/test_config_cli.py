@@ -643,7 +643,7 @@ def test_compare_dump_grid_same_bytes_with_a_pool(tmp_path, capsys, monkeypatch)
     which records the processes used, differs. At -3.14 every VRR candidate
     leaves the crank's working range: the workers send that error back, and
     the angle keeps its FRR optimum and FRR grid."""
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(optimize, "usable_cpus", lambda: 2)
     cfg = tiny_search(tmp_path, angles_rad=[-2.618, -1.9199, -3.14])
     for workers in (1, 2):
         out = tmp_path / str(workers)

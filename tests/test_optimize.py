@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -208,7 +209,7 @@ def test_compare_designs_pool_equals_in_process(leg, motor, deep_crouch,
                                                 monkeypatch):
     """Every field of every row, trajectories and errors included, is the
     same from the shared pool as in-process."""
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(optimize, "usable_cpus", lambda: 2)
     box = small_box(dtheta=(-3.0 * DEG, 0.0, 1.0 * DEG))
     angles = [-1.9199, -0.04, -2.6180]
     seq = compare_designs(leg, motor, deep_crouch, box, angles, workers=1)
@@ -228,7 +229,7 @@ def test_failed_vrr_grid_keeps_the_frr_optimum(leg, motor, deep_crouch,
     optimum, from the pool as in-process. summary.json shows it, and
     summary.csv and summary.txt give the angle its error line and then the
     FRR row."""
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(optimize, "usable_cpus", lambda: 2)
     seq, par = (compare_designs(leg, motor, deep_crouch, small_box(),
                                 [-2.618, -3.14], workers=workers)
                 for workers in (1, 2))
@@ -287,7 +288,7 @@ def test_one_pool_per_command(leg, motor, deep_crouch, monkeypatch,
                               workers, used):
     """At most one pool per command, of the clamped size that the report's
     metadata states; none with one worker."""
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    monkeypatch.setattr(optimize, "usable_cpus", lambda: 4)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(CountingPool, "made", [])
     pools = [] if used == 1 else [used]
@@ -307,7 +308,7 @@ def test_grid_error_marks_only_its_row(leg, motor, deep_crouch, monkeypatch,
     alone; the other rows are those of an undisturbed run."""
     if workers > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("pool workers see the patched evaluation only under fork")
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(optimize, "usable_cpus", lambda: 2)
     angles = [-2.6180, -2.2689, -1.9199]
     clean = compare_designs(leg, motor, deep_crouch, small_box(), angles)
     real = optimize.simulate_jump
@@ -352,23 +353,26 @@ def test_search_box_limit_checked_before_allocation(tmp_path):
 
 
 def test_pool_size_and_chunk_sizes(monkeypatch):
-    """Processes: workers clamped to the CPUs and to the largest grid. Each
-    grid's chunks: ceil(n / (8 x processes)) candidates."""
+    """Processes: workers clamped to the usable CPUs and to the largest
+    grid. Chunks: one size for the command's n candidates, ceil(sqrt(n)),
+    but at most n // (4 x processes) and at least 1."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     done = SimpleNamespace(w_takeoff=1.0, h_jump=1.0, t_takeoff=1.0,
                            terminated_by=Termination.ANGLE_CAP)
     monkeypatch.setattr(optimize, "simulate_jump", lambda *args, **kw: done)
     cases = [  # (CPUs, workers, grid sizes, pool sizes made, chunksizes)
-        (4, 10 ** 6, [1581], [4], [50]),
-        (4, 10 ** 6, [1581, 31], [4], [50, 1]),
+        (4, 10 ** 6, [1581], [4], [40]),
+        (4, 10 ** 6, [1581, 31], [4], [41, 41]),
+        (2, 2, [112, 8] * 3, [2], [19] * 6),  # compare on perfbench's box
+        (2, 2, [40], [2], [5]),
         (4, 8, [3], [3], [1]),
-        (4, 2, [100], [2], [7]),
+        (4, 2, [100], [2], [10]),
         (4, 1, [100], [], []),
         (4, 4, [1], [], []),
-        (None, 8, [100], [], []),
+        (1, 8, [100], [], []),
     ]
     for cpus, workers, sizes, made, chunks in cases:
-        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        monkeypatch.setattr(optimize, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(CountingPool, "made", [])
         monkeypatch.setattr(CountingPool, "chunks", [])
         grids = [(None, [FrrParams(20.0)] * n) for n in sizes]
@@ -376,6 +380,34 @@ def test_pool_size_and_chunk_sizes(monkeypatch):
         assert (CountingPool.made, CountingPool.chunks) == (made, chunks)
         assert processes == (made or [1])[0]
         assert [len(result.evaluations) for result in results] == sizes
+
+
+def test_usable_cpus_reads_the_affinity(monkeypatch):
+    """The CPU affinity where the platform has one, else os.cpu_count(),
+    and 1 when neither says."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    assert optimize.usable_cpus() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert optimize.usable_cpus() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert optimize.usable_cpus() == 1
+
+
+def test_one_cpu_affinity_opens_no_pool(leg, motor, deep_crouch, monkeypatch):
+    """On two CPUs with an affinity of one (as under taskset -c 0), two
+    workers run in-process, and the metadata says one."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(CountingPool, "made", [])
+    report = compare_designs(leg, motor, deep_crouch, small_box(), [-2.6180],
+                             workers=2)
+    assert report.rows[0].error is None
+    assert report.metadata["workers"] == 1
+    assert CountingPool.made == []
 
 
 @pytest.mark.parametrize("exact,over", [

@@ -322,6 +322,30 @@ def test_shared_u_grid_is_bitwise_neutral(leg, motor, deep_crouch,
                 assert run(mech, record) == cold[mech, record]
 
 
+@pytest.mark.parametrize("mech", [VrrParams(0.047, 0.150), FrrParams(23.0)])
+def test_u_grid_key_holds_the_weight(leg, motor, deep_crouch, mech):
+    """The table holds m g J. Two legs of one Jacobian scale and different
+    masses, run one after the other at one angle in either order, each
+    give the W of a run on a cleared cache."""
+    light = dataclasses.replace(leg, m1=leg.m1 / 2, m2=leg.m2 / 2,
+                                m3=leg.m3 / 2)
+    assert light.jacobian_scale == leg.jacobian_scale
+    legs = (leg, light)
+
+    def w(model):
+        return simulate_jump(model, motor, mech, deep_crouch,
+                             record=False).w_takeoff
+
+    cold = []
+    for model in legs:
+        sim._u_grid.cache_clear()
+        cold.append(w(model))
+    assert cold[0] != cold[1]
+    for order in (legs, legs[::-1]):
+        sim._u_grid.cache_clear()
+        assert {model: w(model) for model in order} == dict(zip(legs, cold))
+
+
 @pytest.mark.parametrize("mech", [VrrParams(0.047, 0.150),
                                   VrrParams(0.040, 0.140, math.radians(2.0)),
                                   VrrParams(0.035, 0.240), FrrParams(23.0)])

@@ -2,10 +2,10 @@
 
 Every VRR and FRR candidate of the search box is evaluated at one initial
 angle with the SimConfig's u_steps and with 16 times as many, in one
-optimize._run_grids call on os.cpu_count() workers, and each outcome class
-gets the largest relative error in W and in t against the 16n run. A flip
-is a candidate whose W prints differently at the grid CSVs' 9 significant
-digits.
+optimize._run_grids call on optimize.usable_cpus() workers, and each outcome
+class gets the largest relative error in W and in t against the 16n run. A
+flip is a candidate whose W prints differently at the grid CSVs' 9
+significant digits.
 
     PYTHONPATH=src python tools/census.py --angle -2.618 [--check]
 
@@ -21,11 +21,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import importlib.resources
-import os
 import sys
 
 from vrrjump import Termination, VrrJumpError, load_config
-from vrrjump.optimize import _frr_candidates, _run_grids, _vrr_candidates
+from vrrjump.optimize import (_frr_candidates, _run_grids, _vrr_candidates,
+                              usable_cpus)
 from vrrjump.report import fmt
 
 REFINE = 16
@@ -42,7 +42,7 @@ def census(cfg) -> dict:
     grids = [(sim, mechs) for mechs in (_vrr_candidates(cfg.search),
                                         _frr_candidates(cfg.search))
              for sim in sims]
-    results, _ = _run_grids(cfg.leg, cfg.motor, grids, os.cpu_count() or 1)
+    results, _ = _run_grids(cfg.leg, cfg.motor, grids, usable_cpus())
     for result in results:
         if isinstance(result, VrrJumpError):
             raise result
