@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .config import RunConfig, default_motor, load_config
 from .errors import (ConfigError, DomainError, NoFeasibleDesignError,
-                     VrrJumpError)
+                     VrrJumpError, naming)
 from .mechanism import (VrrParams, check_working_range, ratio_peak,
                         ratio_samples, reduction_ratio)
 from .motor import envelope_table
@@ -117,20 +117,11 @@ def _out_dir(args, cfg: RunConfig | None) -> Path:
     return out
 
 
-def _naming(key: str, fn, *args, **kwargs):
-    """fn(*args, **kwargs), its DomainError raised as a ConfigError that
-    names key: the flag or config key the bad value came from."""
-    try:
-        return fn(*args, **kwargs)
-    except DomainError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
 def _sim_at_angle(cfg: RunConfig, args) -> SimConfig:
     """The sim section at --angle, else at the first config angle."""
     if args.angle is None:
         return cfg.sim
-    return _naming("--angle", replace, cfg.sim, q2_init=args.angle)
+    return naming("--angle", replace, cfg.sim, q2_init=args.angle)
 
 
 def cmd_simulate(args) -> int:
@@ -143,7 +134,7 @@ def cmd_simulate(args) -> int:
     if isinstance(cfg.mechanism, VrrParams):
         for q2, key in ((sim_cfg.q2_init, "angles_rad" if args.angle is None else "--angle"),
                         (sim_cfg.q2_takeoff_cap, "sim.q2_takeoff_cap_rad")):
-            _naming(key, check_working_range, cfg.mechanism, q2, q2)
+            naming(key, check_working_range, cfg.mechanism, q2, q2)
     traj_path = _out_dir(args, cfg) / f"trajectory_{angle_label(sim_cfg.q2_init)}.csv"
     result = simulate_jump(cfg.leg, cfg.motor, cfg.mechanism, sim_cfg)
     write_trajectory_csv(traj_path, cfg.leg, cfg.mechanism, result)
@@ -210,7 +201,7 @@ def cmd_sweep_ratio(args) -> int:
     # reduction_ratio does; theta is affine in q2, so the two ends decide,
     # before the first row is written.
     for q2, key in ((lo, lo_key), (hi, hi_key)):
-        _naming(key, reduction_ratio, cfg.mechanism, q2)
+        naming(key, reduction_ratio, cfg.mechanism, q2)
     path = _out_dir(args, cfg) / "ratio_curve.csv"
     write_ratio_csv(path, cfg.mechanism,
                     ratio_samples(cfg.mechanism, lo, hi, args.n))

@@ -5,12 +5,15 @@ conversion to SI happens once at this boundary. Each section is one table of
 (JSON key, model field, unit[, default]) rows, from which come the allowed
 keys, the required keys, the defaults and the conversion. A row without a
 default takes the model field's default, converted to the document unit; a
-row whose model field has none is required. Loading proceeds in two stages:
-the raw document is validated against the tables (unknown keys rejected),
-defaults are materialized into a fully-explicit "resolved" document in the
-same human units, and the model objects are built from the resolved
-document. Re-loading an emitted resolved document therefore reproduces the
-configuration exactly.
+row whose model field has none is required. Loading is one pass over the
+sections in a fixed order (leg, motor, mechanism, sim, search, angles_rad,
+output_dir): each section's keys are checked against its table, its
+defaults are materialized into a fully-explicit "resolved" section in the
+same human units, and its model object is built from the resolved values,
+before the next section is read. The first fault in that order is the one
+reported, whether it is a key, a value or a model's own check. Re-loading
+an emitted resolved document therefore reproduces the configuration
+exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, naming
 from .leg import JacobianMode, LegModel
 from .mechanism import DEG, FrrParams, VrrParams
 from .motor import RADS_PER_RPM, MotorParams, loss_balance_c_iron2
@@ -177,8 +180,9 @@ def _to_si(unit, val):
     return unit(val)
 
 
-def _resolve_section(node, rows: tuple, model: type, path: str) -> dict:
-    """Validate one section against its table and materialize every default."""
+def _section(node, rows: tuple, model: type, path: str, **extra):
+    """Check one section against its table, materialize every default and
+    build its model object in SI: (the resolved section, the model)."""
     _check_keys(_require_mapping(node, path), {row[0] for row in rows}, path)
     model_defaults = {f.name: f.default for f in fields(model)}
     out = {}
@@ -197,65 +201,32 @@ def _resolve_section(node, rows: tuple, model: type, path: str) -> dict:
             out[key] = val.value if isinstance(val, Enum) else unit.to_doc(val)
         else:
             raise ConfigError(f"missing required key '{where}'")
-    return out
+    return out, naming(path, model, **{field: _to_si(unit, out[key])
+                                       for key, field, unit, *_ in rows}, **extra)
 
 
-def _build_section(resolved: dict, rows: tuple, model: type, path: str,
-                   **extra):
-    """The model object of one resolved section, converted to SI."""
-    try:
-        return model(**{field: _to_si(unit, resolved[key])
-                        for key, field, unit, *_ in rows}, **extra)
-    except DomainError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _resolve(doc: dict) -> dict:
-    """Validate the raw document and materialize every default."""
+def _run_config(doc: dict) -> RunConfig:
+    """Check, resolve and build the document, one section at a time."""
     _check_keys(doc, _TOP_KEYS, "")
     if "leg" not in doc:
         raise ConfigError("missing required section 'leg'")
-    resolved = {
-        "leg": _resolve_section(doc["leg"], _LEG, LegModel, "leg"),
-        "motor": _resolve_section(doc.get("motor", {}), _MOTOR, MotorParams,
-                                  "motor"),
-    }
+    resolved, mech = {}, None
+    resolved["leg"], leg = _section(doc["leg"], _LEG, LegModel, "leg")
+    resolved["motor"], motor = _section(doc.get("motor", {}), _MOTOR,
+                                        MotorParams, "motor")
     if "mechanism" in doc:
         mech_in = dict(_require_mapping(doc["mechanism"], "mechanism"))
         mtype = mech_in.pop("type", None)
         if not isinstance(mtype, str) or mtype not in _MECHANISMS:
             raise ConfigError(f"'mechanism.type': expected 'vrr' or 'frr', got {mtype!r}")
         model, rows = _MECHANISMS[mtype]
-        resolved["mechanism"] = {
-            "type": mtype, **_resolve_section(mech_in, rows, model, "mechanism")}
-    resolved["sim"] = _resolve_section(doc.get("sim", {}), _SIM, SimConfig, "sim")
-    resolved["search"] = _resolve_section(doc.get("search", {}), _SEARCH,
-                                          SearchBox, "search")
-
-    angles = doc.get("angles_rad")
-    if not isinstance(angles, list) or not angles or not all(map(_is_number, angles)):
-        raise ConfigError("'angles_rad': expected a non-empty list of finite "
-                          f"numbers, got {angles!r}")
-    resolved["angles_rad"] = [float(a) for a in angles]
-
-    out_dir = doc.get("output_dir", "out")
-    if not isinstance(out_dir, str) or not out_dir:
-        raise ConfigError(f"'output_dir': expected a non-empty string, got {out_dir!r}")
-    resolved["output_dir"] = out_dir
-    return resolved
-
-
-def _build(resolved: dict) -> RunConfig:
-    leg = _build_section(resolved["leg"], _LEG, LegModel, "leg")
-    motor = _build_section(resolved["motor"], _MOTOR, MotorParams, "motor")
-    mech = None
-    if "mechanism" in resolved:
-        model, rows = _MECHANISMS[resolved["mechanism"]["type"]]
-        mech = _build_section(resolved["mechanism"], rows, model, "mechanism")
+        resolved["mechanism"], mech = _section(mech_in, rows, model, "mechanism")
+        resolved["mechanism"]["type"] = mtype
     # -pi suits every valid cap, so an error here is the section's own.
-    sim = _build_section(resolved["sim"], _SIM, SimConfig, "sim",
-                         q2_init=-math.pi)
-    search = _build_section(resolved["search"], _SEARCH, SearchBox, "search")
+    resolved["sim"], sim = _section(doc.get("sim", {}), _SIM, SimConfig, "sim",
+                                    q2_init=-math.pi)
+    resolved["search"], search = _section(doc.get("search", {}), _SEARCH,
+                                          SearchBox, "search")
     # Every VRR candidate needs s0 > r: the pair of the S0 floor and the
     # largest r is the first to fail.
     r_max = _axis(search.r_range)[-1]
@@ -264,21 +235,23 @@ def _build(resolved: dict) -> RunConfig:
             f"'search.s0_mm': floor {resolved['search']['s0_mm'][0]:g} mm must "
             f"exceed the largest 'search.r_mm' value, {MM.to_doc(r_max):g} mm")
 
-    angles = tuple(resolved["angles_rad"])
-    for a in angles:
-        try:
-            replace(sim, q2_init=a)
-        except DomainError as exc:
-            raise ConfigError(f"angles_rad: angle {a}: {exc}") from exc
-    try:
-        check_angle_labels(angles)
-    except DomainError as exc:
-        raise ConfigError(f"angles_rad: {exc}") from exc
+    angles = doc.get("angles_rad")
+    if not isinstance(angles, list) or not angles or not all(map(_is_number, angles)):
+        raise ConfigError("'angles_rad': expected a non-empty list of finite "
+                          f"numbers, got {angles!r}")
+    angles = tuple(float(a) for a in angles)
+    resolved["angles_rad"] = list(angles)
+    sims = [naming(f"angles_rad: angle {a}", replace, sim, q2_init=a)
+            for a in angles]
+    naming("angles_rad", check_angle_labels, angles)
 
+    out_dir = doc.get("output_dir", "out")
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError(f"'output_dir': expected a non-empty string, got {out_dir!r}")
+    resolved["output_dir"] = out_dir
     return RunConfig(
-        leg=leg, motor=motor, mechanism=mech,
-        sim=replace(sim, q2_init=angles[0]), search=search,
-        angles=angles, output_dir=resolved["output_dir"],
+        leg=leg, motor=motor, mechanism=mech, sim=sims[0], search=search,
+        angles=angles, output_dir=out_dir,
         resolved=json.dumps(resolved, sort_keys=True, indent=1),
     )
 
@@ -286,8 +259,7 @@ def _build(resolved: dict) -> RunConfig:
 def default_motor() -> MotorParams:
     """The motor of a config with no motor section: the knee-drive preset
     at the head of the motor table, with its derived values."""
-    return _build_section(_resolve_section({}, _MOTOR, MotorParams, "motor"),
-                          _MOTOR, MotorParams, "motor")
+    return _section({}, _MOTOR, MotorParams, "motor")[1]
 
 
 def load_config(path: str | Path, jacobian_mode: str | None = None) -> RunConfig:
@@ -311,5 +283,4 @@ def load_config(path: str | Path, jacobian_mode: str | None = None) -> RunConfig
     if jacobian_mode is not None:
         doc.setdefault("leg", {})
         _require_mapping(doc["leg"], "leg")["jacobian_mode"] = jacobian_mode
-    resolved = _resolve(doc)
-    return _build(resolved)
+    return _run_config(doc)

@@ -47,3 +47,12 @@ class NoFeasibleDesignError(VrrJumpError):
 
 class ConfigError(VrrJumpError, ValueError):
     """Run configuration could not be parsed or validated."""
+
+
+def naming(key: str, fn, /, *args, **kwargs):
+    """fn(*args, **kwargs), its DomainError raised as a ConfigError that
+    names key: the flag or config key the bad value came from."""
+    try:
+        return fn(*args, **kwargs)
+    except DomainError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
