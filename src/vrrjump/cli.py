@@ -112,8 +112,9 @@ def _out_dir(args, cfg: RunConfig | None) -> Path:
     out = Path(args.out if args.out is not None else cfg.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"{key}: cannot create directory {out}: {exc.strerror}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or a lone surrogate
+        raise ConfigError(f"{key}: cannot create directory {out}: "
+                          f"{getattr(exc, 'strerror', None) or exc}") from exc
     return out
 
 

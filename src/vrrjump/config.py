@@ -148,6 +148,17 @@ class _NonFinite:
         return self.token
 
 
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object, refused when a name repeats: json.loads would keep
+    the last value without a word."""
+    obj = {}
+    for key, val in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key '{key}'")
+        obj[key] = val
+    return obj
+
+
 def _is_number(val) -> bool:
     """A finite JSON number (literals such as 1e999 overflow to inf)."""
     return (isinstance(val, (int, float)) and not isinstance(val, bool)
@@ -270,15 +281,21 @@ def load_config(path: str | Path, jacobian_mode: str | None = None) -> RunConfig
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        doc = json.loads(path.read_text(encoding="utf-8"),
+                         parse_constant=_NonFinite, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = json.loads(text, parse_constant=_NonFinite)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at offset "
+                          f"{exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply to parse") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     doc = _require_mapping(doc, str(path))
     if jacobian_mode is not None:
         doc.setdefault("leg", {})

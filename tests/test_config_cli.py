@@ -845,3 +845,68 @@ def test_unusable_output_directory_exits_2_before_work(
         assert err.startswith(f"config error: {key}: cannot create directory "
                               f"{out}: ")
         assert "Traceback" not in err
+
+
+# A config the parser or the OS cannot take exits 2 naming the file or the
+# key, with no traceback.
+
+def test_config_not_utf8_exits_2(tmp_path, capsys, monkeypatch):
+    """The file is read as UTF-8 whatever the locale: byte 0xff names the
+    file and its offset."""
+    refuse_work(monkeypatch)
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"output_dir": "r\xe9sultats"}')
+    assert main(["compare", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {path}: not UTF-8 text (invalid continuation byte "
+        f"at offset 17)\n")
+
+
+def test_config_nested_too_deeply_exits_2(tmp_path, capsys, monkeypatch):
+    refuse_work(monkeypatch)
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main(["compare", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {path}: JSON nested too deeply to parse\n")
+
+
+@pytest.mark.parametrize("key,first,second", [
+    ("angles_rad", "[-2.618]", "[-1.9199]"), ("eta_j", "0.9", "0.5")])
+def test_duplicate_key_rejected(tmp_path, capsys, monkeypatch, key, first,
+                                second):
+    """json.loads would keep the last of two equal names; the loader names
+    the key instead, at the top level and inside a section."""
+    refuse_work(monkeypatch)
+    text = json.dumps(json.loads(Path(FULLSCALE).read_text()), indent=1)
+    assert text.count(f'"{key}": ') == 1
+    path = tmp_path / "dup.json"
+    path.write_text(text.replace(f'"{key}": ', f'"{key}": {first}, "{key}": '))
+    with pytest.raises(ConfigError, match=f"^{path}: duplicate key '{key}'$"):
+        load_config(path)
+    assert main(["compare", "--config", str(path)]) == 2
+    assert "config error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out_dir", ["a\x00b", "\ud800"])
+def test_output_dir_the_os_refuses_exits_2(tmp_path, out_dir):
+    """A NUL or a lone surrogate cannot be a path: exit 2 naming output_dir,
+    with no traceback. Run as a process, so that standard error escapes the
+    surrogate as the interpreter's own stream does."""
+    cfg = tiny_search(tmp_path, output_dir=out_dir)
+    with _cli("compare", "--config", cfg, stdout=subprocess.DEVNULL,
+              stderr=subprocess.PIPE) as proc:
+        stderr = proc.stderr.read().decode("utf-8", "replace")
+    assert proc.returncode == 2
+    assert stderr.startswith(
+        "config error: output_dir: cannot create directory ")
+    assert "Traceback" not in stderr
+
+
+def test_first_fault_in_section_order_is_reported(tmp_path, capsys):
+    """Each section is checked and built before the next is read: a model
+    fault in leg is reported before an unknown key in motor."""
+    path = write_config(tmp_path, **{"leg.l1_m": -0.45, "motor.bogus": 1.0})
+    assert main(["simulate", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: leg: link lengths must be positive")
