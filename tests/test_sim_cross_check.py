@@ -102,6 +102,19 @@ def test_frr_force_zero_matches_independent_integrator(leg, motor, q2_init):
     assert_agrees(leg, motor, FrrParams(23.0), SimConfig(q2_init=q2_init))
 
 
+def test_piece0_reentry_matches_independent_integrator(leg, motor):
+    """With the ratio falling to nearly zero at the cap, the motor speed
+    crosses omega_break upward and, in the last step, back down: the run
+    enters the constant-torque piece a second time."""
+    mech = VrrParams(0.047, 0.100, delta_theta=math.radians(-2.8))
+    cfg = SimConfig(q2_init=-2.6180)
+    assert_agrees(leg, motor, mech, cfg)
+    omega = [s.omega_m for s in simulate_jump(leg, motor, mech,
+                                              cfg).trajectory]
+    up = next(i for i, om in enumerate(omega) if om > motor.omega_break)
+    assert min(omega[up:]) < motor.omega_break
+
+
 @pytest.mark.parametrize("mech", [VrrParams(r=0.047, s0=0.150), FrrParams(22.0)])
 def test_moving_timeout_matches_independent_integrator(leg, motor, mech):
     cfg = SimConfig(q2_init=-2.6180, t_max=0.05)
