@@ -18,8 +18,9 @@ Two Jacobian conventions are supported:
   the matching antiderivative 2C*cos(q2/2) used for heights. This variant is
   kept because some published parameter sets are calibrated against it.
 
-All functions are pure; the model object is immutable. The unchecked jacobian
-and height of (f, q2) are the one definition of each.
+All functions are pure; the model object is immutable. The unchecked jacobian,
+height and rise (a height difference) of f and q2 are the one definition of
+each.
 """
 
 from __future__ import annotations
@@ -101,6 +102,12 @@ def jacobian(f: float, q2: float) -> float:
 def height(f: float, q2: float) -> float:
     """CoM height 2 f cos(q2/2), the antiderivative of jacobian."""
     return 2.0 * f * math.cos(0.5 * q2)
+
+
+def rise(f: float, q2: float, d: float) -> float:
+    """height(f, q2 + d) - height(f, q2), in product form so that no digits
+    cancel for small d."""
+    return -4.0 * f * math.sin(0.5 * q2 + 0.25 * d) * math.sin(0.25 * d)
 
 
 def com_jacobian(model: LegModel, q2: float) -> float:

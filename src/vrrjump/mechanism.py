@@ -119,6 +119,35 @@ def ratio_law(params: VrrParams | FrrParams) -> Callable[[float, float], float]:
     return law
 
 
+def cos_drop(theta: float, d: float) -> float:
+    """cos(theta) - cos(theta + d), in product form so that no digits cancel
+    for small d."""
+    return 2.0 * math.sin(theta + 0.5 * d) * math.sin(0.5 * d)
+
+
+def turn_law(params: VrrParams | FrrParams,
+             theta_init: float) -> Callable[[float, float, float], float]:
+    """The motor's turn since the crank angle theta_init, the integral of k
+    over the knee angle, as a function of (d, cos theta, cos_drop(theta_init,
+    d)) at theta = theta_init + d; unchecked, like ratio_law. The motor
+    angle is (2 pi / Q) s(theta), so the turn is (2 pi / Q) a_cos
+    (cos theta_init - cos theta) / (s(theta) + s(theta_init)), which loses
+    no digits near theta_init; k_fixed d for a fixed ratio.
+    """
+    if isinstance(params, FrrParams):
+        k_fixed = params.k_fixed
+        return lambda d, cos_th, drop: k_fixed * d
+    a_sq = (params.s0 + params.r) ** 2 + params.r ** 2
+    a_cos = 2.0 * params.r * (params.s0 + params.r)
+    c = 2.0 * math.pi * a_cos / params.lead
+    sqrt = math.sqrt
+    s_init = sqrt(a_sq - a_cos * math.cos(theta_init))
+
+    def turn(d: float, cos_th: float, drop: float) -> float:
+        return c * drop / (sqrt(a_sq - a_cos * cos_th) + s_init)
+    return turn
+
+
 def _range_error(params: VrrParams, theta: float,
                  q2: float) -> MechanismRangeError:
     """The error for a crank angle theta outside [0, pi] at knee angle q2."""

@@ -41,6 +41,19 @@ operations and with its products read from the step's row (below), so each
 is rhs's bit for bit; rhs itself gives only the derivative after a switch
 of envelope piece.
 
+On the first envelope piece, below omega_break, the motor holds tau_peak,
+and work and energy solve the state exactly: with the motor's turn
+phi(q2) since the anchor a (mechanism.turn_law, the integral of k),
+
+    w_motor = w_a + tau_peak (phi - phi_a)
+    K       = K_a + eta_j tau_peak (phi - phi_a) - m g (y - y_a)
+
+where a is the start, or the state where the run re-enters the piece from
+above. There exact replaces the stages: it takes K and w_motor in closed
+form at each node of the step's row and t by the method's own quadrature,
+whose weights at the nodes 0, 1/3, 1/2, 2/3 and 1 are (11, 81, -64, 81,
+11)/120. The later pieces run the Runge-Kutta method from that exact state.
+
 The envelope has kinks, and a method of order 6 keeps its order only on a
 smooth right-hand side. One motor.envelope_pieces call gives the kernel the
 pieces, the kink speeds and the piece rule. Each step integrates the piece
@@ -48,8 +61,13 @@ in force at its start, extended smoothly past its kink even where a stage's
 speed lands beyond it. A step ending on another piece is cut at the first
 kink crossed, located by regula falsi on |omega_m| = k v / J, and the next
 step starts on the new piece (the standard treatment of a discontinuous
-right-hand side, ibid. section II.6). Crossing the last kink, omega_max,
-upward is the contact-force-zero event.
+right-hand side, ibid. section II.6). On piece 0, omega_m is explicit in u,
+so the trials of that search evaluate it at one node each and one exact
+step goes to the root; elsewhere each trial is a step. Crossing the last
+kink, omega_max, upward is the contact-force-zero event. A moving timeout
+is located with full trial steps on every piece, and a stall is bisected
+with Runge-Kutta steps on every piece, whose stages stop where K reaches
+zero instead of integrating t through its 1/sqrt(K) singularity.
 
 The lift margin mu = 1 - m g J0 / (eta_j k0 tau_peak) sets how far from the
 start K stops growing like f0 u^2. A run with mu < GRADED_MARGIN, which
@@ -62,7 +80,9 @@ Every candidate at one angle walks the same u-grid, and at a grid step only
 k depends on r and S0. A row holds the rest: the step's nodes, h = ue - u
 and h/120, and at each stage node x (1/3, 1/2, 2/3 and 1 of the step) the
 Jacobian J, sin(theta) and cos(theta) for the crank angle
-theta = q2 + (pi - delta_theta), and rhs's products 2x, 2x J and m g J.
+theta = q2 + (pi - delta_theta), rhs's products 2x, 2x J and m g J, and,
+for exact, m g (y - y_init) and cos(theta_init) - cos(theta), each written
+so that no digits cancel near the start (leg.rise, mechanism.cos_drop).
 _u_grid tabulates one row per step, once per (q2_init, cap, u_steps,
 Jacobian scale, m g, delta_theta, graded), through the same _row the kernel
 uses off the grid, in a bounded cache that each process (each pool worker
@@ -104,9 +124,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import DomainError, require_finite
-from .leg import LegModel, com_height, height, jacobian
+from .leg import LegModel, com_height, height, jacobian, rise
 from .mechanism import (FrrParams, VrrParams, check_working_range,
-                        crank_offset, ratio_law)
+                        cos_drop, crank_offset, ratio_law, turn_law)
 from .motor import MotorParams, envelope_pieces, torque_envelope
 
 U_STEPS = 75
@@ -129,12 +149,21 @@ def _geometry(q2: float, jfac: float,
     return jacobian(jfac, q2), math.sin(th), math.cos(th)
 
 
+def _rise_drop(x: float, q2_init: float, jfac: float, mg: float,
+          th_off: float) -> tuple[float, float]:
+    """(m g (y - y_init), cos_drop(theta_init, d)) at u = x, d = x^2: what
+    piece 0's closed form reads there besides the geometry."""
+    d = x * x
+    return mg * rise(jfac, q2_init, d), cos_drop(q2_init + th_off, d)
+
+
 def _row(u: float, ue: float, q2_init: float, jfac: float, mg: float,
-         th_off: float) -> tuple[float, ...]:
+         th_off: float, closed: bool = True) -> tuple:
     """One step from u to ue with every value of it that no design changes:
     (u, ue, the stage nodes u + h/3, u + h/2 and u + 2h/3, then J, sin theta
     and cos theta at each of those nodes and at ue; then h = ue - u, h/120,
-    and 2x, 2x J and m g J at the four nodes x), for the weight mg."""
+    and 2x, 2x J and m g J at the four nodes x), for the weight mg; last,
+    with closed, _rise_drop at the four nodes, else None."""
     h = ue - u
     u1, u2, u3 = u + h / 3.0, u + 0.5 * h, u + 2.0 * h / 3.0
     j1, sin1, cos1 = _geometry(q2_init + u1 * u1, jfac, th_off)
@@ -145,7 +174,8 @@ def _row(u: float, ue: float, q2_init: float, jfac: float, mg: float,
     return (u, ue, u1, u2, u3, j1, sin1, cos1, j2, sin2, cos2, j3, sin3, cos3,
             je, sin_e, cos_e, h, h / 120.0, d1, d2, d3, de,
             d1 * j1, d2 * j2, d3 * j3, de * je, mg * j1, mg * j2, mg * j3,
-            mg * je)
+            mg * je, tuple(_rise_drop(x, q2_init, jfac, mg, th_off)
+                           for x in (u1, u2, u3, ue)) if closed else None)
 
 
 @functools.lru_cache(maxsize=64)
@@ -296,6 +326,8 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     ratio = ratio_law(mech)
     # A fixed ratio reads only J, so it shares the delta_theta = 0 table.
     th_off = crank_offset(mech) if vrr else math.pi
+    turn = turn_law(mech, q2_init + th_off)
+    eta_tau, sqrt = eta * tau_peak, math.sqrt
 
     def geom(q2: float) -> tuple[float, float]:
         """(k, J) at knee angle q2."""
@@ -314,14 +346,51 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         return (u * (eta * tk - mg * jj) / p, 2.0 * u * jj / v, 2.0 * u * tk,
                 om)
 
+    def node(x: float) -> tuple[float, float, float, float]:
+        """(k, J, turn, m g (y - y_init)) at u = x, off the grid."""
+        jj, sin_th, cos_th = _geometry(q2_init + x * x, jfac, th_off)
+        rise_x, drop = _rise_drop(x, q2_init, jfac, mg, th_off)
+        return ratio(sin_th, cos_th), jj, turn(x * x, cos_th, drop), rise_x
+
+    def above_break(x: float) -> float:
+        """omega_m - omega_break at u = x on piece 0."""
+        kr, jj, phi, rise_x = node(x)
+        kk = max(k_off + eta_tau * phi - rise_x, 0.0)
+        return kr * (c_v * sqrt(kk)) / jj - kinks[0]
+
     # A state is (u, p, t, w_motor, rhs at the state).
+    def exact(s: tuple, row: tuple) -> tuple:
+        """The state at row's end on piece 0: K and w_motor in closed form,
+        and t by the order-6 weights (11, 81, -64, 81, 11)/120 at the nodes
+        0, 1/3, 1/2, 2/3 and 1 of the step, where the state is exact."""
+        (_, ue, u1, u2, u3, _, _, cos1, _, _, cos2, _, _, cos3, je, sin_e,
+         cos_e, _, h120, _, _, _, de, dj1, dj2, dj3, dje, _, _, _, ge,
+         ((y1, c1), (y2, c2), (y3, c3), (ye, ce))) = row
+        k1 = k_off + eta_tau * turn(u1 * u1, cos1, c1) - y1
+        k2 = k_off + eta_tau * turn(u2 * u2, cos2, c2) - y2
+        k3 = k_off + eta_tau * turn(u3 * u3, cos3, c3) - y3
+        phi = turn(ue * ue, cos_e, ce)
+        ke = k_off + eta_tau * phi - ye
+        if k1 <= 0.0 or k2 <= 0.0 or k3 <= 0.0 or ke <= 0.0:
+            raise _Stall
+        pe = sqrt(ke)
+        v = c_v * pe
+        kr = ratio(sin_e, cos_e)
+        tk = tau_peak * kr
+        return (ue, pe,
+                s[2] + h120 * (11.0 * (s[4][1] + dje / v)
+                               + (81.0 * (dj1 / sqrt(k1) + dj3 / sqrt(k3))
+                                  - 64.0 * dj2 / sqrt(k2)) / c_v),
+                w_off + tau_peak * phi,
+                (ue * (eta * tk - ge) / pe, dje / v, de * tk, kr * v / je))
+
     def advance(s: tuple, row: tuple) -> tuple:
         """One step of Butcher's 7-stage order-6 Runge-Kutta method from
         state s over row (see _row); s[0] is the row's start."""
         _, p, t, w, (a1, b1, c1, _) = s
         (_, ue, u1, u2, u3, j1, sin1, cos1, j2, sin2, cos2, j3, sin3, cos3,
          je, sin_e, cos_e, h, h120, d1, d2, d3, de, dj1, dj2, dj3, dje,
-         g1, g2, g3, ge) = row
+         g1, g2, g3, ge, _) = row
         k1, k2, k3, ke = (ratio(sin1, cos1), ratio(sin2, cos2),
                           ratio(sin3, cos3), ratio(sin_e, cos_e))
         # Only p feeds back into the stages; t and w_motor are quadratures
@@ -379,17 +448,22 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                             - 32.0 * (c5 + c6)),
                 (ue * (eta * tk - ge) / pe, dje / v, de * tk, om))
 
-    def step(s: tuple, ue: float) -> tuple:
+    def step(s: tuple, ue: float, closed: bool = True) -> tuple:
         """One step from s to ue, with its row computed from u: for steps
-        that do not start on a grid point."""
-        return advance(s, _row(s[0], ue, q2_init, jfac, mg, th_off))
+        that do not start on a grid point. On piece 0 it is exact unless
+        closed is False; elsewhere it is Runge-Kutta."""
+        closed = closed and piece == 0
+        return (exact if closed else advance)(
+            s, _row(s[0], ue, q2_init, jfac, mg, th_off, closed))
 
-    def locate(s: tuple, end: tuple, phi, tol: float) -> tuple:
+    def locate(s: tuple, end: tuple, phi, tol: float, probe=None) -> tuple:
         """The first state past the root of phi on the step from s to end.
 
         phi < 0 before the root and phi(end) >= 0. Illinois regula falsi on
         u; the state returned has 0 <= phi <= tol, or lies within 1e-12
-        relative in u of the last state before the root.
+        relative in u of the last state before the root. A trial is a step
+        from s, or with probe, probe(x), phi's value at u = x, and one step
+        to the root follows.
         """
         lo, flo = s[0], phi(s)
         if flo >= 0.0:
@@ -400,8 +474,11 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             x = hi - fhi * (hi - lo) / (fhi - flo)
             if not lo < x < hi:
                 x = 0.5 * (lo + hi)
-            trial = step(s, x)
-            fx = phi(trial)
+            if probe is None:
+                trial = step(s, x)
+                fx = phi(trial)
+            else:
+                trial, fx = x, probe(x)
             if fx >= 0.0:
                 hi, fhi, best = x, fx, trial
                 if side == 1:
@@ -412,7 +489,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                 if side == -1:
                     fhi *= 0.5
                 side = -1
-        return best
+        return best if probe is None or best is end else step(s, best)
 
     def q2_of(s: tuple) -> float:
         return cap if s[0] == u_cap else q2_init + s[0] * s[0]
@@ -452,7 +529,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             if not lo < mid < hi:
                 break
             try:
-                trial = step(s, mid)
+                trial = step(s, mid, False)
             except _Stall:
                 hi, stalled = mid, True
                 continue
@@ -491,6 +568,11 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
 
     piece = 0
     tau = pieces[piece]
+    # On piece 0, K = k_off + eta tau_peak turn - m g (y - y_init) and
+    # w_motor = w_off + tau_peak turn: from rest, or from the state where
+    # the run re-entered piece 0 (work and energy).
+    k_off = w_off = 0.0
+    move = exact
     # With a small lift margin f0 is small against the growth of f, and K
     # bends within the first uniform step: those runs start graded.
     graded = 1.0 - mg * j0 / lift < GRADED_MARGIN
@@ -502,7 +584,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             try:
                 # The table holds the geometry of a step from its start
                 # only; a split left the state between grid points.
-                new = (advance(state, row) if state[0] == row[0]
+                new = (move(state, row) if state[0] == row[0]
                        else step(state, ue))
                 now = piece_of(new[4][3])
                 if now != piece:
@@ -513,7 +595,8 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                     sign = 1.0 if up else -1.0
                     new = locate(state, new,
                                  lambda s: sign * (s[4][3] - level),
-                                 1e-10 * level)
+                                 1e-10 * level,
+                                 above_break if piece == 0 else None)
                     if up and piece == len(kinks) - 1:
                         ended = Termination.CONTACT_FORCE_ZERO
                     now = piece + (1 if up else -1)
@@ -524,8 +607,13 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                     # The next step starts on the piece past the kink.
                     piece = now
                     tau = pieces[piece]
-                    new = (*new[:4],
-                           rhs(new[0], new[1], *geom(q2_init + new[0] ** 2)))
+                    move = exact if piece == 0 else advance
+                    kr, jj, phi, rise_a = node(new[0])
+                    if piece == 0:
+                        # Re-entry: K and w_motor continue from here.
+                        k_off = new[1] * new[1] - eta_tau * phi + rise_a
+                        w_off = new[3] - tau_peak * phi
+                    new = (*new[:4], rhs(new[0], new[1], kr, jj))
             except _Stall:
                 return stall(state, ue)
             # A kink located at the state itself adds no row.

@@ -304,13 +304,13 @@ FULL_BOX_SHA256 = {
     "grid_frr_-2.2689.csv":
         "3b0851637b7dcd0d66d9ad0bc27fe1e7d16ed519b3b89ecd4813cc1e3a2cd91b",
     "grid_frr_-2.6180.csv":
-        "450588d7bea0308886436eccbf39cec61814ca5219ee7692080842e74328e24b",
+        "d8382e48575c55c94ecd551a10da8fcc31e82dfce90aab7e32257351f3d905f8",
     "grid_vrr_-1.9199.csv":
         "a140cd0a0729893abe509fc205bd3f6a351e2158f48e8b07fb89d628370c9cac",
     "grid_vrr_-2.2689.csv":
         "5825b4fb414d4035feab8fa6ef80bbf9c8c0fa552183cd9bcec59f62b6aab482",
     "grid_vrr_-2.6180.csv":
-        "5cec4bf9977f01ca60e09bc1674feab396023752990b60d7656eed9c0e131c4f",
+        "e45e507da8f6e3220defb52a8016d1322b612526719d5e5ee0c56680f54a4c40",
     "overall_ratio_-1.9199.csv":
         "a8d60672134dd18026ebab4160bcfce76f0d80047e8d1e86df683f59e1d012d4",
     "overall_ratio_-2.2689.csv":
@@ -326,7 +326,7 @@ FULL_BOX_SHA256 = {
     "summary.csv":
         "7ff6904dfca703fb8e15e7b035ddc261b5d944ea813a4fe90fe9c6b47a67fb96",
     "summary.json":
-        "91ec801f9a4facb9faba113749995f0d5072c3f355df50de2f35fa61005cf29c",
+        "41a085829621321b353445b269856e2f3ce0ba779a3a2b969de79f294969de16",
     "summary.txt":
         "1d4284bf7fe3b570786c636b8f6fcbe3047032c527739bfe3da0eac35cea7964",
     "trajectory_evrr_-1.9199.csv":
@@ -334,7 +334,7 @@ FULL_BOX_SHA256 = {
     "trajectory_evrr_-2.2689.csv":
         "d5652682635e1259ce3141fe66a79198419577984de8ffe4f8181a7de8d57257",
     "trajectory_evrr_-2.6180.csv":
-        "bc216a3e2ad8a444ead68bd9319cdb0c4af9dfc8a0844750e76ee74b3a924dc0",
+        "0645f4250895ca80bfbfff4445ce6293300c87afbd09901106b2b5ee6b7ebaed",
     "trajectory_frr_-1.9199.csv":
         "b627b089d2986b3de5376ccc54de1866c4d4cddc4a6b2fece99b07cb55531feb",
     "trajectory_frr_-2.2689.csv":

@@ -99,9 +99,9 @@ def test_row_format_renders_none_empty():
 
 SINGLE_DESIGN_SHA256 = {
     "trajectory_-2.6180.csv":
-        "f020e8b1a13b40ea9823080e54794bb54858001c0f71026c138c89c59b2f3a6a",
+        "1a1f207bf0a3c844e002d850f70decee54f9c709eb3c189ede3463fb41a88b48",
     "trajectory_-2.2689.csv":
-        "246f0ff6fd723659c648dadf33dc1eb22de7b3998cfb66a3250799ffc0ee4f5f",
+        "aadc6ffbd82c250b42ff406a4ec7e25c6a1afd1206bf6accfd9197092ea49817",
     "trajectory_-1.9199.csv":
         "9e7f30f1a791ab8e5378b1dc4b397b40be7e9b03469d0fa1d7fed8b173282d2a",
     "trajectory_frr23_-2.6180.csv":
