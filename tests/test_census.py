@@ -59,6 +59,10 @@ def test_census_classes_are_the_kernels(tmp_path, capsys, monkeypatch):
     unrefined["rows"]["angle_cap"]["w"] = 0.0
     assert [line for line in census.failures(unrefined)
             if "did not reach the kernel" in line]
+    # Every class's t error is bounded, not only its W error.
+    slow = copy.deepcopy(result)
+    slow["rows"]["timeout"]["t"] = 2e-9
+    assert census.failures(slow) == ["timeout: max t error 2e-09 > 1e-09"]
 
     assert census.main(["--config", str(path), "--angle", str(ANGLE),
                         "--check"]) == 0
