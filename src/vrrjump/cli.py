@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .config import RunConfig, default_motor, load_config
 from .errors import (ConfigError, DomainError, NoFeasibleDesignError,
-                     VrrJumpError, naming)
+                     VrrJumpError, echo, naming)
 from .mechanism import (VrrParams, check_working_range, ratio_peak,
                         ratio_samples, reduction_ratio)
 from .motor import envelope_table
@@ -113,8 +113,9 @@ def _out_dir(args, cfg: RunConfig | None) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a NUL or a lone surrogate
-        raise ConfigError(f"{key}: cannot create directory {out}: "
-                          f"{getattr(exc, 'strerror', None) or exc}") from exc
+        raise ConfigError(
+            f"{key}: cannot create directory {echo(str(out))}: "
+            f"{getattr(exc, 'strerror', None) or exc}") from exc
     return out
 
 
@@ -267,6 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(text: str) -> None:
+    """Print text to standard error, with backslash escapes for what its
+    encoding cannot take."""
+    encoding = getattr(sys.stderr, "encoding", None) or "utf-8"
+    print(text.encode(encoding, "backslashreplace").decode(encoding),
+          file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = build_parser()
@@ -283,16 +292,16 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        _error(f"config error: {exc}")
         return EXIT_CONFIG
     except DomainError as exc:
-        print(f"invalid parameter: {exc}", file=sys.stderr)
+        _error(f"invalid parameter: {exc}")
         return EXIT_CONFIG
     except NoFeasibleDesignError as exc:
-        print(f"no feasible design: {exc}", file=sys.stderr)
+        _error(f"no feasible design: {exc}")
         return EXIT_INFEASIBLE
     except VrrJumpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(f"error: {exc}")
         return EXIT_ERROR
 
 

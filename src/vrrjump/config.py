@@ -26,7 +26,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 
-from .errors import ConfigError, naming
+from .errors import ConfigError, echo, naming
 from .leg import JacobianMode, LegModel
 from .mechanism import DEG, FrrParams, VrrParams
 from .motor import RADS_PER_RPM, MotorParams, loss_balance_c_iron2
@@ -130,8 +130,8 @@ def _require_mapping(node, path: str) -> dict:
 def _check_keys(node: dict, allowed: set, path: str) -> None:
     for key in node:
         if key not in allowed:
-            raise ConfigError(f"unknown key '{path}.{key}'" if path else
-                              f"unknown key '{key}'")
+            raise ConfigError(
+                f"unknown key {echo(f'{path}.{key}' if path else key)}")
 
 
 class _NonFinite:
@@ -169,17 +169,17 @@ def _read(val, unit, where: str):
     """Validate one document value of the unit's kind, in document units."""
     if isinstance(unit, _Unit):
         if not _is_number(val):
-            raise ConfigError(f"'{where}': expected a finite number, got {val!r}")
+            raise ConfigError(f"'{where}': expected a finite number, got {echo(val)}")
         return float(val)
     if isinstance(unit, _Range):
         if (not isinstance(val, list) or len(val) != 3
                 or not all(_is_number(v) for v in val)):
             raise ConfigError(f"'{where}': expected [min, max, step] finite "
-                              f"numbers, got {val!r}")
+                              f"numbers, got {echo(val)}")
         return [float(v) for v in val]
     allowed = sorted(member.value for member in unit)
     if val not in allowed:
-        raise ConfigError(f"'{where}': expected one of {allowed}, got {val!r}")
+        raise ConfigError(f"'{where}': expected one of {allowed}, got {echo(val)}")
     return val
 
 
@@ -229,7 +229,7 @@ def _run_config(doc: dict) -> RunConfig:
         mech_in = dict(_require_mapping(doc["mechanism"], "mechanism"))
         mtype = mech_in.pop("type", None)
         if not isinstance(mtype, str) or mtype not in _MECHANISMS:
-            raise ConfigError(f"'mechanism.type': expected 'vrr' or 'frr', got {mtype!r}")
+            raise ConfigError(f"'mechanism.type': expected 'vrr' or 'frr', got {echo(mtype)}")
         model, rows = _MECHANISMS[mtype]
         resolved["mechanism"], mech = _section(mech_in, rows, model, "mechanism")
         resolved["mechanism"]["type"] = mtype
@@ -249,7 +249,7 @@ def _run_config(doc: dict) -> RunConfig:
     angles = doc.get("angles_rad")
     if not isinstance(angles, list) or not angles or not all(map(_is_number, angles)):
         raise ConfigError("'angles_rad': expected a non-empty list of finite "
-                          f"numbers, got {angles!r}")
+                          f"numbers, got {echo(angles)}")
     angles = tuple(float(a) for a in angles)
     resolved["angles_rad"] = list(angles)
     sims = [naming(f"angles_rad: angle {a}", replace, sim, q2_init=a)
@@ -258,7 +258,7 @@ def _run_config(doc: dict) -> RunConfig:
 
     out_dir = doc.get("output_dir", "out")
     if not isinstance(out_dir, str) or not out_dir:
-        raise ConfigError(f"'output_dir': expected a non-empty string, got {out_dir!r}")
+        raise ConfigError(f"'output_dir': expected a non-empty string, got {echo(out_dir)}")
     resolved["output_dir"] = out_dir
     return RunConfig(
         leg=leg, motor=motor, mechanism=mech, sim=sims[0], search=search,

@@ -56,3 +56,25 @@ def naming(key: str, fn, /, *args, **kwargs):
         return fn(*args, **kwargs)
     except DomainError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
+
+
+def echo(value, limit: int = 200) -> str:
+    """value as an error message quotes it: its repr, in which strings
+    escape control characters and lone surrogates, cut at about limit
+    characters. A cut list keeps its first items and says how many it cut;
+    any other cut repr says how many characters it cut."""
+    if not isinstance(value, list):
+        text, limit = repr(value), max(limit, 0)
+        if len(text) <= limit:
+            return text
+        return f"{text[:limit]}... ({len(text) - limit} more characters)"
+    parts, used = [], 1
+    for item in value:
+        if used >= limit:
+            break
+        parts.append(echo(item, limit - used))
+        used += len(parts[-1]) + 2
+    cut = len(value) - len(parts)
+    if cut:
+        parts.append(f"... {cut} more item{'s' * (cut != 1)}")
+    return "[" + ", ".join(parts) + "]"

@@ -843,7 +843,7 @@ def test_unusable_output_directory_exits_2_before_work(
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}: cannot create directory "
-                              f"{out}: ")
+                              f"{str(out)!r}: ")
         assert "Traceback" not in err
 
 
@@ -901,6 +901,34 @@ def test_output_dir_the_os_refuses_exits_2(tmp_path, out_dir):
     assert stderr.startswith(
         "config error: output_dir: cannot create directory ")
     assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("override", [
+    {"angles_rad": [-2.618] * 5000 + ["x"]},
+    {"output_dir": "a\x00b"}, {"output_dir": "\ud800"},
+    {"leg.\x1b[31m" + "k" * 5000: 1.0}])
+def test_echoed_values_are_short_and_printable(tmp_path, capsys, monkeypatch,
+                                               override):
+    """A value the message echoes is escaped and cut: a list of 5,000
+    numbers and a string, a NUL and a lone surrogate in output_dir, and an
+    unknown key of 5,000 characters after a terminal escape each exit 2
+    with one printable line under 400 characters, even through a stream
+    that encodes strictly."""
+    refuse_work(monkeypatch)
+    assert main(["compare", "--config", tiny_search(tmp_path, **override)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert len(err) < 400 and err[:-1].isprintable()
+    if "angles_rad" in override:
+        assert err.endswith(" more items]\n")
+
+
+def test_error_text_escapes_what_stderr_cannot_encode(capsys):
+    """A config path from the command line that holds an undecodable byte
+    reaches the message raw; it is written as a backslash escape."""
+    assert main(["compare", "--config", "missing\udcff.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config missing\\udcff")
 
 
 def test_first_fault_in_section_order_is_reported(tmp_path, capsys):
