@@ -150,7 +150,7 @@ def _geometry(q2: float, jfac: float,
 
 
 def _rise_drop(x: float, q2_init: float, jfac: float, mg: float,
-          th_off: float) -> tuple[float, float]:
+               th_off: float) -> tuple[float, float]:
     """(m g (y - y_init), cos_drop(theta_init, d)) at u = x, d = x^2: what
     piece 0's closed form reads there besides the geometry."""
     d = x * x
@@ -158,7 +158,7 @@ def _rise_drop(x: float, q2_init: float, jfac: float, mg: float,
 
 
 def _row(u: float, ue: float, q2_init: float, jfac: float, mg: float,
-         th_off: float, closed: bool = True) -> tuple:
+         th_off: float, closed: bool) -> tuple:
     """One step from u to ue with every value of it that no design changes:
     (u, ue, the stage nodes u + h/3, u + h/2 and u + 2h/3, then J, sin theta
     and cos theta at each of those nodes and at ue; then h = ue - u, h/120,
@@ -203,7 +203,7 @@ def _u_grid(q2_init: float, cap: float, n: int, jfac: float, mg: float,
             x /= 1.05
             first.append(x)
         nodes[1:last] = first[::-1]
-    return tuple(_row(u, ue, q2_init, jfac, mg, th_off)
+    return tuple(_row(u, ue, q2_init, jfac, mg, th_off, True)
                  for u, ue in zip(nodes, nodes[1:]))
 
 
@@ -448,11 +448,10 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                             - 32.0 * (c5 + c6)),
                 (ue * (eta * tk - ge) / pe, dje / v, de * tk, om))
 
-    def step(s: tuple, ue: float, closed: bool = True) -> tuple:
+    def step(s: tuple, ue: float) -> tuple:
         """One step from s to ue, with its row computed from u: for steps
-        that do not start on a grid point. On piece 0 it is exact unless
-        closed is False; elsewhere it is Runge-Kutta."""
-        closed = closed and piece == 0
+        that do not start on a grid point. It is exact on piece 0."""
+        closed = piece == 0
         return (exact if closed else advance)(
             s, _row(s[0], ue, q2_init, jfac, mg, th_off, closed))
 
@@ -520,8 +519,9 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         """End a run whose kinetic energy reaches zero between s and ue.
 
         Bisection finds the last state before the stall or t_max, whichever
-        comes first. After a stall the knee holds its pose until t_max, as
-        in a static hold; K falls linearly to zero at the stall pose.
+        comes first, with Runge-Kutta trial steps on every piece. After a
+        stall the knee holds its pose until t_max, as in a static hold; K
+        falls linearly to zero at the stall pose.
         """
         lo, hi, last, stalled = s[0], ue, s, True
         while True:
@@ -529,7 +529,8 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             if not lo < mid < hi:
                 break
             try:
-                trial = step(s, mid, False)
+                trial = advance(s, _row(s[0], mid, q2_init, jfac, mg, th_off,
+                                        False))
             except _Stall:
                 hi, stalled = mid, True
                 continue
