@@ -61,7 +61,8 @@ def piece0(leg, motor, mech, q2_init):
     return state
 
 
-@pytest.mark.parametrize("mech", MECHS, ids=str)
+@pytest.mark.parametrize("mech", MECHS,
+                         ids=["vrr47-150", "vrr50-100", "vrr36-200", "frr23"])
 @pytest.mark.parametrize("angle", ANGLES)
 def test_piece0_matches_closed_form(leg, motor, mech, angle):
     """K, w_motor and t of every sample before the first omega_break
