@@ -115,6 +115,19 @@ def test_piece0_reentry_matches_independent_integrator(leg, motor):
     assert min(omega[up:]) < motor.omega_break
 
 
+def test_piece1_reentry_matches_independent_integrator(leg, motor):
+    """The motor speed crosses omega_hpl upward and falls back below it
+    before the cap: the run enters the constant-power piece a second time,
+    from above."""
+    mech = VrrParams(0.047, 0.200, delta_theta=math.radians(-1.0))
+    cfg = SimConfig(q2_init=-2.6180)
+    assert_agrees(leg, motor, mech, cfg)
+    omega = [s.omega_m for s in simulate_jump(leg, motor, mech,
+                                              cfg).trajectory]
+    up = next(i for i, om in enumerate(omega) if om > motor.omega_hpl)
+    assert motor.omega_break < min(omega[up:]) < motor.omega_hpl
+
+
 @pytest.mark.parametrize("mech", [VrrParams(r=0.047, s0=0.150), FrrParams(22.0)])
 def test_moving_timeout_matches_independent_integrator(leg, motor, mech):
     cfg = SimConfig(q2_init=-2.6180, t_max=0.05)
