@@ -52,7 +52,25 @@ where a is the start, or the state where the run re-enters the piece from
 above. There exact replaces the stages: it takes K and w_motor in closed
 form at each node of the step's row and t by the method's own quadrature,
 whose weights at the nodes 0, 1/3, 1/2, 2/3 and 1 are (11, 81, -64, 81,
-11)/120. The later pieces run the Runge-Kutta method from that exact state.
+11)/120.
+
+On the second piece the motor holds the power p_peak, so dK/dY =
+eta_j p_peak / v - 1 in Y = m g (y - y_init), whatever the ratio. In
+p = sqrt(K), with the terminal a = eta_j p_peak / (m g sqrt(2/m)),
+delta = p - p_a and L = log1p(-delta / (a - p_a)),
+
+    Y - Y_a = -delta (p + p_a + 2 a) - 2 a^2 L
+    t - t_a = 2 / (m g sqrt(2/m)) (-delta - a L)
+    w_motor = w_a + p_peak (t - t_a)
+
+where the anchor a is the state where the run last entered the piece, from
+below or above. There exact1 replaces the stages: the row gives Y at the
+step's end, power solves the first line for p by Newton (dY/dp =
+2 p^2 / (a - p)), capped at NEWTON_CAP iterations and started by a
+second-order step in Y from the state, whose Y is exact (about two
+iterations per node), and the other two lines give t and w_motor. K never
+reaches zero on this piece. The last two pieces run the Runge-Kutta method
+from the exact states.
 
 The envelope has kinks, and a method of order 6 keeps its order only on a
 smooth right-hand side. One motor.envelope_pieces call gives the kernel the
@@ -61,9 +79,10 @@ in force at its start, extended smoothly past its kink even where a stage's
 speed lands beyond it. A step ending on another piece is cut at the first
 kink crossed, located by regula falsi on |omega_m| = k v / J, and the next
 step starts on the new piece (the standard treatment of a discontinuous
-right-hand side, ibid. section II.6). On piece 0, omega_m is explicit in u,
-so the trials of that search evaluate it at one node each and one exact
-step goes to the root; elsewhere each trial is a step. Crossing the last
+right-hand side, ibid. section II.6). On pieces 0 and 1 the closed form
+gives omega_m at any u, so the trials of that search are one probe,
+sign (omega_m - level) at one node, for a crossing up or down, and one
+exact step goes to the root; elsewhere each trial is a step. Crossing the last
 kink, omega_max, upward is the contact-force-zero event. A moving timeout
 is located with full trial steps on every piece, and a stall is bisected
 with Runge-Kutta steps on every piece, whose stages stop where K reaches
@@ -81,7 +100,7 @@ k depends on r and S0. A row holds the rest: the step's nodes, h = ue - u
 and h/120, and at each stage node x (1/3, 1/2, 2/3 and 1 of the step) the
 Jacobian J, sin(theta) and cos(theta) for the crank angle
 theta = q2 + (pi - delta_theta), rhs's products 2x, 2x J and m g J, and,
-for exact, m g (y - y_init) and cos(theta_init) - cos(theta), each written
+for exact and exact1, m g (y - y_init) and cos(theta_init) - cos(theta), each written
 so that no digits cancel near the start (leg.rise, mechanism.cos_drop).
 _u_grid tabulates one row per step, once per (q2_init, cap, u_steps,
 Jacobian scale, m g, delta_theta, graded), through the same _row the kernel
@@ -109,8 +128,8 @@ Every other run ends at t_max, and the kernel names how:
   optimizer candidates well defined.
 * Stall -- the kinetic energy falls to zero mid-stroke, and the knee is
   held at the stall pose with dq2 = 0 by the same reasoning.
-* Timeout -- the knee is still moving at t_max, located to well under
-  1e-9 s.
+* Timeout -- the knee is still moving at t_max, located to 1e-14 t_max
+  past it, or to 1e-12 relative in u.
 
 A recorded trajectory holds one sample per u-step (graded steps included)
 plus one at each kink and event.
@@ -131,6 +150,9 @@ from .motor import MotorParams, envelope_pieces, torque_envelope
 
 U_STEPS = 75
 """SimConfig.u_steps default: order-6 u-steps before kink and event splits."""
+
+NEWTON_CAP = 8
+"""Most Newton iterations for the state at one node of piece 1."""
 
 GRADED_MARGIN = 0.05
 """A run whose lift margin 1 - m g J0 / (eta_j k0 tau_peak) is below this
@@ -327,7 +349,12 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     # A fixed ratio reads only J, so it shares the delta_theta = 0 table.
     th_off = crank_offset(mech) if vrr else math.pi
     turn = turn_law(mech, q2_init + th_off)
-    eta_tau, sqrt = eta * tau_peak, math.sqrt
+    eta_tau, sqrt, log1p = eta * tau_peak, math.sqrt, math.log1p
+    # Piece 1 (see the module docstring): the terminal p = sqrt(K), a, and
+    # t - t_a = c_t (-delta - a L).
+    p_peak = motor.p_peak
+    a = eta * p_peak / (mg * c_v)
+    two_a, two_aa, c_t = 2.0 * a, 2.0 * a * a, 2.0 / (mg * c_v)
 
     def geom(q2: float) -> tuple[float, float]:
         """(k, J) at knee angle q2."""
@@ -352,13 +379,42 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         rise_x, drop = _rise_drop(x, q2_init, jfac, mg, th_off)
         return ratio(sin_th, cos_th), jj, turn(x * x, cos_th, drop), rise_x
 
-    def above_break(x: float) -> float:
-        """omega_m - omega_break at u = x on piece 0."""
-        kr, jj, phi, rise_x = node(x)
-        kk = max(k_off + eta_tau * phi - rise_x, 0.0)
-        return kr * (c_v * sqrt(kk)) / jj - kinks[0]
+    def power(s: tuple, ye: float) -> tuple[float, float]:
+        """(p, log1p(-(p - p_a) / (a - p_a))) on piece 1 where
+        m g (y - y_init) = ye, by Newton on Y(p) from the anchor, started
+        from the state s on the piece."""
+        if gap == 0.0:
+            # K stays at a^2, and Y grows as m g sqrt(2/m) a t.
+            return a, (y_a - ye) / two_aa
+        # s's Y is exact: step from it to second order in Y, with dp/dY =
+        # (a - p) / (2 p^2), in Pade form so that the step never turns back.
+        x, dy = s[1], ye - s[5]
+        xx = 2.0 * x * x
+        x += (a - x) / xx * dy / (1.0 - dy * (x - two_a) / (2.0 * x * xx))
+        for _ in range(NEWTON_CAP):
+            d = x - p_a
+            lg = log1p(-d / gap)
+            dx = ((ye - y_a + d * (x + p_a + two_a) + two_aa * lg)
+                  * (a - x) / (2.0 * x * x))
+            if (a - x - dx) * gap <= 0.0:
+                # Keep the iterate on the anchor's side of a.
+                dx = 0.5 * (a - x)
+            x += dx
+            if abs(dx) <= 1e-8 * abs(a - x):
+                break
+        # log1p at the last iterate, carried to x to first order.
+        return x, lg - dx / (a - x + dx)
 
-    # A state is (u, p, t, w_motor, rhs at the state).
+    def omega_at(s: tuple, x: float) -> float:
+        """omega_m at u = x from state s on piece 0 or 1, in closed form."""
+        kr, jj, phi, rise_x = node(x)
+        p = (sqrt(max(k_off + eta_tau * phi - rise_x, 0.0)) if piece == 0
+             else power(s, rise_x)[0])
+        return kr * (c_v * p) / jj
+
+    # A state is (u, p, t, w_motor, rhs at the state), followed by
+    # m g (y - y_init) where power starts from it: on entry to a piece, and
+    # on piece 1.
     def exact(s: tuple, row: tuple) -> tuple:
         """The state at row's end on piece 0: K and w_motor in closed form,
         and t by the order-6 weights (11, 81, -64, 81, 11)/120 at the nodes
@@ -384,10 +440,24 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                 w_off + tau_peak * phi,
                 (ue * (eta * tk - ge) / pe, dje / v, de * tk, kr * v / je))
 
+    def exact1(s: tuple, row: tuple) -> tuple:
+        """The state at row's end on piece 1: p by power, then t and w_motor
+        in closed form from the anchor."""
+        (_, ue, _, _, _, _, _, _, _, _, _, _, _, _, je, sin_e, cos_e, _, _,
+         _, _, _, de, _, _, _, dje, _, _, _, ge, (_, _, _, (ye, _))) = row
+        pe, lg = power(s, ye)
+        dt = c_t * (p_a - pe - a * lg)
+        v = c_v * pe
+        kr = ratio(sin_e, cos_e)
+        om = kr * v / je
+        tk = tau(om) * kr
+        return (ue, pe, t_a + dt, w_a + p_peak * dt,
+                (ue * (eta * tk - ge) / pe, dje / v, de * tk, om), ye)
+
     def advance(s: tuple, row: tuple) -> tuple:
         """One step of Butcher's 7-stage order-6 Runge-Kutta method from
         state s over row (see _row); s[0] is the row's start."""
-        _, p, t, w, (a1, b1, c1, _) = s
+        p, t, w, (a1, b1, c1, _) = s[1:5]
         (_, ue, u1, u2, u3, j1, sin1, cos1, j2, sin2, cos2, j3, sin3, cos3,
          je, sin_e, cos_e, h, h120, d1, d2, d3, de, dj1, dj2, dj3, dje,
          g1, g2, g3, ge, _) = row
@@ -450,10 +520,8 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
 
     def step(s: tuple, ue: float) -> tuple:
         """One step from s to ue, with its row computed from u: for steps
-        that do not start on a grid point. It is exact on piece 0."""
-        closed = piece == 0
-        return (exact if closed else advance)(
-            s, _row(s[0], ue, q2_init, jfac, mg, th_off, closed))
+        that do not start on a grid point. It is exact on pieces 0 and 1."""
+        return move(s, _row(s[0], ue, q2_init, jfac, mg, th_off, piece < 2))
 
     def locate(s: tuple, end: tuple, phi, tol: float, probe=None) -> tuple:
         """The first state past the root of phi on the step from s to end.
@@ -573,6 +641,9 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     # w_motor = w_off + tau_peak turn: from rest, or from the state where
     # the run re-entered piece 0 (work and energy).
     k_off = w_off = 0.0
+    # On piece 1, the anchor: p, m g (y - y_init), t and w_motor where the
+    # run last entered the piece, and a - p_a.
+    p_a = y_a = t_a = w_a = gap = 0.0
     move = exact
     # With a small lift margin f0 is small against the growth of f, and K
     # bends within the first uniform step: those runs start graded.
@@ -597,24 +668,30 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                     new = locate(state, new,
                                  lambda s: sign * (s[4][3] - level),
                                  1e-10 * level,
-                                 above_break if piece == 0 else None)
+                                 (lambda x: sign * (omega_at(state, x) - level))
+                                 if piece < 2 else None)
                     if up and piece == len(kinks) - 1:
                         ended = Termination.CONTACT_FORCE_ZERO
                     now = piece + (1 if up else -1)
                 if new[2] > t_max:
-                    new = locate(state, new, lambda s: s[2] - t_max, 1e-11)
+                    new = locate(state, new, lambda s: s[2] - t_max,
+                                 1e-14 * t_max)
                     ended = Termination.TIMEOUT
                 if now != piece and ended is None:
                     # The next step starts on the piece past the kink.
                     piece = now
                     tau = pieces[piece]
-                    move = exact if piece == 0 else advance
+                    move = (exact, exact1, advance, advance)[piece]
                     kr, jj, phi, rise_a = node(new[0])
                     if piece == 0:
                         # Re-entry: K and w_motor continue from here.
                         k_off = new[1] * new[1] - eta_tau * phi + rise_a
                         w_off = new[3] - tau_peak * phi
-                    new = (*new[:4], rhs(new[0], new[1], kr, jj))
+                    elif piece == 1:
+                        # Every entry, from below or above, anchors anew.
+                        p_a, y_a, t_a, w_a = new[1], rise_a, new[2], new[3]
+                        gap = a - p_a
+                    new = (*new[:4], rhs(new[0], new[1], kr, jj), rise_a)
             except _Stall:
                 return stall(state, ue)
             # A kink located at the state itself adds no row.

@@ -302,15 +302,15 @@ FULL_BOX_SHA256 = {
     "grid_frr_-1.9199.csv":
         "4e78c02e06a57a50fcdc8b42259e4775a6d6fd68fe1c09e54cafce725b9b28d6",
     "grid_frr_-2.2689.csv":
-        "3b0851637b7dcd0d66d9ad0bc27fe1e7d16ed519b3b89ecd4813cc1e3a2cd91b",
+        "cb91ec765095b38e8c29fb2e0b70580ce7e9991ecd085c71577f5a44cf200ee2",
     "grid_frr_-2.6180.csv":
         "d8382e48575c55c94ecd551a10da8fcc31e82dfce90aab7e32257351f3d905f8",
     "grid_vrr_-1.9199.csv":
-        "a140cd0a0729893abe509fc205bd3f6a351e2158f48e8b07fb89d628370c9cac",
+        "5b4887bc5689b5bbd6ca7a62ea426bd7f1250a36b6ed8d7f5e3fe0c13b102eff",
     "grid_vrr_-2.2689.csv":
-        "5825b4fb414d4035feab8fa6ef80bbf9c8c0fa552183cd9bcec59f62b6aab482",
+        "ed8e6b0c978a4628914b3d28becc4ab03ad4f4026c19807775bb4c927fe9c302",
     "grid_vrr_-2.6180.csv":
-        "e45e507da8f6e3220defb52a8016d1322b612526719d5e5ee0c56680f54a4c40",
+        "a5cb9821e79ec49eb6ce0a38863c97708232d954f4de46e71108746222b3f973",
     "overall_ratio_-1.9199.csv":
         "a8d60672134dd18026ebab4160bcfce76f0d80047e8d1e86df683f59e1d012d4",
     "overall_ratio_-2.2689.csv":
@@ -324,23 +324,23 @@ FULL_BOX_SHA256 = {
     "ratio_curve_evrr_-2.6180.csv":
         "9f665bcc11cd1f08f48a1eb0d37541d4237c526058cd033059f5940a16b400d5",
     "summary.csv":
-        "7ff6904dfca703fb8e15e7b035ddc261b5d944ea813a4fe90fe9c6b47a67fb96",
+        "c7c8f7cb09d8ade2410c253df05ae7bcbd3ffbb48d8b1f11834622acbd6ba5ec",
     "summary.json":
-        "41a085829621321b353445b269856e2f3ce0ba779a3a2b969de79f294969de16",
+        "737da90775932045baed2561247e9033bcf8836a9f9089b174cff2477e125b95",
     "summary.txt":
         "1d4284bf7fe3b570786c636b8f6fcbe3047032c527739bfe3da0eac35cea7964",
     "trajectory_evrr_-1.9199.csv":
-        "6dc31c23794d4cb458a8496841806c3ceeba3e86148850773e3b63c813a70258",
+        "07ea9adb4f14ffe10fd8dd0fdbfb0464cef2026080a696d9e26e7cffd2a2afdc",
     "trajectory_evrr_-2.2689.csv":
-        "d5652682635e1259ce3141fe66a79198419577984de8ffe4f8181a7de8d57257",
+        "574b5821d3ef6c5e735c46c8aa230f0b682cf16bcd722aa5bf9ea2b75baff233",
     "trajectory_evrr_-2.6180.csv":
-        "0645f4250895ca80bfbfff4445ce6293300c87afbd09901106b2b5ee6b7ebaed",
+        "2d2e697606155b30a56133ba56a8c2ecdd2e356d7823d8b280586a7352eec878",
     "trajectory_frr_-1.9199.csv":
         "b627b089d2986b3de5376ccc54de1866c4d4cddc4a6b2fece99b07cb55531feb",
     "trajectory_frr_-2.2689.csv":
         "f66dba9d2184b563e9556fbe3c3aef936ef8d304ddde4eef1358e1f401e70ec9",
     "trajectory_frr_-2.6180.csv":
-        "de8fa6dbfdf49b2f8bb4b3a2fb26c778add732829b29f44c7bec55bf3a4626c7",
+        "1c59fb733ed45de6d0aa934f62198a94f1f531cce0e6f3503d2567df576f9fae",
 }
 """sha256 of every file but metadata.json that `vrrjump compare --dump-grid`
 writes for fullscale.json's full box (the report's metadata carries no

@@ -41,9 +41,9 @@ K_REL = 5e-13
 W_REL = 5e-13
 T_REL = 2e-10
 # Piece 1: every sample past the crossing, and W and t at the cap.
-K1_REL = 1e-10
-W1_REL = 1e-10
-T1_REL = 5e-11
+K1_REL = 4e-15
+W1_REL = 4e-15
+T1_REL = 4e-15
 
 ANGLES = [-2.618, -2.2689, -1.9199]
 MECHS = [VrrParams(0.047, 0.150), VrrParams(0.050, 0.100),

@@ -99,13 +99,13 @@ def test_row_format_renders_none_empty():
 
 SINGLE_DESIGN_SHA256 = {
     "trajectory_-2.6180.csv":
-        "1a1f207bf0a3c844e002d850f70decee54f9c709eb3c189ede3463fb41a88b48",
+        "a73d3d02ddba19bc78adf840745c7b770bab2292baacaf1fffa53651914c7d69",
     "trajectory_-2.2689.csv":
-        "aadc6ffbd82c250b42ff406a4ec7e25c6a1afd1206bf6accfd9197092ea49817",
+        "ec0cd9c9fdc60b0feff6e63a0bbf6006ccc7cc2d9fa521d65e8d9242abee89f3",
     "trajectory_-1.9199.csv":
-        "9e7f30f1a791ab8e5378b1dc4b397b40be7e9b03469d0fa1d7fed8b173282d2a",
+        "16b0cf6da35824b87518ebfbee2b8778c55fa531f20e7ae72279d40860890ac3",
     "trajectory_frr23_-2.6180.csv":
-        "de8fa6dbfdf49b2f8bb4b3a2fb26c778add732829b29f44c7bec55bf3a4626c7",
+        "1c59fb733ed45de6d0aa934f62198a94f1f531cce0e6f3503d2567df576f9fae",
     "ratio_curve_default.csv":
         "7814a52a8e1fe8097bba684c8b73a15b0655c61d7f4f70275e86f14dbecfd653",
     "ratio_curve_-3.1_-0.02_n57.csv":
