@@ -11,7 +11,7 @@ vertical by the knee through the CoM Jacobian J(q2):
 Link rotational inertia and reflected actuator inertia are neglected.
 
 The physics is not defined here: k, the envelope, the crank angle, J and
-the height come from mechanism.ratio_law, motor.torque_envelope (both bound
+the height come from mechanism.ratio_law, motor.envelope_pieces (both bound
 once per run), mechanism.crank_offset, leg.jacobian and leg.height, so every
 recorded sample equals max_torque, reduction_ratio, com_height and
 com_jacobian bit for bit.
@@ -146,7 +146,7 @@ from .errors import DomainError, require_finite
 from .leg import LegModel, com_height, height, jacobian, rise
 from .mechanism import (FrrParams, VrrParams, check_working_range,
                         cos_drop, crank_offset, ratio_law, turn_law)
-from .motor import MotorParams, envelope_pieces, torque_envelope
+from .motor import MotorParams, envelope_pieces
 
 U_STEPS = 75
 """SimConfig.u_steps default: order-6 u-steps before kink and event splits."""
@@ -343,7 +343,6 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     cap = cfg.q2_takeoff_cap
     t_max = cfg.t_max
     u_cap = math.sqrt(cap - q2_init)
-    envelope = torque_envelope(motor)
     pieces, kinks, piece_of = envelope_pieces(motor)
     ratio = ratio_law(mech)
     # A fixed ratio reads only J, so it shares the delta_theta = 0 table.
@@ -566,7 +565,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         k, jj = geom(q2)
         v = c_v * s[1]
         om = k * v / jj
-        tau_m = envelope(om)
+        tau_m = pieces[piece_of(om)](om)
         tau_j = tau_m * k * eta
         # Positional, in field order: keywords cost as much again.
         return SimState(
