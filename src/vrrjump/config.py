@@ -280,23 +280,24 @@ def load_config(path: str | Path, jacobian_mode: str | None = None) -> RunConfig
     resolution, so the override is echoed in the resolved document.
     """
     path = Path(path)
+    name = echo(str(path))
     try:
         doc = json.loads(path.read_text(encoding="utf-8"),
                          parse_constant=_NonFinite, object_pairs_hook=_unique_keys)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config {name}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at offset "
+        raise ConfigError(f"{name}: not UTF-8 text ({exc.reason} at offset "
                           f"{exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            f"{name}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except RecursionError:
-        raise ConfigError(f"{path}: JSON nested too deeply to parse") from None
+        raise ConfigError(f"{name}: JSON nested too deeply to parse") from None
     except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    doc = _require_mapping(doc, str(path))
+        raise ConfigError(f"{name}: {exc}") from None
+    doc = _require_mapping(doc, name)
     if jacobian_mode is not None:
         doc.setdefault("leg", {})
         _require_mapping(doc["leg"], "leg")["jacobian_mode"] = jacobian_mode

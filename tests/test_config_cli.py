@@ -4,6 +4,7 @@ import importlib.resources
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -858,7 +859,7 @@ def test_config_not_utf8_exits_2(tmp_path, capsys, monkeypatch):
     path.write_bytes(b'{"output_dir": "r\xe9sultats"}')
     assert main(["compare", "--config", str(path)]) == 2
     assert capsys.readouterr().err == (
-        f"config error: {path}: not UTF-8 text (invalid continuation byte "
+        f"config error: {str(path)!r}: not UTF-8 text (invalid continuation byte "
         f"at offset 17)\n")
 
 
@@ -868,7 +869,7 @@ def test_config_nested_too_deeply_exits_2(tmp_path, capsys, monkeypatch):
     path.write_text("[" * 100_000)
     assert main(["compare", "--config", str(path)]) == 2
     assert capsys.readouterr().err == (
-        f"config error: {path}: JSON nested too deeply to parse\n")
+        f"config error: {str(path)!r}: JSON nested too deeply to parse\n")
 
 
 @pytest.mark.parametrize("key,first,second", [
@@ -882,7 +883,8 @@ def test_duplicate_key_rejected(tmp_path, capsys, monkeypatch, key, first,
     assert text.count(f'"{key}": ') == 1
     path = tmp_path / "dup.json"
     path.write_text(text.replace(f'"{key}": ', f'"{key}": {first}, "{key}": '))
-    with pytest.raises(ConfigError, match=f"^{path}: duplicate key '{key}'$"):
+    with pytest.raises(ConfigError,
+                       match=f"^{re.escape(repr(str(path)))}: duplicate key '{key}'$"):
         load_config(path)
     assert main(["compare", "--config", str(path)]) == 2
     assert "config error: " in capsys.readouterr().err
@@ -925,10 +927,28 @@ def test_echoed_values_are_short_and_printable(tmp_path, capsys, monkeypatch,
 
 def test_error_text_escapes_what_stderr_cannot_encode(capsys):
     """A config path from the command line that holds an undecodable byte
-    reaches the message raw; it is written as a backslash escape."""
+    is quoted as a backslash escape."""
     assert main(["compare", "--config", "missing\udcff.json"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: cannot read config missing\\udcff")
+    assert err.startswith(
+        "config error: cannot read config 'missing\\udcff.json': ")
+
+
+@pytest.mark.parametrize("exists", [False, True])
+def test_config_path_is_escaped(tmp_path, capsys, monkeypatch, exists):
+    """A terminal escape and a newline in the config path, of a file that
+    is missing or not JSON, reach standard error as backslash escapes, on
+    one line."""
+    refuse_work(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    path = "\x1b[31mx\n.json"
+    if exists:
+        Path(path).write_text("{")
+    assert main(["compare", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {'' if exists else 'cannot read config '}"
+                          "'\\x1b[31mx\\n.json': ")
+    assert err.count("\n") == 1 and err[:-1].isprintable()
 
 
 def test_first_fault_in_section_order_is_reported(tmp_path, capsys):
