@@ -61,8 +61,8 @@ def test_census_classes_are_the_kernels(tmp_path, capsys, monkeypatch):
             if "did not reach the kernel" in line]
     # Every class's t error is bounded, not only its W error.
     slow = copy.deepcopy(result)
-    slow["rows"]["timeout"]["t"] = 2e-9
-    assert census.failures(slow) == ["timeout: max t error 2e-09 > 1e-09"]
+    slow["rows"]["timeout"]["t"] = 2e-10
+    assert census.failures(slow) == ["timeout: max t error 2e-10 > 1e-10"]
 
     assert census.main(["--config", str(path), "--angle", str(ANGLE),
                         "--check"]) == 0

@@ -11,7 +11,7 @@ significant digits.
 
 With --check the exit status is 1 when an angle-cap, contact-force-zero or
 moving-timeout W error exceeds 1e-10, a stall's exceeds 1e-8, any class's t
-error exceeds 1e-9, a candidate changes class between n and 16n, an optimum
+error exceeds 1e-10, a candidate changes class between n and 16n, an optimum
 moves, or no angle-cap W differs between n and 16n (the refined count did
 not reach the kernel). The classes are the kernel's Termination values and
 range_fail.
@@ -32,8 +32,8 @@ from vrrjump.report import fmt
 REFINE = 16
 CLASSES = (*(how.value for how in Termination), "range_fail")
 # (W, t) error bounds per class; a static hold is exact.
-BOUND = {"angle_cap": (1e-10, 1e-9), "contact_force_zero": (1e-10, 1e-9),
-         "stall": (1e-8, 1e-9), "timeout": (1e-10, 1e-9)}
+BOUND = {"angle_cap": (1e-10, 1e-10), "contact_force_zero": (1e-10, 1e-10),
+         "stall": (1e-8, 1e-10), "timeout": (1e-10, 1e-10)}
 
 
 def census(cfg) -> dict:
