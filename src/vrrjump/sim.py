@@ -63,14 +63,11 @@ delta = p - p_a and L = log1p(-delta / (a - p_a)),
     t - t_a = 2 / (m g sqrt(2/m)) (-delta - a L)
     w_motor = w_a + p_peak (t - t_a)
 
-where the anchor a is the state where the run last entered the piece, from
-below or above. There exact1 replaces the stages: the row gives Y at the
-step's end, power solves the first line for p by Newton (dY/dp =
-2 p^2 / (a - p)), capped at NEWTON_CAP iterations and started by a
-second-order step in Y from the state, whose Y is exact (about two
-iterations per node), and the other two lines give t and w_motor. K never
-reaches zero on this piece. The last two pieces run the Runge-Kutta method
-from the exact states.
+from the anchor, the state where the run last entered the piece, from
+below or above. There exact1 replaces the stages: it takes Y at the step's
+end from the row and solves the first line for p by Newton (power), and K
+never reaches zero. The last two pieces run the Runge-Kutta method from
+the exact states.
 
 The envelope has kinks, and a method of order 6 keeps its order only on a
 smooth right-hand side. One motor.envelope_pieces call gives the kernel the
@@ -82,8 +79,8 @@ step starts on the new piece (the standard treatment of a discontinuous
 right-hand side, ibid. section II.6). On pieces 0 and 1 the closed form
 gives omega_m at any u, so the trials of that search are one probe,
 sign (omega_m - level) at one node, for a crossing up or down, and one
-exact step goes to the root; elsewhere each trial is a step. Crossing the last
-kink, omega_max, upward is the contact-force-zero event. A moving timeout
+exact step goes to the root; elsewhere each trial is a step. Crossing the
+last kink, omega_max, upward is the contact-force-zero event. A moving timeout
 is located with full trial steps on every piece, and a stall is bisected
 with Runge-Kutta steps on every piece, whose stages stop where K reaches
 zero instead of integrating t through its 1/sqrt(K) singularity.
@@ -100,8 +97,9 @@ k depends on r and S0. A row holds the rest: the step's nodes, h = ue - u
 and h/120, and at each stage node x (1/3, 1/2, 2/3 and 1 of the step) the
 Jacobian J, sin(theta) and cos(theta) for the crank angle
 theta = q2 + (pi - delta_theta), rhs's products 2x, 2x J and m g J, and,
-for exact and exact1, m g (y - y_init) and cos(theta_init) - cos(theta), each written
-so that no digits cancel near the start (leg.rise, mechanism.cos_drop).
+for exact and exact1, m g (y - y_init) and cos(theta_init) - cos(theta),
+each written so that no digits cancel near the start (leg.rise,
+mechanism.cos_drop).
 _u_grid tabulates one row per step, once per (q2_init, cap, u_steps,
 Jacobian scale, m g, delta_theta, graded), through the same _row the kernel
 uses off the grid, in a bounded cache that each process (each pool worker
@@ -349,10 +347,8 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     th_off = crank_offset(mech) if vrr else math.pi
     turn = turn_law(mech, q2_init + th_off)
     eta_tau, sqrt, log1p = eta * tau_peak, math.sqrt, math.log1p
-    # Piece 1 (see the module docstring): the terminal p = sqrt(K), a, and
-    # t - t_a = c_t (-delta - a L).
-    p_peak = motor.p_peak
-    a = eta * p_peak / (mg * c_v)
+    # Piece 1's terminal p = sqrt(K), a, and constants (module docstring).
+    a = eta * motor.p_peak / (mg * c_v)
     two_a, two_aa, c_t = 2.0 * a, 2.0 * a * a, 2.0 / (mg * c_v)
 
     def geom(q2: float) -> tuple[float, float]:
@@ -379,14 +375,15 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         return ratio(sin_th, cos_th), jj, turn(x * x, cos_th, drop), rise_x
 
     def power(s: tuple, ye: float) -> tuple[float, float]:
-        """(p, log1p(-(p - p_a) / (a - p_a))) on piece 1 where
-        m g (y - y_init) = ye, by Newton on Y(p) from the anchor, started
-        from the state s on the piece."""
+        """(p, L) on piece 1 where m g (y - y_init) = ye, L = log1p(-(p - p_a)
+        / (a - p_a)): Newton on Y(p), dY/dp = 2 p^2 / (a - p), from a
+        second-order step off the state s, for at most NEWTON_CAP iterations.
+        A step under 1e-8 |a - p| ends it: the next would be under rounding."""
         if gap == 0.0:
             # K stays at a^2, and Y grows as m g sqrt(2/m) a t.
             return a, (y_a - ye) / two_aa
-        # s's Y is exact: step from it to second order in Y, with dp/dY =
-        # (a - p) / (2 p^2), in Pade form so that the step never turns back.
+        # The step from s, whose Y is exact, is in Pade form so that it
+        # never turns back.
         x, dy = s[1], ye - s[5]
         xx = 2.0 * x * x
         x += (a - x) / xx * dy / (1.0 - dy * (x - two_a) / (2.0 * x * xx))
@@ -411,9 +408,8 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
              else power(s, rise_x)[0])
         return kr * (c_v * p) / jj
 
-    # A state is (u, p, t, w_motor, rhs at the state), followed by
-    # m g (y - y_init) where power starts from it: on entry to a piece, and
-    # on piece 1.
+    # A state is (u, p, t, w_motor, rhs at the state), after an entry and on
+    # piece 1 followed by m g (y - y_init), which power starts from.
     def exact(s: tuple, row: tuple) -> tuple:
         """The state at row's end on piece 0: K and w_motor in closed form,
         and t by the order-6 weights (11, 81, -64, 81, 11)/120 at the nodes
@@ -450,7 +446,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         kr = ratio(sin_e, cos_e)
         om = kr * v / je
         tk = tau(om) * kr
-        return (ue, pe, t_a + dt, w_a + p_peak * dt,
+        return (ue, pe, t_a + dt, w_a + motor.p_peak * dt,
                 (ue * (eta * tk - ge) / pe, dje / v, de * tk, om), ye)
 
     def advance(s: tuple, row: tuple) -> tuple:
@@ -666,9 +662,8 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                     sign = 1.0 if up else -1.0
                     new = locate(state, new,
                                  lambda s: sign * (s[4][3] - level),
-                                 1e-10 * level,
-                                 (lambda x: sign * (omega_at(state, x) - level))
-                                 if piece < 2 else None)
+                                 1e-10 * level, None if piece > 1 else
+                                 lambda x: sign * (omega_at(state, x) - level))
                     if up and piece == len(kinks) - 1:
                         ended = Termination.CONTACT_FORCE_ZERO
                     now = piece + (1 if up else -1)
