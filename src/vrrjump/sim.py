@@ -65,8 +65,8 @@ delta = p - p_a and L = log1p(-delta / (a - p_a)),
 
 from the anchor, the state where the run last entered the piece, from
 below or above. There exact1 replaces the stages: it takes Y at the step's
-end from the row and solves the first line for p by Newton (power), and K
-never reaches zero. The last two pieces run the Runge-Kutta method from
+end from the row, newton solves the first line for p, and K never reaches
+zero. The last two pieces run the Runge-Kutta method from
 the exact states.
 
 The envelope has kinks, and a method of order 6 keeps its order only on a
@@ -374,7 +374,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         rise_x, drop = _rise_drop(x, q2_init, jfac, mg, th_off)
         return ratio(sin_th, cos_th), jj, turn(x * x, cos_th, drop), rise_x
 
-    def power(s: tuple, ye: float) -> tuple[float, float]:
+    def newton(s: tuple, ye: float) -> tuple[float, float]:
         """(p, L) on piece 1 where m g (y - y_init) = ye, L = log1p(-(p - p_a)
         / (a - p_a)): Newton on Y(p), dY/dp = 2 p^2 / (a - p), from a
         second-order step off the state s, for at most NEWTON_CAP iterations.
@@ -405,11 +405,11 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         """omega_m at u = x from state s on piece 0 or 1, in closed form."""
         kr, jj, phi, rise_x = node(x)
         p = (sqrt(max(k_off + eta_tau * phi - rise_x, 0.0)) if piece == 0
-             else power(s, rise_x)[0])
+             else newton(s, rise_x)[0])
         return kr * (c_v * p) / jj
 
     # A state is (u, p, t, w_motor, rhs at the state), after an entry and on
-    # piece 1 followed by m g (y - y_init), which power starts from.
+    # piece 1 followed by m g (y - y_init), which newton starts from.
     def exact(s: tuple, row: tuple) -> tuple:
         """The state at row's end on piece 0: K and w_motor in closed form,
         and t by the order-6 weights (11, 81, -64, 81, 11)/120 at the nodes
@@ -436,11 +436,11 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                 (ue * (eta * tk - ge) / pe, dje / v, de * tk, kr * v / je))
 
     def exact1(s: tuple, row: tuple) -> tuple:
-        """The state at row's end on piece 1: p by power, then t and w_motor
+        """The state at row's end on piece 1: p by newton, then t and w_motor
         in closed form from the anchor."""
         (_, ue, _, _, _, _, _, _, _, _, _, _, _, _, je, sin_e, cos_e, _, _,
          _, _, _, de, _, _, _, dje, _, _, _, ge, (_, _, _, (ye, _))) = row
-        pe, lg = power(s, ye)
+        pe, lg = newton(s, ye)
         dt = c_t * (p_a - pe - a * lg)
         v = c_v * pe
         kr = ratio(sin_e, cos_e)

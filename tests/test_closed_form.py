@@ -16,16 +16,16 @@ ratio_law nor the simulator's internals: every recorded sample at or below
 omega_break must match it.
 
 Above omega_break the motor holds the power p_peak, so dK/dy = eta_j p_peak
-/ v - m g, whatever the ratio. In s = sqrt(K), with Y = m g (y - y_init),
-a = eta_j p_peak / (m g sqrt(2/m)) (the terminal s) and delta = s - s_a
+/ v - m g, whatever the ratio. In p = sqrt(K), with Y = m g (y - y_init),
+a = eta_j p_peak / (m g sqrt(2/m)) (the terminal p) and delta = p - p_a
 from the state a where the run enters the piece,
 
-    Y - Y_a = -delta (s + s_a + 2 a) - 2 a^2 log1p(-delta / (a - s_a))
-    t - t_a = 2 / (m g sqrt(2/m)) (-delta - a log1p(-delta / (a - s_a)))
+    Y - Y_a = -delta (p + p_a + 2 a) - 2 a^2 log1p(-delta / (a - p_a))
+    t - t_a = 2 / (m g sqrt(2/m)) (-delta - a log1p(-delta / (a - p_a)))
     w_motor = w_a + p_peak (t - t_a)
 
 The test finds the omega_break crossing with brentq on piece 0's closed
-form, and s at each later sample with brentq on the first line.
+form, and p at each later sample with brentq on the first line.
 """
 
 import math
@@ -147,23 +147,23 @@ def test_piece1_matches_closed_form(leg, motor, mech, angle):
     k_a, w_a, _ = state(d_a)
     t_a = quad(lambda x: state(x * x)[2], 0.0, math.sqrt(d_a), epsabs=0.0,
                epsrel=2e-14, limit=200)[0]
-    s_a, y_a = math.sqrt(k_a), rise(leg, angle, d_a)
+    p_a, y_a = math.sqrt(k_a), rise(leg, angle, d_a)
     a = motor.eta_j * motor.p_peak / (mg * c_v)
-    assert s_a < a
+    assert p_a < a
 
     def piece1(d):
         """(K, w_motor, t) at q2 = angle + d on piece 1."""
-        def excess(s):
-            delta = s - s_a
-            return (y_a - delta * (s + s_a + 2.0 * a)
-                    - 2.0 * a * a * math.log1p(-delta / (a - s_a))
+        def excess(p):
+            delta = p - p_a
+            return (y_a - delta * (p + p_a + 2.0 * a)
+                    - 2.0 * a * a * math.log1p(-delta / (a - p_a))
                     - rise(leg, angle, d))
-        s = brentq(excess, 0.5 * s_a, a * (1.0 - 1e-12), xtol=1e-300)
-        s -= excess(s) * (a - s) / (2.0 * s * s)   # one Newton step
-        delta = s - s_a
+        p = brentq(excess, 0.5 * p_a, a * (1.0 - 1e-12), xtol=1e-300)
+        p -= excess(p) * (a - p) / (2.0 * p * p)   # one Newton step
+        delta = p - p_a
         t = t_a + 2.0 / (mg * c_v) * (-delta - a * math.log1p(
-            -delta / (a - s_a)))
-        return s * s, w_a + motor.p_peak * (t - t_a), t
+            -delta / (a - p_a)))
+        return p * p, w_a + motor.p_peak * (t - t_a), t
 
     assert res.terminated_by is Termination.ANGLE_CAP
     past = [s for s in res.trajectory if s.q2 - angle > d_a]
