@@ -66,8 +66,17 @@ delta = p - p_a and L = log1p(-delta / (a - p_a)),
 from the anchor, the state where the run last entered the piece, from
 below or above. There exact1 replaces the stages: it takes Y at the step's
 end from the row, newton solves the first line for p, and K never reaches
-zero. The last two pieces run the Runge-Kutta method from
-the exact states.
+zero. Most rows of the piece need no state at all. Y(p) is monotone on
+the anchor's side of a, since dY/dp = 2 p^2 / (a - p), and t rises with
+Y, so a row's end stays on the piece and short of t_max exactly when its
+Y lies between Y(p) at the p of omega_break, J omega_break / (k
+sqrt(2/m)), and at that of omega_hpl (a p that the run cannot reach
+bounds nothing), and short of Y at t_max (y_at, once per anchor). From a
+grid point on the piece, leap tests the rows so, at one ratio and at most
+two log1p each, and the run takes the start of the first row that fails,
+or of the last row, by one newton from the anchor; a recorded run samples
+the rows between, each from the sample before. The last two pieces run
+the Runge-Kutta method from the exact states.
 
 The envelope has kinks, and a method of order 6 keeps its order only on a
 smooth right-hand side. One motor.envelope_pieces call gives the kernel the
@@ -104,7 +113,8 @@ _u_grid tabulates one row per step, once per (q2_init, cap, u_steps,
 Jacobian scale, m g, delta_theta, graded), through the same _row the kernel
 uses off the grid, in a bounded cache that each process (each pool worker
 too) fills on first use. A full grid step reads its row and computes only k
-from it, at the four nodes; the fixed-ratio kernel's k is constant. A step
+from it, at the four nodes, and a row that leap tests computes k at its
+end; the fixed-ratio kernel's k is constant. A step
 that starts off the grid (after a kink or event split, and the trial steps
 of event location and stall bisection) computes its row from u. Either way
 the results are bit for bit those of computing everything per step, and a
@@ -140,7 +150,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import DomainError, require_finite
+from .errors import DomainError, VrrJumpError, require_finite
 from .leg import LegModel, com_height, height, jacobian, rise
 from .mechanism import (FrrParams, VrrParams, check_working_range,
                         cos_drop, crank_offset, ratio_law, turn_law)
@@ -346,10 +356,13 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     # A fixed ratio reads only J, so it shares the delta_theta = 0 table.
     th_off = crank_offset(mech) if vrr else math.pi
     turn = turn_law(mech, q2_init + th_off)
-    eta_tau, sqrt, log1p = eta * tau_peak, math.sqrt, math.log1p
+    eta_tau, sqrt, log1p, exp = (eta * tau_peak, math.sqrt, math.log1p,
+                                 math.exp)
     # Piece 1's terminal p = sqrt(K), a, and constants (module docstring).
-    a = eta * motor.p_peak / (mg * c_v)
+    eta_power = eta * motor.p_peak
+    a = eta_power / (mg * c_v)
     two_a, two_aa, c_t = 2.0 * a, 2.0 * a * a, 2.0 / (mg * c_v)
+    w_break, w_hpl = kinks[0], kinks[1]
 
     def geom(q2: float) -> tuple[float, float]:
         """(k, J) at knee angle q2."""
@@ -374,11 +387,20 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         rise_x, drop = _rise_drop(x, q2_init, jfac, mg, th_off)
         return ratio(sin_th, cos_th), jj, turn(x * x, cos_th, drop), rise_x
 
+    def unsolved(what: str, residual: str) -> VrrJumpError:
+        """The error of a piece-1 solve that NEWTON_CAP iterations did not
+        end: a grid marks its row instead of printing a wrong W."""
+        return VrrJumpError(
+            f"{mech} at q2_init={q2_init}: {what} on the constant-power piece "
+            f"not solved in {NEWTON_CAP} Newton iterations (residual "
+            f"{residual})")
+
     def newton(s: tuple, ye: float) -> tuple[float, float]:
         """(p, L) on piece 1 where m g (y - y_init) = ye, L = log1p(-(p - p_a)
         / (a - p_a)): Newton on Y(p), dY/dp = 2 p^2 / (a - p), from a
         second-order step off the state s, for at most NEWTON_CAP iterations.
-        A step under 1e-8 |a - p| ends it: the next would be under rounding."""
+        A step under 1e-8 |a - p| ends it: the next would be under rounding.
+        A solve that does not end so raises VrrJumpError."""
         if gap == 0.0:
             # K stays at a^2, and Y grows as m g sqrt(2/m) a t.
             return a, (y_a - ye) / two_aa
@@ -390,22 +412,29 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         for _ in range(NEWTON_CAP):
             d = x - p_a
             lg = log1p(-d / gap)
-            dx = ((ye - y_a + d * (x + p_a + two_a) + two_aa * lg)
-                  * (a - x) / (2.0 * x * x))
+            res = ye - y_a + d * (x + p_a + two_a) + two_aa * lg
+            dx = res * (a - x) / (2.0 * x * x)
             if (a - x - dx) * gap <= 0.0:
                 # Keep the iterate on the anchor's side of a.
                 dx = 0.5 * (a - x)
             x += dx
             if abs(dx) <= 1e-8 * abs(a - x):
                 break
+        else:
+            raise unsolved(f"p at m g (y - y_init) = {ye!r} J", f"{res:.3g} J")
         # log1p at the last iterate, carried to x to first order.
         return x, lg - dx / (a - x + dx)
 
     def omega_at(s: tuple, x: float) -> float:
         """omega_m at u = x from state s on piece 0 or 1, in closed form."""
-        kr, jj, phi, rise_x = node(x)
-        p = (sqrt(max(k_off + eta_tau * phi - rise_x, 0.0)) if piece == 0
-             else newton(s, rise_x)[0])
+        if piece == 0:
+            kr, jj, phi, rise_x = node(x)
+            p = sqrt(max(k_off + eta_tau * phi - rise_x, 0.0))
+        else:
+            # Piece 1 reads only k, J and m g (y - y_init).
+            jj, sin_th, cos_th = _geometry(q2_init + x * x, jfac, th_off)
+            kr = ratio(sin_th, cos_th)
+            p = newton(s, mg * rise(jfac, q2_init, x * x))[0]
         return kr * (c_v * p) / jj
 
     # A state is (u, p, t, w_motor, rhs at the state), after an entry and on
@@ -553,6 +582,52 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                 side = -1
         return best if probe is None or best is end else step(s, best)
 
+    def y_at(tm: float) -> float:
+        """m g (y - y_init) on piece 1 where t = tm >= t_a. In z = -L,
+        p = a - (a - p_a) e^-z and t - t_a = c_t (a z - (a - p_a)(1 - e^-z)),
+        which rises with z, convex for p_a < a and concave above: Newton
+        from z >= 0 on the side of the root it bends toward converges
+        monotonely. Then Y - Y_a = eta p_peak (t - t_a) - (K - K_a)."""
+        tau = (tm - t_a) / c_t
+        z = max(tau + gap, 0.0) / a
+        for _ in range(NEWTON_CAP):
+            e = exp(-z)
+            dz = (a * z - gap * (1.0 - e) - tau) / (a - gap * e)
+            z -= dz
+            if abs(dz) <= 1e-12:
+                break
+        else:
+            raise unsolved(f"Y at t = {tm!r} s", f"{dz:.3g} in z")
+        p = a - gap * exp(-z)
+        return y_a + eta_power * (tm - t_a) - (p - p_a) * (p + p_a)
+
+    def past(pb: float, ye: float) -> bool:
+        """Whether p on piece 1 at m g (y - y_init) = ye > y_a lies past pb,
+        seen from the anchor: Y(p) is monotone on the anchor's side of a,
+        which p never reaches, so Y(pb) decides when pb lies between p_a
+        and a."""
+        if (pb - p_a) * gap <= 0.0:
+            return True
+        if (a - pb) * gap <= 0.0:
+            return False
+        d = pb - p_a
+        return ye > y_a - d * (pb + p_a + two_a) - two_aa * log1p(-d / gap)
+
+    def leap(i: int) -> int:
+        """The first row from row i on piece 1 whose end may leave the
+        piece or pass t_max, or else the last row. The end stays on the
+        piece when p there lies past exactly one of the p of omega_break,
+        J omega_break / (k sqrt(2/m)), and that of omega_hpl."""
+        for j in range(i, last):
+            row = rows[j]
+            ye = row[31][3][0]
+            if ye >= y_t:
+                return j
+            c = row[14] / (c_v * ratio(row[15], row[16]))
+            if past(w_break * c, ye) == past(w_hpl * c, ye):
+                return j
+        return last
+
     def q2_of(s: tuple) -> float:
         return cap if s[0] == u_cap else q2_init + s[0] * s[0]
 
@@ -636,15 +711,19 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     # w_motor = w_off + tau_peak turn: from rest, or from the state where
     # the run re-entered piece 0 (work and energy).
     k_off = w_off = 0.0
-    # On piece 1, the anchor: p, m g (y - y_init), t and w_motor where the
-    # run last entered the piece, and a - p_a.
-    p_a = y_a = t_a = w_a = gap = 0.0
+    # On piece 1, the anchor: the state where the run last entered the
+    # piece, its p, m g (y - y_init), t and w_motor, and a - p_a; and the
+    # m g (y - y_init) where t reaches t_max.
+    anchor = None
+    p_a = y_a = t_a = w_a = gap = y_t = 0.0
     move = exact
     # With a small lift margin f0 is small against the growth of f, and K
     # bends within the first uniform step: those runs start graded.
     graded = 1.0 - mg * j0 / lift < GRADED_MARGIN
-    for row in _u_grid(q2_init, cap, cfg.u_steps, jfac, mg, th_off,
-                       graded):
+    rows = _u_grid(q2_init, cap, cfg.u_steps, jfac, mg, th_off, graded)
+    last, i = len(rows) - 1, 0
+    while i <= last:
+        row = rows[i]
         ue = row[1]
         while state[0] < ue:
             ended = None
@@ -677,15 +756,17 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                     tau = pieces[piece]
                     move = (exact, exact1, advance, advance)[piece]
                     kr, jj, phi, rise_a = node(new[0])
+                    new = (*new[:4], rhs(new[0], new[1], kr, jj), rise_a)
                     if piece == 0:
                         # Re-entry: K and w_motor continue from here.
                         k_off = new[1] * new[1] - eta_tau * phi + rise_a
                         w_off = new[3] - tau_peak * phi
                     elif piece == 1:
                         # Every entry, from below or above, anchors anew.
+                        anchor = new
                         p_a, y_a, t_a, w_a = new[1], rise_a, new[2], new[3]
                         gap = a - p_a
-                    new = (*new[:4], rhs(new[0], new[1], kr, jj), rise_a)
+                        y_t = y_at(t_max)
             except _Stall:
                 return stall(state, ue)
             # A kink located at the state itself adds no row.
@@ -694,5 +775,20 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             state = new
             if ended is not None:
                 return finish(state, ended)
+        i += 1
+        if piece == 1 and state[0] == ue:
+            # Rows whose end stays on piece 1 need no state: the run takes
+            # the start of the first row that may leave it from the anchor.
+            j = leap(i)
+            if j > i:
+                if record:
+                    s = state
+                    for r in rows[i:j - 1]:
+                        s = exact1(s, r)
+                        trajectory.append(snapshot(s))
+                state = exact1(anchor, rows[j - 1])
+                if record:
+                    trajectory.append(snapshot(state))
+                i = j
 
     return finish(state, Termination.ANGLE_CAP)

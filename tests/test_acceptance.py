@@ -326,7 +326,7 @@ FULL_BOX_SHA256 = {
     "summary.csv":
         "c7c8f7cb09d8ade2410c253df05ae7bcbd3ffbb48d8b1f11834622acbd6ba5ec",
     "summary.json":
-        "737da90775932045baed2561247e9033bcf8836a9f9089b174cff2477e125b95",
+        "7faa4f6a92cdabf68f3751de536f79f6ed178b39790df3efeb803d081d846d10",
     "summary.txt":
         "1d4284bf7fe3b570786c636b8f6fcbe3047032c527739bfe3da0eac35cea7964",
     "trajectory_evrr_-1.9199.csv":

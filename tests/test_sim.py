@@ -7,9 +7,9 @@ import math
 import pytest
 
 from vrrjump import (DomainError, FrrParams, MechanismRangeError, SearchBox,
-                     SimConfig, Termination, VrrParams, com_height,
-                     com_jacobian, jump_height, load_config, max_torque,
-                     optimize_frr, optimize_vrr, reduction_ratio,
+                     SimConfig, Termination, VrrJumpError, VrrParams,
+                     com_height, com_jacobian, jump_height, load_config,
+                     max_torque, optimize_frr, optimize_vrr, reduction_ratio,
                      simulate_jump, takeoff_energy)
 from vrrjump import sim
 from vrrjump.optimize import _frr_candidates, _vrr_candidates
@@ -215,7 +215,7 @@ def test_kernel_bits_pinned(tmp_path, leg, motor, mech_opt, deep_crouch):
     for s in simulate_jump(leg, motor, mech_opt, deep_crouch).trajectory:
         add(*dataclasses.astuple(s))
     assert digest.hexdigest() == (
-        "10d320e304bca6016ed2ca292c22657bd2dd06ba3c607b91f5c3413deac2d2f9")
+        "8651c0c2b3364ac64bf77ba4ca551e80db46d5be6613fbd5a8939d7211f0fa08")
 
 
 VRR_OPTIMA = {-2.618: VrrParams(0.050, 0.100), -2.2689: VrrParams(0.053, 0.100),
@@ -381,17 +381,57 @@ def test_record_flag_matches_scalar_outputs(leg, motor, mech_opt, deep_crouch):
     assert a.t_takeoff == b.t_takeoff
 
 
-@pytest.mark.parametrize("mech,t_max", [
-    (VrrParams(0.047, 0.150), 1.0), (FrrParams(22.0), 1.0),
-    (VrrParams(0.047, 0.150), 0.05)])
-def test_record_flag_bitwise_at_every_ending(leg, motor, mech, t_max):
-    cfg = SimConfig(q2_init=-2.618, t_max=t_max)
+@pytest.mark.parametrize("mech,angle,t_max", [
+    pytest.param(VrrParams(0.047, 0.150), -2.618, 1.0, id="mech0-1.0"),
+    pytest.param(FrrParams(22.0), -2.618, 1.0, id="mech1-1.0"),
+    pytest.param(VrrParams(0.047, 0.150), -2.618, 0.05, id="mech2-0.05"),
+    # The cap on piece 1; a re-entry into piece 1 from above; and a moving
+    # timeout inside the rows that piece 1 skips (recorded, piece 1 spans
+    # t = 0.132 to 0.265 s of that run).
+    pytest.param(VrrParams(0.047, 0.150), -2.2689, 1.0, id="piece1-cap"),
+    pytest.param(VrrParams(0.047, 0.200, math.radians(-1.0)), -2.618, 1.0,
+                 id="piece1-reentry"),
+    pytest.param(VrrParams(0.047, 0.150), -2.2689, 0.2, id="piece1-timeout"),
+])
+def test_record_flag_bitwise_at_every_ending(leg, motor, mech, angle, t_max):
+    cfg = SimConfig(q2_init=angle, t_max=t_max)
     a = simulate_jump(leg, motor, mech, cfg, record=True)
     b = simulate_jump(leg, motor, mech, cfg, record=False)
     assert b.trajectory == []
     assert dataclasses.replace(a, trajectory=[]) == b
     assert a.trajectory[-1].t == a.t_takeoff
     assert a.trajectory[-1].q2 == a.q2_at_takeoff
+
+
+def test_unsolved_piece1_state_raises(leg, motor, mech_opt, monkeypatch):
+    """A piece-1 solve that runs out of Newton iterations names the design,
+    the angle and the residual instead of returning its last iterate."""
+    monkeypatch.setattr(sim, "NEWTON_CAP", 1)
+    with pytest.raises(VrrJumpError, match=r"r=0\.047, s0=0\.15.* at "
+                       r"q2_init=-2\.2689: .* not solved in 1 Newton "
+                       r"iterations \(residual "):
+        simulate_jump(leg, motor, mech_opt, SimConfig(q2_init=-2.2689),
+                      record=False)
+
+
+def test_piece1_solves_stay_under_their_cap(tmp_path, monkeypatch):
+    """Every piece-1 solve of the golden box at the three angles, the anchor
+    solves among them, ends in fewer than NEWTON_CAP iterations."""
+    monkeypatch.setattr(sim, "NEWTON_CAP", sim.NEWTON_CAP - 1)
+    doc = json.loads(importlib.resources.files("vrrjump.configs")
+                     .joinpath("fullscale.json").read_text())
+    doc["search"] = GOLDEN_BOX
+    path = tmp_path / "golden_box.json"
+    path.write_text(json.dumps(doc))
+    run = load_config(path)
+    mechs = _vrr_candidates(run.search) + _frr_candidates(run.search)
+    for angle in run.angles:
+        cfg = dataclasses.replace(run.sim, q2_init=angle)
+        for mech in mechs:
+            try:
+                simulate_jump(run.leg, run.motor, mech, cfg, record=False)
+            except MechanismRangeError:
+                pass
 
 
 def test_trajectory_has_one_row_per_u_step(leg, motor, mech_opt, deep_crouch):

@@ -128,9 +128,17 @@ def test_piece1_reentry_matches_independent_integrator(leg, motor):
     assert motor.omega_break < min(omega[up:]) < motor.omega_hpl
 
 
-@pytest.mark.parametrize("mech", [VrrParams(r=0.047, s0=0.150), FrrParams(22.0)])
-def test_moving_timeout_matches_independent_integrator(leg, motor, mech):
-    cfg = SimConfig(q2_init=-2.6180, t_max=0.05)
+@pytest.mark.parametrize("mech,angle,t_max", [
+    pytest.param(VrrParams(r=0.047, s0=0.150), -2.6180, 0.05, id="mech0"),
+    pytest.param(FrrParams(22.0), -2.6180, 0.05, id="mech1"),
+    # t_max inside the piece-1 rows that the kernel skips (recorded, piece
+    # 1 spans t = 0.132 to 0.265 s of this run).
+    pytest.param(VrrParams(r=0.047, s0=0.150), -2.2689, 0.2,
+                 id="piece1"),
+])
+def test_moving_timeout_matches_independent_integrator(leg, motor, mech,
+                                                       angle, t_max):
+    cfg = SimConfig(q2_init=angle, t_max=t_max)
     assert_agrees(leg, motor, mech, cfg)
     res = simulate_jump(leg, motor, mech, cfg, record=False)
     assert res.q2_at_takeoff > cfg.q2_init
