@@ -464,19 +464,25 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                 w_off + tau_peak * phi,
                 (ue * (eta * tk - ge) / pe, dje / v, de * tk, kr * v / je))
 
-    def exact1(s: tuple, row: tuple) -> tuple:
-        """The state at row's end on piece 1: p by newton, then t and w_motor
-        in closed form from the anchor."""
-        (_, ue, _, _, _, _, _, _, _, _, _, _, _, _, je, sin_e, cos_e, _, _,
-         _, _, _, de, _, _, _, dje, _, _, _, ge, (_, _, _, (ye, _))) = row
+    def sample1(s: tuple, row: tuple) -> tuple:
+        """The state at row's end on piece 1, with no rhs: p by newton, then
+        t and w_motor in closed form from the anchor."""
+        ye = row[31][3][0]
         pe, lg = newton(s, ye)
         dt = c_t * (p_a - pe - a * lg)
+        return row[1], pe, t_a + dt, w_a + motor.p_peak * dt, None, ye
+
+    def exact1(s: tuple, row: tuple) -> tuple:
+        """sample1 with the rhs at row's end."""
+        (_, _, _, _, _, _, _, _, _, _, _, _, _, _, je, sin_e, cos_e, _, _,
+         _, _, _, de, _, _, _, dje, _, _, _, ge, _) = row
+        ue, pe, t, w, _, ye = sample1(s, row)
         v = c_v * pe
         kr = ratio(sin_e, cos_e)
         om = kr * v / je
         tk = tau(om) * kr
-        return (ue, pe, t_a + dt, w_a + motor.p_peak * dt,
-                (ue * (eta * tk - ge) / pe, dje / v, de * tk, om), ye)
+        return (ue, pe, t, w, (ue * (eta * tk - ge) / pe, dje / v, de * tk, om),
+                ye)
 
     def advance(s: tuple, row: tuple) -> tuple:
         """One step of Butcher's 7-stage order-6 Runge-Kutta method from
@@ -784,7 +790,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                 if record:
                     s = state
                     for r in rows[i:j - 1]:
-                        s = exact1(s, r)
+                        s = sample1(s, r)
                         trajectory.append(snapshot(s))
                 state = exact1(anchor, rows[j - 1])
                 if record:

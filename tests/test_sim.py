@@ -353,7 +353,7 @@ def test_u_grid_table_matches_geometry_from_u(leg, motor, deep_crouch,
                                               monkeypatch, mech):
     """A table whose start points never match sends every step down the
     off-grid path, which computes the geometry from u; the results agree
-    bit for bit."""
+    bit for bit. (The piece-1 row test and its jump read the rows' ends.)"""
     table = sim._u_grid
 
     def unmatched(*key):
