@@ -116,7 +116,8 @@ too) fills on first use. A full grid step reads its row and computes only k
 from it, at the four nodes, and a row that leap tests computes k at its
 end; the fixed-ratio kernel's k is constant. A step
 that starts off the grid (after a kink or event split, and the trial steps
-of event location and stall bisection) computes its row from u. Either way
+of event location and stall bisection) computes its row from u, on piece 1
+only the row's end, which is all exact1 reads. Either way
 the results are bit for bit those of computing everything per step, and a
 candidate's result does not depend on the others in its grid.
 
@@ -387,6 +388,12 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         rise_x, drop = _rise_drop(x, q2_init, jfac, mg, th_off)
         return ratio(sin_th, cos_th), jj, turn(x * x, cos_th, drop), rise_x
 
+    def node1(x: float) -> tuple[float, float, float, float]:
+        """(J, sin theta, cos theta, m g (y - y_init)) at u = x, off the
+        grid: all that piece 1 reads of a node."""
+        jj, sin_th, cos_th = _geometry(q2_init + x * x, jfac, th_off)
+        return jj, sin_th, cos_th, mg * rise(jfac, q2_init, x * x)
+
     def unsolved(what: str, residual: str) -> VrrJumpError:
         """The error of a piece-1 solve that NEWTON_CAP iterations did not
         end: a grid marks its row instead of printing a wrong W."""
@@ -431,10 +438,8 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             kr, jj, phi, rise_x = node(x)
             p = sqrt(max(k_off + eta_tau * phi - rise_x, 0.0))
         else:
-            # Piece 1 reads only k, J and m g (y - y_init).
-            jj, sin_th, cos_th = _geometry(q2_init + x * x, jfac, th_off)
-            kr = ratio(sin_th, cos_th)
-            p = newton(s, mg * rise(jfac, q2_init, x * x))[0]
+            jj, sin_th, cos_th, rise_x = node1(x)
+            kr, p = ratio(sin_th, cos_th), newton(s, rise_x)[0]
         return kr * (c_v * p) / jj
 
     # A state is (u, p, t, w_motor, rhs at the state), after an entry and on
@@ -464,25 +469,30 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                 w_off + tau_peak * phi,
                 (ue * (eta * tk - ge) / pe, dje / v, de * tk, kr * v / je))
 
-    def sample1(s: tuple, row: tuple) -> tuple:
-        """The state at row's end on piece 1, with no rhs: p by newton, then
-        t and w_motor in closed form from the anchor."""
-        ye = row[31][3][0]
+    def sample1(s: tuple, ue: float, ye: float) -> tuple:
+        """The state at u = ue on piece 1, where m g (y - y_init) = ye, with
+        no rhs: p by newton, then t and w_motor in closed form from the
+        anchor."""
         pe, lg = newton(s, ye)
         dt = c_t * (p_a - pe - a * lg)
-        return row[1], pe, t_a + dt, w_a + motor.p_peak * dt, None, ye
+        return ue, pe, t_a + dt, w_a + motor.p_peak * dt, None, ye
 
-    def exact1(s: tuple, row: tuple) -> tuple:
-        """sample1 with the rhs at row's end."""
-        (_, _, _, _, _, _, _, _, _, _, _, _, _, _, je, sin_e, cos_e, _, _,
-         _, _, _, de, _, _, _, dje, _, _, _, ge, _) = row
-        ue, pe, t, w, _, ye = sample1(s, row)
+    def state1(s: tuple, ue: float, je: float, sin_e: float, cos_e: float,
+               ye: float) -> tuple:
+        """sample1 with the rhs at u = ue, where J, sin theta and cos theta
+        are je, sin_e and cos_e: a row's end, or node1's."""
+        _, pe, t, w, _, _ = sample1(s, ue, ye)
         v = c_v * pe
         kr = ratio(sin_e, cos_e)
         om = kr * v / je
         tk = tau(om) * kr
-        return (ue, pe, t, w, (ue * (eta * tk - ge) / pe, dje / v, de * tk, om),
-                ye)
+        de = 2.0 * ue
+        return (ue, pe, t, w,
+                (ue * (eta * tk - mg * je) / pe, de * je / v, de * tk, om), ye)
+
+    def exact1(s: tuple, row: tuple) -> tuple:
+        """The state at row's end on piece 1 (state1)."""
+        return state1(s, row[1], row[14], row[15], row[16], row[31][3][0])
 
     def advance(s: tuple, row: tuple) -> tuple:
         """One step of Butcher's 7-stage order-6 Runge-Kutta method from
@@ -550,7 +560,10 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
 
     def step(s: tuple, ue: float) -> tuple:
         """One step from s to ue, with its row computed from u: for steps
-        that do not start on a grid point. It is exact on pieces 0 and 1."""
+        that do not start on a grid point. It is exact on pieces 0 and 1,
+        and piece 1 reads only the end of a row."""
+        if piece == 1:
+            return state1(s, ue, *node1(ue))
         return move(s, _row(s[0], ue, q2_init, jfac, mg, th_off, piece < 2))
 
     def locate(s: tuple, end: tuple, phi, tol: float, probe=None) -> tuple:
@@ -593,7 +606,13 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         p = a - (a - p_a) e^-z and t - t_a = c_t (a z - (a - p_a)(1 - e^-z)),
         which rises with z, convex for p_a < a and concave above: Newton
         from z >= 0 on the side of the root it bends toward converges
-        monotonely. Then Y - Y_a = eta p_peak (t - t_a) - (K - K_a)."""
+        monotonely. Then Y - Y_a = eta p_peak (t - t_a) - (K - K_a). As K
+        stays under max(a, p_a)^2, the Y this gives with K = max(a, p_a)^2
+        is a lower bound, which stands in where it lies past the cap's Y:
+        no row reaches tm."""
+        low = y_a + eta_power * (tm - t_a) - max(gap, 0.0) * (a + p_a)
+        if low >= rows[last][31][3][0]:
+            return low
         tau = (tm - t_a) / c_t
         z = max(tau + gap, 0.0) / a
         for _ in range(NEWTON_CAP):
@@ -790,7 +809,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                 if record:
                     s = state
                     for r in rows[i:j - 1]:
-                        s = sample1(s, r)
+                        s = sample1(s, r[1], r[31][3][0])
                         trajectory.append(snapshot(s))
                 state = exact1(anchor, rows[j - 1])
                 if record:
