@@ -176,18 +176,23 @@ def test_pinned_energies(leg, motor, mech_opt, angle, w_ref, w_frr):
     assert res.w_takeoff == w_frr
 
 
+def _golden_box_run(tmp_path):
+    """fullscale.json with test_golden's box: its RunConfig."""
+    doc = json.loads(importlib.resources.files("vrrjump.configs")
+                     .joinpath("fullscale.json").read_text())
+    doc["search"] = GOLDEN_BOX
+    path = tmp_path / "golden_box.json"
+    path.write_text(json.dumps(doc))
+    return load_config(path)
+
+
 def test_kernel_bits_pinned(tmp_path, leg, motor, mech_opt, deep_crouch):
     """One digest over the exact W, t and q2 at takeoff and the ending of
     every candidate of the golden box at the three angles, of the stall, the
     moving timeout and the t_max = 0.05 run, and over every field of the
     reference design's recorded trajectory. A rewrite of the kernel that is
     meant to keep its arithmetic must leave this digest as it is."""
-    doc = json.loads(importlib.resources.files("vrrjump.configs")
-                     .joinpath("fullscale.json").read_text())
-    doc["search"] = GOLDEN_BOX
-    path = tmp_path / "golden_box.json"
-    path.write_text(json.dumps(doc))
-    run = load_config(path)
+    run = _golden_box_run(tmp_path)
     digest = hashlib.sha256()
 
     def add(*values):
@@ -403,27 +408,25 @@ def test_record_flag_bitwise_at_every_ending(leg, motor, mech, angle, t_max):
     assert a.trajectory[-1].q2 == a.q2_at_takeoff
 
 
-def test_unsolved_piece1_state_raises(leg, motor, mech_opt, monkeypatch):
+@pytest.mark.parametrize("t_max,what", [(1.0, "p at"), (0.2, "Y at t")])
+def test_unsolved_piece1_state_raises(leg, motor, mech_opt, monkeypatch,
+                                      t_max, what):
     """A piece-1 solve that runs out of Newton iterations names the design,
-    the angle and the residual instead of returning its last iterate."""
+    the angle and the residual instead of returning its last iterate: the
+    state at a row's end, or, where t_max falls on the piece, its Y."""
     monkeypatch.setattr(sim, "NEWTON_CAP", 1)
     with pytest.raises(VrrJumpError, match=r"r=0\.047, s0=0\.15.* at "
-                       r"q2_init=-2\.2689: .* not solved in 1 Newton "
+                       rf"q2_init=-2\.2689: {what} .* not solved in 1 Newton "
                        r"iterations \(residual "):
-        simulate_jump(leg, motor, mech_opt, SimConfig(q2_init=-2.2689),
-                      record=False)
+        simulate_jump(leg, motor, mech_opt,
+                      SimConfig(q2_init=-2.2689, t_max=t_max), record=False)
 
 
 def test_piece1_solves_stay_under_their_cap(tmp_path, monkeypatch):
     """Every piece-1 solve of the golden box at the three angles, the anchor
     solves among them, ends in fewer than NEWTON_CAP iterations."""
     monkeypatch.setattr(sim, "NEWTON_CAP", sim.NEWTON_CAP - 1)
-    doc = json.loads(importlib.resources.files("vrrjump.configs")
-                     .joinpath("fullscale.json").read_text())
-    doc["search"] = GOLDEN_BOX
-    path = tmp_path / "golden_box.json"
-    path.write_text(json.dumps(doc))
-    run = load_config(path)
+    run = _golden_box_run(tmp_path)
     mechs = _vrr_candidates(run.search) + _frr_candidates(run.search)
     for angle in run.angles:
         cfg = dataclasses.replace(run.sim, q2_init=angle)
