@@ -806,14 +806,13 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             # the start of the first row that may leave it from the anchor.
             j = leap(i)
             if j > i:
+                new = exact1(anchor, rows[j - 1])
                 if record:
                     s = state
                     for r in rows[i:j - 1]:
                         s = sample1(s, r[1], r[31][3][0])
                         trajectory.append(snapshot(s))
-                state = exact1(anchor, rows[j - 1])
-                if record:
-                    trajectory.append(snapshot(state))
-                i = j
+                    trajectory.append(snapshot(new))
+                state, i = new, j
 
     return finish(state, Termination.ANGLE_CAP)
