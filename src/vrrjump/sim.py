@@ -363,7 +363,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     eta_power = eta * motor.p_peak
     a = eta_power / (mg * c_v)
     two_a, two_aa, c_t = 2.0 * a, 2.0 * a * a, 2.0 / (mg * c_v)
-    w_break, w_hpl = kinks[0], kinks[1]
+    w_break, w_hpl, w_max = kinks
 
     def geom(q2: float) -> tuple[float, float]:
         """(k, J) at knee angle q2."""
@@ -381,12 +381,6 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         tk = tau(om) * k
         return (u * (eta * tk - mg * jj) / p, 2.0 * u * jj / v, 2.0 * u * tk,
                 om)
-
-    def node(x: float) -> tuple[float, float, float, float]:
-        """(k, J, turn, m g (y - y_init)) at u = x, off the grid."""
-        jj, sin_th, cos_th = _geometry(q2_init + x * x, jfac, th_off)
-        rise_x, drop = _rise_drop(x, q2_init, jfac, mg, th_off)
-        return ratio(sin_th, cos_th), jj, turn(x * x, cos_th, drop), rise_x
 
     def node1(x: float) -> tuple[float, float, float, float]:
         """(J, sin theta, cos theta, m g (y - y_init)) at u = x, off the
@@ -432,42 +426,78 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         # log1p at the last iterate, carried to x to first order.
         return x, lg - dx / (a - x + dx)
 
-    def omega_at(s: tuple, x: float) -> float:
-        """omega_m at u = x from state s on piece 0 or 1, in closed form."""
-        if piece == 0:
-            kr, jj, phi, rise_x = node(x)
-            p = sqrt(max(k_off + eta_tau * phi - rise_x, 0.0))
-        else:
-            jj, sin_th, cos_th, rise_x = node1(x)
-            kr, p = ratio(sin_th, cos_th), newton(s, rise_x)[0]
-        return kr * (c_v * p) / jj
+    def omega0(x: float) -> float:
+        """omega_m at u = x on piece 0, in closed form."""
+        jj, sin_th, cos_th = _geometry(q2_init + x * x, jfac, th_off)
+        rise_x, drop = _rise_drop(x, q2_init, jfac, mg, th_off)
+        p = sqrt(max(k_off + eta_tau * turn(x * x, cos_th, drop) - rise_x,
+                     0.0))
+        return ratio(sin_th, cos_th) * (c_v * p) / jj
+
+    def omega1(s: tuple, x: float) -> float:
+        """omega_m at u = x on piece 1 from state s, p by newton."""
+        jj, sin_th, cos_th, rise_x = node1(x)
+        return ratio(sin_th, cos_th) * (c_v * newton(s, rise_x)[0]) / jj
 
     # A state is (u, p, t, w_motor, rhs at the state), after an entry and on
     # piece 1 followed by m g (y - y_init), which newton starts from.
-    def exact(s: tuple, row: tuple) -> tuple:
-        """The state at row's end on piece 0: K and w_motor in closed form,
-        and t by the order-6 weights (11, 81, -64, 81, 11)/120 at the nodes
-        0, 1/3, 1/2, 2/3 and 1 of the step, where the state is exact."""
-        (_, ue, u1, u2, u3, _, _, cos1, _, _, cos2, _, _, cos3, je, sin_e,
-         cos_e, _, h120, _, _, _, de, dj1, dj2, dj3, dje, _, _, _, ge,
-         ((y1, c1), (y2, c2), (y3, c3), (ye, ce))) = row
-        k1 = k_off + eta_tau * turn(u1 * u1, cos1, c1) - y1
-        k2 = k_off + eta_tau * turn(u2 * u2, cos2, c2) - y2
-        k3 = k_off + eta_tau * turn(u3 * u3, cos3, c3) - y3
-        phi = turn(ue * ue, cos_e, ce)
-        ke = k_off + eta_tau * phi - ye
-        if k1 <= 0.0 or k2 <= 0.0 or k3 <= 0.0 or ke <= 0.0:
-            raise _Stall
-        pe = sqrt(ke)
-        v = c_v * pe
-        kr = ratio(sin_e, cos_e)
+    def end0(t: float, b: float, row: tuple, pe: float, phi: float,
+             kr: float, om: float) -> tuple:
+        """The state at row's end on piece 0 from what walk0 keeps of it:
+        t, dt/du = b, p, the turn phi, k and omega_m."""
+        ue = row[1]
         tk = tau_peak * kr
-        return (ue, pe,
-                s[2] + h120 * (11.0 * (s[4][1] + dje / v)
-                               + (81.0 * (dj1 / sqrt(k1) + dj3 / sqrt(k3))
-                                  - 64.0 * dj2 / sqrt(k2)) / c_v),
-                w_off + tau_peak * phi,
-                (ue * (eta * tk - ge) / pe, dje / v, de * tk, kr * v / je))
+        return (ue, pe, t, w_off + tau_peak * phi,
+                (ue * (eta * tk - row[30]) / pe, b, row[22] * tk, om))
+
+    def walk0(todo: tuple, i: int, s: tuple, log: bool) -> tuple:
+        """Piece 0 over the rows todo[i:], from the state s at the start of
+        todo[i]: K and w_motor in closed form, and t by the order-6 weights
+        (11, 81, -64, 81, 11)/120 at the nodes 0, 1/3, 1/2, 2/3 and 1 of a
+        step, where the state is exact. Gives (j, the state at the start of
+        todo[j], the state at its end) for the first row j whose end leaves
+        the piece or passes t_max, with None for the end where K <= 0 at a
+        node of the row, or (len(todo), the state at the last end, None).
+        Only t, dt/du and omega_m of the rows between are kept, and each is
+        recorded with log."""
+        t, b, back = s[2], s[4][1], None
+        for j in range(i, len(todo)):
+            row = todo[j]
+            (_, ue, u1, u2, u3, _, _, cos1, _, _, cos2, _, _, cos3, je, sin_e,
+             cos_e, _, h120, _, _, _, _, dj1, dj2, dj3, dje, _, _, _, _,
+             ((y1, c1), (y2, c2), (y3, c3), (ye, ce))) = row
+            k1 = k_off + eta_tau * turn(u1 * u1, cos1, c1) - y1
+            k2 = k_off + eta_tau * turn(u2 * u2, cos2, c2) - y2
+            k3 = k_off + eta_tau * turn(u3 * u3, cos3, c3) - y3
+            phi = turn(ue * ue, cos_e, ce)
+            ke = k_off + eta_tau * phi - ye
+            if k1 <= 0.0 or k2 <= 0.0 or k3 <= 0.0 or ke <= 0.0:
+                return j, s if back is None else end0(t, b, *back), None
+            pe = sqrt(ke)
+            v = c_v * pe
+            kr = ratio(sin_e, cos_e)
+            be = dje / v
+            tn = t + h120 * (11.0 * (b + be)
+                             + (81.0 * (dj1 / sqrt(k1) + dj3 / sqrt(k3))
+                                - 64.0 * dj2 / sqrt(k2)) / c_v)
+            om = kr * v / je
+            if not om <= w_break or tn > t_max:
+                return (j, s if back is None else end0(t, b, *back),
+                        end0(tn, be, row, pe, phi, kr, om))
+            if log:
+                trajectory.append(snapshot((ue, pe, tn,
+                                            w_off + tau_peak * phi)))
+            t, b, back = tn, be, (row, pe, phi, kr, om)
+        return len(todo), end0(t, b, *back), None
+
+    def exact(s: tuple, row: tuple) -> tuple:
+        """The state at row's end on piece 0, by walk0 over the one row."""
+        j, start, end = walk0((row,), 0, s, False)
+        if j:
+            return start
+        if end is None:
+            raise _Stall
+        return end
 
     def sample1(s: tuple, ue: float, ye: float) -> tuple:
         """The state at u = ue on piece 1, where m g (y - y_init) = ye, with
@@ -493,6 +523,34 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     def exact1(s: tuple, row: tuple) -> tuple:
         """The state at row's end on piece 1 (state1)."""
         return state1(s, row[1], row[14], row[15], row[16], row[31][3][0])
+
+    def walk1(i: int, s: tuple) -> tuple[int, tuple]:
+        """From the state s at grid point i on piece 1, the rows whose ends
+        stay on the piece and short of t_max need no state: (j, the state
+        at the start of the first row j that may leave, or of the last
+        row). A row's end stays on the piece when p there lies past exactly
+        one of the p of omega_break, J omega_break / (k sqrt(2/m)), and that
+        of omega_hpl. The state is one newton from the anchor; with record,
+        each row between is sampled from the sample before."""
+        j = i
+        while j < n - 1:
+            row = rows[j]
+            ye = row[31][3][0]
+            if ye >= y_t:
+                break
+            c = row[14] / (c_v * ratio(row[15], row[16]))
+            if past(w_break * c, ye) == past(w_hpl * c, ye):
+                break
+            j += 1
+        if j == i:
+            return i, s
+        new = exact1(anchor, rows[j - 1])
+        if record:
+            for row in rows[i:j - 1]:
+                s = sample1(s, row[1], row[31][3][0])
+                trajectory.append(snapshot(s))
+            trajectory.append(snapshot(new))
+        return j, new
 
     def advance(s: tuple, row: tuple) -> tuple:
         """One step of Butcher's 7-stage order-6 Runge-Kutta method from
@@ -558,16 +616,42 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                             - 32.0 * (c5 + c6)),
                 (ue * (eta * tk - ge) / pe, dje / v, de * tk, om))
 
-    def step(s: tuple, ue: float) -> tuple:
+    def walk2(i: int, s: tuple) -> tuple:
+        """Piece 2 over the rows from grid row i, whose start is the state
+        s, by advance: (j, the state at the start of row j, the state at
+        its end) for the first row j whose end leaves the piece or passes
+        t_max, with None for the end where a stage meets K <= 0, or (the
+        number of rows, the state at the cap, None). With record, each row
+        between is recorded."""
+        for j in range(i, n):
+            try:
+                new = advance(s, rows[j])
+            except _Stall:
+                return j, s, None
+            om = new[4][3]
+            if not w_hpl < om < w_max or new[2] > t_max:
+                return j, s, new
+            if record:
+                trajectory.append(snapshot(new))
+            s = new
+        return n, s, None
+
+    def step(s: tuple, ue: float) -> tuple[tuple, tuple]:
         """One step from s to ue, with its row computed from u: for steps
         that do not start on a grid point. It is exact on pieces 0 and 1,
-        and piece 1 reads only the end of a row."""
+        and piece 1 reads only the end of a row (node1). Gives the state
+        and the row, or on piece 1 node1's values at ue."""
         if piece == 1:
-            return state1(s, ue, *node1(ue))
-        return move(s, _row(s[0], ue, q2_init, jfac, mg, th_off, piece < 2))
+            g = node1(ue)
+            return state1(s, ue, *g), g
+        row = _row(s[0], ue, q2_init, jfac, mg, th_off, piece < 2)
+        return move(s, row), row
 
-    def locate(s: tuple, end: tuple, phi, tol: float, probe=None) -> tuple:
-        """The first state past the root of phi on the step from s to end.
+    def locate(s: tuple, end: tuple, g: tuple, phi, tol: float,
+               probe=None) -> tuple[tuple, tuple | None]:
+        """The first state past the root of phi on the step from s to end,
+        whose row (or node1's values) is g, and the row of that state, or
+        None for s itself.
 
         phi < 0 before the root and phi(end) >= 0. Illinois regula falsi on
         u; the state returned has 0 <= phi <= tol, or lies within 1e-12
@@ -577,20 +661,20 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         """
         lo, flo = s[0], phi(s)
         if flo >= 0.0:
-            return s
-        hi, fhi, best = end[0], phi(end), end
+            return s, None
+        hi, fhi, best, g_best = end[0], phi(end), end, g
         side = 0
         while fhi > tol and hi - lo > 1e-12 * hi:
             x = hi - fhi * (hi - lo) / (fhi - flo)
             if not lo < x < hi:
                 x = 0.5 * (lo + hi)
             if probe is None:
-                trial = step(s, x)
+                trial, g = step(s, x)
                 fx = phi(trial)
             else:
                 trial, fx = x, probe(x)
             if fx >= 0.0:
-                hi, fhi, best = x, fx, trial
+                hi, fhi, best, g_best = x, fx, trial, g
                 if side == 1:
                     flo *= 0.5
                 side = 1
@@ -599,7 +683,9 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                 if side == -1:
                     fhi *= 0.5
                 side = -1
-        return best if probe is None or best is end else step(s, best)
+        if probe is None or best is end:
+            return best, g_best
+        return step(s, best)
 
     def y_at(tm: float) -> float:
         """m g (y - y_init) on piece 1 where t = tm >= t_a. In z = -L,
@@ -611,7 +697,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         is a lower bound, which stands in where it lies past the cap's Y:
         no row reaches tm."""
         low = y_a + eta_power * (tm - t_a) - max(gap, 0.0) * (a + p_a)
-        if low >= rows[last][31][3][0]:
+        if low >= rows[-1][31][3][0]:
             return low
         tau = (tm - t_a) / c_t
         z = max(tau + gap, 0.0) / a
@@ -637,21 +723,6 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             return False
         d = pb - p_a
         return ye > y_a - d * (pb + p_a + two_a) - two_aa * log1p(-d / gap)
-
-    def leap(i: int) -> int:
-        """The first row from row i on piece 1 whose end may leave the
-        piece or pass t_max, or else the last row. The end stays on the
-        piece when p there lies past exactly one of the p of omega_break,
-        J omega_break / (k sqrt(2/m)), and that of omega_hpl."""
-        for j in range(i, last):
-            row = rows[j]
-            ye = row[31][3][0]
-            if ye >= y_t:
-                return j
-            c = row[14] / (c_v * ratio(row[15], row[16]))
-            if past(w_break * c, ye) == past(w_hpl * c, ye):
-                return j
-        return last
 
     def q2_of(s: tuple) -> float:
         return cap if s[0] == u_cap else q2_init + s[0] * s[0]
@@ -746,73 +817,90 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     # bends within the first uniform step: those runs start graded.
     graded = 1.0 - mg * j0 / lift < GRADED_MARGIN
     rows = _u_grid(q2_init, cap, cfg.u_steps, jfac, mg, th_off, graded)
-    last, i = len(rows) - 1, 0
-    while i <= last:
+    n, i = len(rows), 0
+    while True:
+        # The table holds the geometry of a step from its start only; a
+        # split leaves the state between grid points. From a grid point a
+        # walk takes the rows that stay on the piece and short of t_max.
+        new = None
+        if piece == 1:
+            if state[0] == rows[i - 1][1]:
+                i, state = walk1(i, state)
+        elif state[0] == rows[i][0]:
+            i, state, new = (walk0(rows, i, state, record) if piece == 0
+                             else walk2(i, state))
+            if i == n:
+                return finish(state, Termination.ANGLE_CAP)
         row = rows[i]
         ue = row[1]
-        while state[0] < ue:
-            ended = None
-            try:
-                # The table holds the geometry of a step from its start
-                # only; a split left the state between grid points.
-                new = (move(state, row) if state[0] == row[0]
-                       else step(state, ue))
-                now = piece_of(new[4][3])
-                if now != piece:
-                    # End the step at the first kink crossed; crossing the
-                    # last one upward is the contact-force-zero event.
-                    up = now > piece
-                    level = kinks[piece if up else piece - 1]
-                    sign = 1.0 if up else -1.0
-                    new = locate(state, new,
-                                 lambda s: sign * (s[4][3] - level),
-                                 1e-10 * level, None if piece > 1 else
-                                 lambda x: sign * (omega_at(state, x) - level))
-                    if up and piece == len(kinks) - 1:
-                        ended = Termination.CONTACT_FORCE_ZERO
-                    now = piece + (1 if up else -1)
-                if new[2] > t_max:
-                    new = locate(state, new, lambda s: s[2] - t_max,
-                                 1e-14 * t_max)
-                    ended = Termination.TIMEOUT
-                if now != piece and ended is None:
-                    # The next step starts on the piece past the kink.
-                    piece = now
-                    tau = pieces[piece]
-                    move = (exact, exact1, advance, advance)[piece]
-                    kr, jj, phi, rise_a = node(new[0])
-                    new = (*new[:4], rhs(new[0], new[1], kr, jj), rise_a)
-                    if piece == 0:
-                        # Re-entry: K and w_motor continue from here.
-                        k_off = new[1] * new[1] - eta_tau * phi + rise_a
-                        w_off = new[3] - tau_peak * phi
-                    elif piece == 1:
-                        # Every entry, from below or above, anchors anew.
-                        anchor = new
-                        p_a, y_a, t_a, w_a = new[1], rise_a, new[2], new[3]
-                        gap = a - p_a
-                        y_t = y_at(t_max)
-            except _Stall:
-                return stall(state, ue)
-            # A kink located at the state itself adds no row.
-            if record and new[0] > state[0]:
-                trajectory.append(snapshot(new))
-            state = new
-            if ended is not None:
-                return finish(state, ended)
-        i += 1
-        if piece == 1 and state[0] == ue:
-            # Rows whose end stays on piece 1 need no state: the run takes
-            # the start of the first row that may leave it from the anchor.
-            j = leap(i)
-            if j > i:
-                new = exact1(anchor, rows[j - 1])
-                if record:
-                    s = state
-                    for r in rows[i:j - 1]:
-                        s = sample1(s, r[1], r[31][3][0])
-                        trajectory.append(snapshot(s))
-                    trajectory.append(snapshot(new))
-                state, i = new, j
-
-    return finish(state, Termination.ANGLE_CAP)
+        ended = None
+        try:
+            if new is not None:
+                g = row
+            elif state[0] == row[0]:
+                new, g = move(state, row), row
+            else:
+                new, g = step(state, ue)
+            now = piece_of(new[4][3])
+            if now != piece:
+                # End the step at the first kink crossed; crossing the last
+                # one upward is the contact-force-zero event.
+                up = now > piece
+                level = kinks[piece if up else piece - 1]
+                sign = 1.0 if up else -1.0
+                if piece == 0:
+                    probe = lambda x: sign * (omega0(x) - level)
+                elif piece == 1:
+                    probe = lambda x: sign * (omega1(state, x) - level)
+                else:
+                    probe = None
+                new, g = locate(state, new, g,
+                                lambda s: sign * (s[4][3] - level),
+                                1e-10 * level, probe)
+                if up and piece == len(kinks) - 1:
+                    ended = Termination.CONTACT_FORCE_ZERO
+                now = piece + (1 if up else -1)
+            if new[2] > t_max:
+                new, g = locate(state, new, g, lambda s: s[2] - t_max,
+                                1e-14 * t_max)
+                ended = Termination.TIMEOUT
+            if now != piece and ended is None:
+                # The next step starts on the piece past the kink, from the
+                # geometry of the row that ended there.
+                piece = now
+                tau = pieces[piece]
+                move = (exact, exact1, advance)[piece]
+                x = new[0]
+                if g is None:
+                    g = node1(x)
+                elif len(g) > 4:
+                    g = g[14], g[15], g[16], g[31] and g[31][3][0]
+                jj, sin_th, cos_th, rise_a = g
+                if rise_a is None:
+                    rise_a = mg * rise(jfac, q2_init, x * x)
+                new = (*new[:4], rhs(x, new[1], ratio(sin_th, cos_th), jj),
+                       rise_a)
+                if piece == 0:
+                    # Re-entry: K and w_motor continue from here.
+                    phi = turn(x * x, cos_th,
+                               cos_drop(q2_init + th_off, x * x))
+                    k_off = new[1] * new[1] - eta_tau * phi + rise_a
+                    w_off = new[3] - tau_peak * phi
+                elif piece == 1:
+                    # Every entry, from below or above, anchors anew.
+                    anchor = new
+                    p_a, y_a, t_a, w_a = new[1], rise_a, new[2], new[3]
+                    gap = a - p_a
+                    y_t = y_at(t_max)
+        except _Stall:
+            return stall(state, ue)
+        # A kink located at the state itself adds no row.
+        if record and new[0] > state[0]:
+            trajectory.append(snapshot(new))
+        state = new
+        if ended is not None:
+            return finish(state, ended)
+        if state[0] == ue:
+            i += 1
+            if i == n:
+                return finish(state, Termination.ANGLE_CAP)

@@ -397,9 +397,22 @@ def test_record_flag_matches_scalar_outputs(leg, motor, mech_opt, deep_crouch):
     pytest.param(VrrParams(0.047, 0.200, math.radians(-1.0)), -2.618, 1.0,
                  id="piece1-reentry"),
     pytest.param(VrrParams(0.047, 0.150), -2.2689, 0.2, id="piece1-timeout"),
+    # Where the piece walks end: a cap run and a moving timeout that start
+    # graded, a re-entry into piece 0, a static hold, and (at -0.3 rad,
+    # which only the weak motor below reaches) the stall of
+    # test_stall_holds_the_stall_pose.
+    pytest.param(VrrParams(0.032, 0.100), -2.618, 1.0, id="graded-cap"),
+    pytest.param(VrrParams(0.035, 0.240), -2.618, 1.0, id="graded-timeout"),
+    pytest.param(VrrParams(0.047, 0.100, math.radians(-2.8)), -2.618, 1.0,
+                 id="piece0-reentry"),
+    pytest.param(FrrParams(11.0), -2.618, 1.0, id="static-hold"),
+    pytest.param(VrrParams(0.047, 0.150, math.radians(-2.5)), -0.3, 1.0,
+                 id="stall"),
 ])
 def test_record_flag_bitwise_at_every_ending(leg, motor, mech, angle, t_max):
     cfg = SimConfig(q2_init=angle, t_max=t_max)
+    if angle == -0.3:
+        motor = motor_variant(motor, tau_peak=3.0, p_peak=3.0 * 160.0)
     a = simulate_jump(leg, motor, mech, cfg, record=True)
     b = simulate_jump(leg, motor, mech, cfg, record=False)
     assert b.trajectory == []
