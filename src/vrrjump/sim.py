@@ -49,7 +49,7 @@ phi(q2) since the anchor a (mechanism.turn_law, the integral of k),
     K       = K_a + eta_j tau_peak (phi - phi_a) - m g (y - y_a)
 
 where a is the start, or the state where the run re-enters the piece from
-above. There exact replaces the stages: it takes K and w_motor in closed
+above. There walk0 replaces the stages: it takes K and w_motor in closed
 form at each node of the step's row and t by the method's own quadrature,
 whose weights at the nodes 0, 1/3, 1/2, 2/3 and 1 are (11, 81, -64, 81,
 11)/120.
@@ -71,12 +71,18 @@ the anchor's side of a, since dY/dp = 2 p^2 / (a - p), and t rises with
 Y, so a row's end stays on the piece and short of t_max exactly when its
 Y lies between Y(p) at the p of omega_break, J omega_break / (k
 sqrt(2/m)), and at that of omega_hpl (a p that the run cannot reach
-bounds nothing), and short of Y at t_max (y_at, once per anchor). From a
-grid point on the piece, leap tests the rows so, at one ratio and at most
-two log1p each, and the run takes the start of the first row that fails,
-or of the last row, by one newton from the anchor; a recorded run samples
-the rows between, each from the sample before. The last two pieces run
-the Runge-Kutta method from the exact states.
+bounds nothing), and short of Y at t_max (y_at, once per anchor). The
+last two pieces run the Runge-Kutta method from the exact states.
+
+From a grid point each piece walks its rows in one loop, which stops at
+the first row whose end leaves the piece or passes t_max. walk0 keeps only
+t, dt/du and omega_m of each row and builds a state (p, w_motor, rhs) only
+where it stops, or for a recorded sample; exact, its one-row case, serves
+the steps that start off the grid. walk1 tests the rows as above, at one
+ratio and at most two log1p each, and takes the start of the first row
+that fails, or of the last row, by one newton from the anchor; a recorded
+run samples the rows between, each from the sample before. walk2 steps
+each row by advance while omega_hpl < omega_m < omega_max.
 
 The envelope has kinks, and a method of order 6 keeps its order only on a
 smooth right-hand side. One motor.envelope_pieces call gives the kernel the
@@ -86,13 +92,22 @@ speed lands beyond it. A step ending on another piece is cut at the first
 kink crossed, located by regula falsi on |omega_m| = k v / J, and the next
 step starts on the new piece (the standard treatment of a discontinuous
 right-hand side, ibid. section II.6). On pieces 0 and 1 the closed form
-gives omega_m at any u, so the trials of that search are one probe,
-sign (omega_m - level) at one node, for a crossing up or down, and one
-exact step goes to the root; elsewhere each trial is a step. Crossing the
-last kink, omega_max, upward is the contact-force-zero event. A moving timeout
-is located with full trial steps on every piece, and a stall is bisected
-with Runge-Kutta steps on every piece, whose stages stop where K reaches
-zero instead of integrating t through its 1/sqrt(K) singularity.
+gives omega_m at any u, so a trial of that search is one probe at one
+node, for a crossing up or down, and one exact step goes to the root. On
+piece 0 the probe is omega_m - level itself. On piece 1 it is
+(Y - Y(p_level)) / (dY/dp) level / p_level with p_level = J level / (k
+sqrt(2/m)), the row test's closed form: one ratio and one log1p, and a
+newton only where Y lies within rounding of Y(p_level), so that its sign
+is the sign the state at the root gets, and a located kink never lies one
+ulp short of it. These probe searches scale by Anderson and Bjorck's rule;
+the searches whose trials are full steps keep Illinois' (see locate).
+Crossing the last kink, omega_max, upward is the contact-force-zero event.
+A moving timeout is located with full trial steps on every piece, and a
+stall is bisected with Runge-Kutta steps on every piece, whose stages stop
+where K reaches zero instead of integrating t through its 1/sqrt(K)
+singularity. At a change of piece the kernel reads J, sin theta, cos theta
+and m g (y - y_init) from the row the step to the kink built, or from the
+grid row, and computes the motor's turn only on re-entry into piece 0.
 
 The lift margin mu = 1 - m g J0 / (eta_j k0 tau_peak) sets how far from the
 start K stops growing like f0 u^2. A run with mu < GRADED_MARGIN, which
@@ -106,14 +121,14 @@ k depends on r and S0. A row holds the rest: the step's nodes, h = ue - u
 and h/120, and at each stage node x (1/3, 1/2, 2/3 and 1 of the step) the
 Jacobian J, sin(theta) and cos(theta) for the crank angle
 theta = q2 + (pi - delta_theta), rhs's products 2x, 2x J and m g J, and,
-for exact and exact1, m g (y - y_init) and cos(theta_init) - cos(theta),
+for walk0 and exact1, m g (y - y_init) and cos(theta_init) - cos(theta),
 each written so that no digits cancel near the start (leg.rise,
 mechanism.cos_drop).
 _u_grid tabulates one row per step, once per (q2_init, cap, u_steps,
 Jacobian scale, m g, delta_theta, graded), through the same _row the kernel
 uses off the grid, in a bounded cache that each process (each pool worker
 too) fills on first use. A full grid step reads its row and computes only k
-from it, at the four nodes, and a row that leap tests computes k at its
+from it, at the four nodes, and a row that walk1 tests computes k at its
 end; the fixed-ratio kernel's k is constant. A step
 that starts off the grid (after a kink or event split, and the trial steps
 of event location and stall bisection) computes its row from u, on piece 1
@@ -434,10 +449,29 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                      0.0))
         return ratio(sin_th, cos_th) * (c_v * p) / jj
 
-    def omega1(s: tuple, x: float) -> float:
-        """omega_m at u = x on piece 1 from state s, p by newton."""
-        jj, sin_th, cos_th, rise_x = node1(x)
-        return ratio(sin_th, cos_th) * (c_v * newton(s, rise_x)[0]) / jj
+    def probe1(s: tuple, x: float, level: float) -> float:
+        """omega_m - level at u = x on piece 1, to first order, in closed
+        form: p lies past pb = J level / (k sqrt(2/m)), the p of the level
+        there, exactly when m g (y - y_init) lies past Y(pb), and dY/dp =
+        2 p^2 / (a - p), so one ratio and one log1p give (Y - Y(pb)) / (dY/dp
+        at pb) level / pb. Where pb lies outside (p_a, a), or Y - Y(pb) is
+        within 1e-14 of the terms it sums and of pb dY/dp, newton from the
+        state s gives omega_m - level itself; signs computed both ways
+        differ only within 1.7e-16 of that scale on the full box. So the
+        sign is that of the state a step from s to x takes."""
+        jj, sin_th, cos_th, ye = node1(x)
+        kr = ratio(sin_th, cos_th)
+        pb = level * jj / (c_v * kr)
+        d = pb - p_a
+        if d * gap > 0.0 and (a - pb) * gap > 0.0:
+            dy_a, dy_p = ye - y_a, d * (pb + p_a + two_a)
+            dy_l = two_aa * log1p(-d / gap)
+            slope = 2.0 * pb * pb / (a - pb)
+            dy = dy_a + dy_p + dy_l
+            if abs(dy) > 1e-14 * (abs(dy_a) + abs(dy_p) + abs(dy_l)
+                                  + abs(slope) * pb):
+                return dy / slope * level / pb
+        return kr * (c_v * newton(s, ye)[0]) / jj - level
 
     # A state is (u, p, t, w_motor, rhs at the state), after an entry and on
     # piece 1 followed by m g (y - y_init), which newton starts from.
@@ -650,21 +684,26 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     def locate(s: tuple, end: tuple, g: tuple, phi, tol: float,
                probe=None) -> tuple[tuple, tuple | None]:
         """The first state past the root of phi on the step from s to end,
-        whose row (or node1's values) is g, and the row of that state, or
-        None for s itself.
+        whose row (or node1's values) is g, and that state's row, or None
+        for s itself.
 
-        phi < 0 before the root and phi(end) >= 0. Illinois regula falsi on
-        u; the state returned has 0 <= phi <= tol, or lies within 1e-12
-        relative in u of the last state before the root. A trial is a step
-        from s, or with probe, probe(x), phi's value at u = x, and one step
-        to the root follows.
+        phi < 0 before the root and phi(end) >= 0. Regula falsi on u: where
+        a trial falls on the side of the trial before, the value kept at
+        the other end is scaled, with probe by Anderson and Bjorck's 1 -
+        f(trial) / f(trial before), or 1/2 where that is not positive (BIT
+        13, 1973; order about 1.7), and without by Illinois' 1/2 (order
+        about 1.44). The state returned has 0 <= phi <= tol, or lies within
+        1e-12 relative in u of the last state before the root. A trial is a
+        step from s, or with probe, probe(x), phi's value at u = x to first
+        order with its sign exact, and one step to the root follows.
         """
         lo, flo = s[0], phi(s)
         if flo >= 0.0:
             return s, None
         hi, fhi, best, g_best = end[0], phi(end), end, g
+        fbest = fhi
         side = 0
-        while fhi > tol and hi - lo > 1e-12 * hi:
+        while fbest > tol and hi - lo > 1e-12 * hi:
             x = hi - fhi * (hi - lo) / (fhi - flo)
             if not lo < x < hi:
                 x = 0.5 * (lo + hi)
@@ -674,14 +713,16 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             else:
                 trial, fx = x, probe(x)
             if fx >= 0.0:
-                hi, fhi, best, g_best = x, fx, trial, g
                 if side == 1:
-                    flo *= 0.5
+                    m = 0.5 if probe is None else 1.0 - fx / fhi
+                    flo *= m if m > 0.0 else 0.5
+                hi, fhi, fbest, best, g_best = x, fx, fx, trial, g
                 side = 1
             else:
-                lo, flo = x, fx
                 if side == -1:
-                    fhi *= 0.5
+                    m = 0.5 if probe is None else 1.0 - fx / flo
+                    fhi *= m if m > 0.0 else 0.5
+                lo, flo = x, fx
                 side = -1
         if probe is None or best is end:
             return best, g_best
@@ -821,7 +862,8 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     while True:
         # The table holds the geometry of a step from its start only; a
         # split leaves the state between grid points. From a grid point a
-        # walk takes the rows that stay on the piece and short of t_max.
+        # walk takes the rows that stay on the piece and short of t_max
+        # (walk1 reads only the rows' ends).
         new = None
         if piece == 1:
             if state[0] == rows[i - 1][1]:
@@ -851,7 +893,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                 if piece == 0:
                     probe = lambda x: sign * (omega0(x) - level)
                 elif piece == 1:
-                    probe = lambda x: sign * (omega1(state, x) - level)
+                    probe = lambda x: sign * probe1(state, x, level)
                 else:
                     probe = None
                 new, g = locate(state, new, g,
@@ -865,8 +907,10 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                                 1e-14 * t_max)
                 ended = Termination.TIMEOUT
             if now != piece and ended is None:
-                # The next step starts on the piece past the kink, from the
-                # geometry of the row that ended there.
+                # The next step starts on the piece past the kink. g is the
+                # row that ended there, node1's values, or None for a kink
+                # at the state itself; a row built off the grid on piece 2
+                # holds no m g (y - y_init).
                 piece = now
                 tau = pieces[piece]
                 move = (exact, exact1, advance)[piece]

@@ -326,15 +326,15 @@ FULL_BOX_SHA256 = {
     "summary.csv":
         "c7c8f7cb09d8ade2410c253df05ae7bcbd3ffbb48d8b1f11834622acbd6ba5ec",
     "summary.json":
-        "7faa4f6a92cdabf68f3751de536f79f6ed178b39790df3efeb803d081d846d10",
+        "bc17bfab8e7be14e0db92140855e084bee06f31397b8297be78ad1ebba2f9dc3",
     "summary.txt":
         "1d4284bf7fe3b570786c636b8f6fcbe3047032c527739bfe3da0eac35cea7964",
     "trajectory_evrr_-1.9199.csv":
-        "07ea9adb4f14ffe10fd8dd0fdbfb0464cef2026080a696d9e26e7cffd2a2afdc",
+        "23acdfcfa29c9c44d070da2f1d33d4d4ca8bf29bd0528af4aafa73bd2a9efae0",
     "trajectory_evrr_-2.2689.csv":
-        "574b5821d3ef6c5e735c46c8aa230f0b682cf16bcd722aa5bf9ea2b75baff233",
+        "2f7a1ff509ea6136f56ed4c76c25c4024e1c8fb14431f6d27ca874cc4f41c62c",
     "trajectory_evrr_-2.6180.csv":
-        "2d2e697606155b30a56133ba56a8c2ecdd2e356d7823d8b280586a7352eec878",
+        "409426ed7a2e2493132fd38a51e8a73a128ef1ce74a9dc0601400f84271ccb74",
     "trajectory_frr_-1.9199.csv":
         "b627b089d2986b3de5376ccc54de1866c4d4cddc4a6b2fece99b07cb55531feb",
     "trajectory_frr_-2.2689.csv":

@@ -99,7 +99,7 @@ def test_row_format_renders_none_empty():
 
 SINGLE_DESIGN_SHA256 = {
     "trajectory_-2.6180.csv":
-        "a73d3d02ddba19bc78adf840745c7b770bab2292baacaf1fffa53651914c7d69",
+        "8742ec2f24c94721ee6e76ee10a0035d2a52b467554021951fa3fde0ed48e6f0",
     "trajectory_-2.2689.csv":
         "ec0cd9c9fdc60b0feff6e63a0bbf6006ccc7cc2d9fa521d65e8d9242abee89f3",
     "trajectory_-1.9199.csv":
