@@ -441,24 +441,24 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         # log1p at the last iterate, carried to x to first order.
         return x, lg - dx / (a - x + dx)
 
-    def omega0(x: float) -> float:
-        """omega_m at u = x on piece 0, in closed form."""
+    def probe0(s: tuple, x: float, level: float) -> float:
+        """omega_m - level at u = x on piece 0, in closed form."""
         jj, sin_th, cos_th = _geometry(q2_init + x * x, jfac, th_off)
         rise_x, drop = _rise_drop(x, q2_init, jfac, mg, th_off)
         p = sqrt(max(k_off + eta_tau * turn(x * x, cos_th, drop) - rise_x,
                      0.0))
-        return ratio(sin_th, cos_th) * (c_v * p) / jj
+        return ratio(sin_th, cos_th) * (c_v * p) / jj - level
 
     def probe1(s: tuple, x: float, level: float) -> float:
-        """omega_m - level at u = x on piece 1, to first order, in closed
-        form: p lies past pb = J level / (k sqrt(2/m)), the p of the level
-        there, exactly when m g (y - y_init) lies past Y(pb), and dY/dp =
-        2 p^2 / (a - p), so one ratio and one log1p give (Y - Y(pb)) / (dY/dp
-        at pb) level / pb. Where pb lies outside (p_a, a), or Y - Y(pb) is
-        within 1e-14 of the terms it sums and of pb dY/dp, newton from the
-        state s gives omega_m - level itself; signs computed both ways
-        differ only within 1.7e-16 of that scale on the full box. So the
-        sign is that of the state a step from s to x takes."""
+        """omega_m - level at u = x on piece 1 from the state s, to first
+        order, in closed form: p lies past pb = J level / (k sqrt(2/m)),
+        the p of the level there, exactly when m g (y - y_init) lies past
+        Y(pb), and dY/dp = 2 p^2 / (a - p), so one ratio and one log1p give
+        (Y - Y(pb)) / (dY/dp at pb) level / pb. Where pb lies outside (p_a,
+        a), or Y - Y(pb) is within 1e-14 of the terms it sums and of pb
+        dY/dp, newton from s gives omega_m - level itself; signs computed
+        both ways differ only within 1.7e-16 of that scale on the full box.
+        So the sign is that of the state a step from s to x takes."""
         jj, sin_th, cos_th, ye = node1(x)
         kr = ratio(sin_th, cos_th)
         pb = level * jj / (c_v * kr)
@@ -890,15 +890,11 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                 up = now > piece
                 level = kinks[piece if up else piece - 1]
                 sign = 1.0 if up else -1.0
-                if piece == 0:
-                    probe = lambda x: sign * (omega0(x) - level)
-                elif piece == 1:
-                    probe = lambda x: sign * probe1(state, x, level)
-                else:
-                    probe = None
                 new, g = locate(state, new, g,
                                 lambda s: sign * (s[4][3] - level),
-                                1e-10 * level, probe)
+                                1e-10 * level, None if piece > 1 else
+                                lambda x: sign * (probe0, probe1)[piece](
+                                    state, x, level))
                 if up and piece == len(kinks) - 1:
                     ended = Termination.CONTACT_FORCE_ZERO
                 now = piece + (1 if up else -1)
