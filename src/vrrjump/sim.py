@@ -38,8 +38,7 @@ singularity of the start never enters a step, and the 1/J growth of dq2 near
 full extension does not shrink the steps. advance writes rhs out for stages
 2 to 7 and for the derivative at the step's end, in rhs's order of
 operations and with its products read from the step's row (below), so each
-is rhs's bit for bit; rhs itself gives only the derivative after a switch
-of envelope piece.
+is rhs's bit for bit; every other state takes its derivative from rhs.
 
 On the first envelope piece, below omega_break, the motor holds tau_peak,
 and work and energy solve the state exactly: with the motor's turn
@@ -74,15 +73,18 @@ sqrt(2/m)), and at that of omega_hpl (a p that the run cannot reach
 bounds nothing), and short of Y at t_max (y_at, once per anchor). The
 last two pieces run the Runge-Kutta method from the exact states.
 
-From a grid point each piece walks its rows in one loop, which stops at
-the first row whose end leaves the piece or passes t_max. walk0 keeps only
-t, dt/du and omega_m of each row and builds a state (p, w_motor, rhs) only
-where it stops, or for a recorded sample; exact, its one-row case, serves
-the steps that start off the grid. walk1 tests the rows as above, at one
-ratio and at most two log1p each, and takes the start of the first row
-that fails, or of the last row, by one newton from the anchor; a recorded
-run samples the rows between, each from the sample before. walk2 steps
-each row by advance while omega_hpl < omega_m < omega_max.
+From a grid point each piece walks its rows in one loop, and every walk
+gives the same thing: the state at the start and at the end of the first
+row that may leave the piece or pass t_max, or the state at the cap. walk0
+keeps only t, dt/du and omega_m of each row and builds a state (p,
+w_motor, rhs) only where it stops, or for a recorded sample; exact, its
+one-row case, serves the steps that start off the grid. walk1 tests the
+rows as above, at one ratio and at most two log1p each, takes the start
+of the first row that fails, or of the last row, by one newton from the
+anchor, and its end by exact1 from there; a recorded run samples the rows
+between, each from the sample before. walk2 steps each row by advance
+while omega_hpl < omega_m < omega_max. An end of None is a stall inside
+the row.
 
 The envelope has kinks, and a method of order 6 keeps its order only on a
 smooth right-hand side. One motor.envelope_pieces call gives the kernel the
@@ -105,9 +107,9 @@ Crossing the last kink, omega_max, upward is the contact-force-zero event.
 A moving timeout is located with full trial steps on every piece, and a
 stall is bisected with Runge-Kutta steps on every piece, whose stages stop
 where K reaches zero instead of integrating t through its 1/sqrt(K)
-singularity. At a change of piece the kernel reads J, sin theta, cos theta
-and m g (y - y_init) from the row the step to the kink built, or from the
-grid row, and computes the motor's turn only on re-entry into piece 0.
+singularity. A change of piece computes J, sin theta, cos theta and m g
+(y - y_init) at the kink (node1), by the expressions a row uses, and the
+motor's turn only on re-entry into piece 0.
 
 The lift margin mu = 1 - m g J0 / (eta_j k0 tau_peak) sets how far from the
 start K stops growing like f0 u^2. A run with mu < GRADED_MARGIN, which
@@ -380,11 +382,6 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     two_a, two_aa, c_t = 2.0 * a, 2.0 * a * a, 2.0 / (mg * c_v)
     w_break, w_hpl, w_max = kinks
 
-    def geom(q2: float) -> tuple[float, float]:
-        """(k, J) at knee angle q2."""
-        jj, sin_th, cos_th = _geometry(q2, jfac, th_off)
-        return ratio(sin_th, cos_th), jj
-
     def rhs(u: float, p: float, k: float,
             jj: float) -> tuple[float, float, float, float]:
         """(dp/du, dt/du, dw_m/du, omega_m) at u > 0, where the ratio is k
@@ -399,7 +396,8 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
 
     def node1(x: float) -> tuple[float, float, float, float]:
         """(J, sin theta, cos theta, m g (y - y_init)) at u = x, off the
-        grid: all that piece 1 reads of a node."""
+        grid: all that piece 1 reads of a node, and all that a change of
+        piece reads of the kink."""
         jj, sin_th, cos_th = _geometry(q2_init + x * x, jfac, th_off)
         return jj, sin_th, cos_th, mg * rise(jfac, q2_init, x * x)
 
@@ -475,14 +473,12 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
 
     # A state is (u, p, t, w_motor, rhs at the state), after an entry and on
     # piece 1 followed by m g (y - y_init), which newton starts from.
-    def end0(t: float, b: float, row: tuple, pe: float, phi: float,
-             kr: float, om: float) -> tuple:
+    def end0(t: float, row: tuple, pe: float, phi: float,
+             kr: float) -> tuple:
         """The state at row's end on piece 0 from what walk0 keeps of it:
-        t, dt/du = b, p, the turn phi, k and omega_m."""
+        t, p, the turn phi and k."""
         ue = row[1]
-        tk = tau_peak * kr
-        return (ue, pe, t, w_off + tau_peak * phi,
-                (ue * (eta * tk - row[30]) / pe, b, row[22] * tk, om))
+        return ue, pe, t, w_off + tau_peak * phi, rhs(ue, pe, kr, row[14])
 
     def walk0(todo: tuple, i: int, s: tuple, log: bool) -> tuple:
         """Piece 0 over the rows todo[i:], from the state s at the start of
@@ -506,7 +502,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             phi = turn(ue * ue, cos_e, ce)
             ke = k_off + eta_tau * phi - ye
             if k1 <= 0.0 or k2 <= 0.0 or k3 <= 0.0 or ke <= 0.0:
-                return j, s if back is None else end0(t, b, *back), None
+                return j, s if back is None else end0(t, *back), None
             pe = sqrt(ke)
             v = c_v * pe
             kr = ratio(sin_e, cos_e)
@@ -516,13 +512,13 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                                 - 64.0 * dj2 / sqrt(k2)) / c_v)
             om = kr * v / je
             if not om <= w_break or tn > t_max:
-                return (j, s if back is None else end0(t, b, *back),
-                        end0(tn, be, row, pe, phi, kr, om))
+                return (j, s if back is None else end0(t, *back),
+                        end0(tn, row, pe, phi, kr))
             if log:
                 trajectory.append(snapshot((ue, pe, tn,
                                             w_off + tau_peak * phi)))
-            t, b, back = tn, be, (row, pe, phi, kr, om)
-        return len(todo), end0(t, b, *back), None
+            t, b, back = tn, be, (row, pe, phi, kr)
+        return len(todo), end0(t, *back), None
 
     def exact(s: tuple, row: tuple) -> tuple:
         """The state at row's end on piece 0, by walk0 over the one row."""
@@ -546,26 +542,21 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         """sample1 with the rhs at u = ue, where J, sin theta and cos theta
         are je, sin_e and cos_e: a row's end, or node1's."""
         _, pe, t, w, _, _ = sample1(s, ue, ye)
-        v = c_v * pe
-        kr = ratio(sin_e, cos_e)
-        om = kr * v / je
-        tk = tau(om) * kr
-        de = 2.0 * ue
-        return (ue, pe, t, w,
-                (ue * (eta * tk - mg * je) / pe, de * je / v, de * tk, om), ye)
+        return ue, pe, t, w, rhs(ue, pe, ratio(sin_e, cos_e), je), ye
 
     def exact1(s: tuple, row: tuple) -> tuple:
         """The state at row's end on piece 1 (state1)."""
         return state1(s, row[1], row[14], row[15], row[16], row[31][3][0])
 
-    def walk1(i: int, s: tuple) -> tuple[int, tuple]:
-        """From the state s at grid point i on piece 1, the rows whose ends
-        stay on the piece and short of t_max need no state: (j, the state
-        at the start of the first row j that may leave, or of the last
-        row). A row's end stays on the piece when p there lies past exactly
-        one of the p of omega_break, J omega_break / (k sqrt(2/m)), and that
-        of omega_hpl. The state is one newton from the anchor; with record,
-        each row between is sampled from the sample before."""
+    def walk1(i: int, s: tuple) -> tuple[int, tuple, tuple]:
+        """Piece 1 from grid row i, whose start is the state s: the rows
+        whose ends stay on the piece and short of t_max need no state.
+        Gives (j, the state at the start of row j, exact1's state at its
+        end) for the first row j that may leave, or the last row. A row's
+        end stays on the piece when p there lies past exactly one of the p
+        of omega_break, J omega_break / (k sqrt(2/m)), and that of
+        omega_hpl. The start of row j is one newton from the anchor; with
+        record, each row between is sampled from the sample before."""
         j = i
         while j < n - 1:
             row = rows[j]
@@ -576,15 +567,15 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             if past(w_break * c, ye) == past(w_hpl * c, ye):
                 break
             j += 1
-        if j == i:
-            return i, s
-        new = exact1(anchor, rows[j - 1])
-        if record:
-            for row in rows[i:j - 1]:
-                s = sample1(s, row[1], row[31][3][0])
-                trajectory.append(snapshot(s))
-            trajectory.append(snapshot(new))
-        return j, new
+        if j > i:
+            new = exact1(anchor, rows[j - 1])
+            if record:
+                for row in rows[i:j - 1]:
+                    s = sample1(s, row[1], row[31][3][0])
+                    trajectory.append(snapshot(s))
+                trajectory.append(snapshot(new))
+            s = new
+        return j, s, exact1(s, rows[j])
 
     def advance(s: tuple, row: tuple) -> tuple:
         """One step of Butcher's 7-stage order-6 Runge-Kutta method from
@@ -670,22 +661,18 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             s = new
         return n, s, None
 
-    def step(s: tuple, ue: float) -> tuple[tuple, tuple]:
-        """One step from s to ue, with its row computed from u: for steps
-        that do not start on a grid point. It is exact on pieces 0 and 1,
-        and piece 1 reads only the end of a row (node1). Gives the state
-        and the row, or on piece 1 node1's values at ue."""
+    def step(s: tuple, ue: float) -> tuple:
+        """The state at ue by one step from s, with its row computed from u:
+        for steps that do not start on a grid point. It is exact on pieces 0
+        and 1, and piece 1 reads only the end of a row (node1)."""
         if piece == 1:
-            g = node1(ue)
-            return state1(s, ue, *g), g
+            return state1(s, ue, *node1(ue))
         row = _row(s[0], ue, q2_init, jfac, mg, th_off, piece < 2)
-        return move(s, row), row
+        return exact(s, row) if piece == 0 else advance(s, row)
 
-    def locate(s: tuple, end: tuple, g: tuple, phi, tol: float,
-               probe=None) -> tuple[tuple, tuple | None]:
+    def locate(s: tuple, end: tuple, phi, tol: float, probe=None) -> tuple:
         """The first state past the root of phi on the step from s to end,
-        whose row (or node1's values) is g, and that state's row, or None
-        for s itself.
+        or s itself where phi(s) >= 0.
 
         phi < 0 before the root and phi(end) >= 0. Regula falsi on u: where
         a trial falls on the side of the trial before, the value kept at
@@ -699,8 +686,8 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         """
         lo, flo = s[0], phi(s)
         if flo >= 0.0:
-            return s, None
-        hi, fhi, best, g_best = end[0], phi(end), end, g
+            return s
+        hi, fhi, best = end[0], phi(end), end
         fbest = fhi
         side = 0
         while fbest > tol and hi - lo > 1e-12 * hi:
@@ -708,7 +695,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             if not lo < x < hi:
                 x = 0.5 * (lo + hi)
             if probe is None:
-                trial, g = step(s, x)
+                trial = step(s, x)
                 fx = phi(trial)
             else:
                 trial, fx = x, probe(x)
@@ -716,7 +703,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                 if side == 1:
                     m = 0.5 if probe is None else 1.0 - fx / fhi
                     flo *= m if m > 0.0 else 0.5
-                hi, fhi, fbest, best, g_best = x, fx, fx, trial, g
+                hi, fhi, fbest, best = x, fx, fx, trial
                 side = 1
             else:
                 if side == -1:
@@ -725,7 +712,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                 lo, flo = x, fx
                 side = -1
         if probe is None or best is end:
-            return best, g_best
+            return best
         return step(s, best)
 
     def y_at(tm: float) -> float:
@@ -770,7 +757,8 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
 
     def snapshot(s: tuple) -> SimState:
         q2 = q2_of(s)
-        k, jj = geom(q2)
+        jj, sin_th, cos_th = _geometry(q2, jfac, th_off)
+        k = ratio(sin_th, cos_th)
         v = c_v * s[1]
         om = k * v / jj
         tau_m = pieces[piece_of(om)](om)
@@ -827,7 +815,8 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
 
     trajectory: list[SimState] = []
 
-    k0, j0 = geom(q2_init)
+    j0, sin0, cos0 = _geometry(q2_init, jfac, th_off)
+    k0 = ratio(sin0, cos0)
     lift = eta * k0 * tau_peak
     if lift <= mg * j0:
         # Static hold: the commanded torque cannot start lifting the CoM.
@@ -853,7 +842,6 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     # m g (y - y_init) where t reaches t_max.
     anchor = None
     p_a = y_a = t_a = w_a = gap = y_t = 0.0
-    move = exact
     # With a small lift margin f0 is small against the growth of f, and K
     # bends within the first uniform step: those runs start graded.
     graded = 1.0 - mg * j0 / lift < GRADED_MARGIN
@@ -862,27 +850,23 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     while True:
         # The table holds the geometry of a step from its start only; a
         # split leaves the state between grid points. From a grid point a
-        # walk takes the rows that stay on the piece and short of t_max
-        # (walk1 reads only the rows' ends).
-        new = None
-        if piece == 1:
-            if state[0] == rows[i - 1][1]:
-                i, state = walk1(i, state)
-        elif state[0] == rows[i][0]:
-            i, state, new = (walk0(rows, i, state, record) if piece == 0
-                             else walk2(i, state))
+        # walk takes the rows that stay on the piece and short of t_max,
+        # and gives the start and end of the first row that may leave
+        # (walk1 reads only the rows' ends, and so does its test here).
+        walk = state[0] == (rows[i - 1][1] if piece == 1 else rows[i][0])
+        if walk:
+            i, state, new = (walk0(rows, i, state, record) if piece == 0 else
+                             walk1(i, state) if piece == 1 else
+                             walk2(i, state))
             if i == n:
                 return finish(state, Termination.ANGLE_CAP)
-        row = rows[i]
-        ue = row[1]
+        ue = rows[i][1]
         ended = None
         try:
-            if new is not None:
-                g = row
-            elif state[0] == row[0]:
-                new, g = move(state, row), row
-            else:
-                new, g = step(state, ue)
+            if not walk:
+                new = step(state, ue)
+            elif new is None:
+                raise _Stall
             now = piece_of(new[4][3])
             if now != piece:
                 # End the step at the first kink crossed; crossing the last
@@ -890,34 +874,23 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                 up = now > piece
                 level = kinks[piece if up else piece - 1]
                 sign = 1.0 if up else -1.0
-                new, g = locate(state, new, g,
-                                lambda s: sign * (s[4][3] - level),
-                                1e-10 * level, None if piece > 1 else
-                                lambda x: sign * (probe0, probe1)[piece](
-                                    state, x, level))
+                new = locate(state, new, lambda s: sign * (s[4][3] - level),
+                             1e-10 * level, None if piece > 1 else
+                             lambda x: sign * (probe0, probe1)[piece](
+                                 state, x, level))
                 if up and piece == len(kinks) - 1:
                     ended = Termination.CONTACT_FORCE_ZERO
                 now = piece + (1 if up else -1)
             if new[2] > t_max:
-                new, g = locate(state, new, g, lambda s: s[2] - t_max,
-                                1e-14 * t_max)
+                new = locate(state, new, lambda s: s[2] - t_max,
+                             1e-14 * t_max)
                 ended = Termination.TIMEOUT
             if now != piece and ended is None:
-                # The next step starts on the piece past the kink. g is the
-                # row that ended there, node1's values, or None for a kink
-                # at the state itself; a row built off the grid on piece 2
-                # holds no m g (y - y_init).
+                # The next step starts on the piece past the kink.
                 piece = now
                 tau = pieces[piece]
-                move = (exact, exact1, advance)[piece]
                 x = new[0]
-                if g is None:
-                    g = node1(x)
-                elif len(g) > 4:
-                    g = g[14], g[15], g[16], g[31] and g[31][3][0]
-                jj, sin_th, cos_th, rise_a = g
-                if rise_a is None:
-                    rise_a = mg * rise(jfac, q2_init, x * x)
+                jj, sin_th, cos_th, rise_a = node1(x)
                 new = (*new[:4], rhs(x, new[1], ratio(sin_th, cos_th), jj),
                        rise_a)
                 if piece == 0:

@@ -351,24 +351,35 @@ def test_u_grid_key_holds_the_weight(leg, motor, deep_crouch, mech):
         assert {model: w(model) for model in order} == dict(zip(legs, cold))
 
 
-@pytest.mark.parametrize("mech", [VrrParams(0.047, 0.150),
-                                  VrrParams(0.040, 0.140, math.radians(2.0)),
-                                  VrrParams(0.035, 0.240), FrrParams(23.0)])
-def test_u_grid_table_matches_geometry_from_u(leg, motor, deep_crouch,
-                                              monkeypatch, mech):
+@pytest.mark.parametrize("mech,angle", [
+    pytest.param(VrrParams(0.047, 0.150), -2.618, id="mech0"),
+    pytest.param(VrrParams(0.040, 0.140, math.radians(2.0)), -2.618,
+                 id="mech1"),
+    pytest.param(VrrParams(0.035, 0.240), -2.618, id="mech2"),
+    pytest.param(FrrParams(23.0), -2.618, id="mech3"),
+    # The stall of test_stall_holds_the_stall_pose (weak motor): off the
+    # grid the stalling step is exact's, which meets K <= 0 at a node.
+    pytest.param(VrrParams(0.047, 0.150, math.radians(-2.5)), -0.3,
+                 id="stall"),
+])
+def test_u_grid_table_matches_geometry_from_u(leg, motor, monkeypatch, mech,
+                                              angle):
     """A table whose start points never match sends every step down the
     off-grid path, which computes the geometry from u; the results agree
     bit for bit. (The piece-1 row test and its jump read the rows' ends.)"""
+    cfg = SimConfig(q2_init=angle)
+    if angle == -0.3:
+        motor = motor_variant(motor, tau_peak=3.0, p_peak=3.0 * 160.0)
     table = sim._u_grid
 
     def unmatched(*key):
         return tuple((math.nan, *row[1:]) for row in table(*key))
 
-    expected = [_outcome(simulate_jump(leg, motor, mech, deep_crouch, record))
+    expected = [_outcome(simulate_jump(leg, motor, mech, cfg, record))
                 for record in (False, True)]
     monkeypatch.setattr(sim, "_u_grid", unmatched)
     for record, want in zip((False, True), expected):
-        got = _outcome(simulate_jump(leg, motor, mech, deep_crouch, record))
+        got = _outcome(simulate_jump(leg, motor, mech, cfg, record))
         assert got == want
 
 
