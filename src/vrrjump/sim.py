@@ -184,6 +184,15 @@ GRADED_MARGIN = 0.05
 """A run whose lift margin 1 - m g J0 / (eta_j k0 tau_peak) is below this
 starts on graded steps (see _u_grid)."""
 
+LOBATTO_NODES = (0.0, 0.5 - math.sqrt(21.0) / 14.0, 0.5,
+                 0.5 + math.sqrt(21.0) / 14.0, 1.0)
+"""The 5-point Gauss-Lobatto rule's nodes on [0, 1] (Abramowitz & Stegun
+25.4.32), exact for polynomials of degree 7: walk0 takes t by it over a
+pair of u-steps."""
+
+LOBATTO_WEIGHTS = (9.0, 49.0, 64.0, 49.0, 9.0)
+"""Its weights at LOBATTO_NODES, in units of 1/180, their sum."""
+
 
 class _Stall(Exception):
     """The kinetic energy reached zero inside a step."""
@@ -206,12 +215,13 @@ def _rise_drop(x: float, q2_init: float, jfac: float, mg: float,
 
 
 def _row(u: float, ue: float, q2_init: float, jfac: float, mg: float,
-         th_off: float, closed: bool) -> tuple:
-    """One step from u to ue with every value of it that no design changes:
-    (u, ue, the stage nodes u + h/3, u + h/2 and u + 2h/3, then J, sin theta
-    and cos theta at each of those nodes and at ue; then h = ue - u, h/120,
-    and 2x, 2x J and m g J at the four nodes x), for the weight mg; last,
-    with closed, _rise_drop at the four nodes, else None."""
+         th_off: float, pair: tuple | None = None) -> tuple:
+    """One order-6 step from u to ue with every value of it that no design
+    changes: (u, ue, the stage nodes u + h/3, u + h/2 and u + 2h/3, then J,
+    sin theta and cos theta at each of those nodes and at ue; then h = ue -
+    u, h/120, and 2x, 2x J and m g J at the four nodes x), for the weight
+    mg; then m g (y - y_init) at ue, and last the piece-0 step (_row0) of
+    the pair of table rows that holds this one, None off the table."""
     h = ue - u
     u1, u2, u3 = u + h / 3.0, u + 0.5 * h, u + 2.0 * h / 3.0
     j1, sin1, cos1 = _geometry(q2_init + u1 * u1, jfac, th_off)
@@ -222,24 +232,46 @@ def _row(u: float, ue: float, q2_init: float, jfac: float, mg: float,
     return (u, ue, u1, u2, u3, j1, sin1, cos1, j2, sin2, cos2, j3, sin3, cos3,
             je, sin_e, cos_e, h, h / 120.0, d1, d2, d3, de,
             d1 * j1, d2 * j2, d3 * j3, de * je, mg * j1, mg * j2, mg * j3,
-            mg * je, tuple(_rise_drop(x, q2_init, jfac, mg, th_off)
-                           for x in (u1, u2, u3, ue)) if closed else None)
+            mg * je, mg * rise(jfac, q2_init, ue * ue), pair)
+
+
+def _row0(u: float, ue: float, q2_init: float, jfac: float, mg: float,
+          th_off: float) -> tuple:
+    """One piece-0 step from u to ue, what walk0 reads of it: (u, ue, then
+    d = x^2 at the interior LOBATTO_NODES x and at ue, cos theta at the
+    interior nodes, J, sin theta and cos theta at ue, h / 180 for h = ue -
+    u, 2x J at the interior nodes and at ue, and last _rise_drop at the
+    interior nodes and at ue, flat)."""
+    h = ue - u
+    _, c1, c2, c3, _ = LOBATTO_NODES
+    x1, x2, x3 = u + c1 * h, u + c2 * h, u + c3 * h
+    j1, _, cos1 = _geometry(q2_init + x1 * x1, jfac, th_off)
+    j2, _, cos2 = _geometry(q2_init + x2 * x2, jfac, th_off)
+    j3, _, cos3 = _geometry(q2_init + x3 * x3, jfac, th_off)
+    je, sin_e, cos_e = _geometry(q2_init + ue * ue, jfac, th_off)
+    return (u, ue, x1 * x1, x2 * x2, x3 * x3, ue * ue, cos1, cos2, cos3,
+            je, sin_e, cos_e, h / sum(LOBATTO_WEIGHTS), 2.0 * x1 * j1,
+            2.0 * x2 * j2, 2.0 * x3 * j3, 2.0 * ue * je,
+            *(v for x in (x1, x2, x3, ue)
+              for v in _rise_drop(x, q2_init, jfac, mg, th_off)))
 
 
 @functools.lru_cache(maxsize=64)
 def _u_grid(q2_init: float, cap: float, n: int, jfac: float, mg: float,
-            th_off: float, graded: bool) -> tuple[tuple[float, ...], ...]:
-    """The u-steps of a takeoff, one _row per step.
+            th_off: float, graded: bool) -> tuple[tuple, ...]:
+    """The u-steps of a takeoff, one _row per step, each holding the _row0
+    of its pair: rows 0 and 1, 2 and 3, and so on, with the last row alone
+    when their count is odd.
 
     n uniform steps. graded replaces the first 21 of them with steps that
     shrink by 1.05 toward u = 0, the first of them at least 1e-4 * u_cap
     long: at the 21st node a step of ratio 1.05 is one uniform step long,
-    so no graded step is longer than a uniform one. The table depends on no
-    design parameter but the crank offset th_off, and on the leg only
-    through its Jacobian scale jfac and weight mg, so every candidate of a
-    grid at one angle shares it. 64 tables hold the default box's 8
-    offsets, graded and uniform, at three angles or at a census angle's n
-    and 16n.
+    so no graded step is longer than a uniform one. Graded rows pair like
+    the others. The table depends on no design parameter but the crank
+    offset th_off, and on the leg only through its Jacobian scale jfac and
+    weight mg, so every candidate of a grid at one angle shares it. 64
+    tables hold the default box's 8 offsets, graded and uniform, at three
+    angles or at a census angle's n and 16n.
     """
     u_cap = math.sqrt(cap - q2_init)
     nodes = [u_cap * i / n for i in range(n)] + [u_cap]
@@ -251,8 +283,11 @@ def _u_grid(q2_init: float, cap: float, n: int, jfac: float, mg: float,
             x /= 1.05
             first.append(x)
         nodes[1:last] = first[::-1]
-    return tuple(_row(u, ue, q2_init, jfac, mg, th_off, True)
-                 for u, ue in zip(nodes, nodes[1:]))
+    steps = len(nodes) - 1
+    pairs = [_row0(nodes[k], nodes[min(k + 2, steps)], q2_init, jfac, mg,
+                   th_off) for k in range(0, steps, 2)]
+    return tuple(_row(nodes[k], nodes[k + 1], q2_init, jfac, mg, th_off,
+                      pairs[k // 2]) for k in range(steps))
 
 
 class TakeoffRule(str, Enum):
@@ -475,31 +510,32 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     # piece 1 followed by m g (y - y_init), which newton starts from.
     def end0(t: float, row: tuple, pe: float, phi: float,
              kr: float) -> tuple:
-        """The state at row's end on piece 0 from what walk0 keeps of it:
-        t, p, the turn phi and k."""
+        """The state at the end of the piece-0 step row from what walk0
+        keeps of it: t, p, the turn phi and k."""
         ue = row[1]
-        return ue, pe, t, w_off + tau_peak * phi, rhs(ue, pe, kr, row[14])
+        return ue, pe, t, w_off + tau_peak * phi, rhs(ue, pe, kr, row[9])
+
+    w_end, w_side, w_mid = LOBATTO_WEIGHTS[:3]
 
     def walk0(todo: tuple, i: int, s: tuple, log: bool) -> tuple:
-        """Piece 0 over the rows todo[i:], from the state s at the start of
-        todo[i]: K and w_motor in closed form, and t by the order-6 weights
-        (11, 81, -64, 81, 11)/120 at the nodes 0, 1/3, 1/2, 2/3 and 1 of a
-        step, where the state is exact. Gives (j, the state at the start of
-        todo[j], the state at its end) for the first row j whose end leaves
-        the piece or passes t_max, with None for the end where K <= 0 at a
-        node of the row, or (len(todo), the state at the last end, None).
-        Only t, dt/du and omega_m of the rows between are kept, and each is
-        recorded with log."""
+        """Piece 0 over the pairs of rows from todo[i], whose start is the
+        state s: each step is the _row0 held last by todo[j], j = i, i + 2,
+        .... K and w_motor are closed-form, and t comes from the Lobatto rule
+        on each pair, whose nodes carry exact states. Gives (j, the state at
+        the start of todo[j], the state at the end of its pair) for the
+        first pair whose end leaves the piece or passes t_max, with None for
+        the end where K <= 0 at a node of the pair, or (len(todo), the state
+        at the last end, None). Only t, dt/du and omega_m of the pairs
+        between are kept, and each pair's end is recorded with log."""
         t, b, back = s[2], s[4][1], None
-        for j in range(i, len(todo)):
-            row = todo[j]
-            (_, ue, u1, u2, u3, _, _, cos1, _, _, cos2, _, _, cos3, je, sin_e,
-             cos_e, _, h120, _, _, _, _, dj1, dj2, dj3, dje, _, _, _, _,
-             ((y1, c1), (y2, c2), (y3, c3), (ye, ce))) = row
-            k1 = k_off + eta_tau * turn(u1 * u1, cos1, c1) - y1
-            k2 = k_off + eta_tau * turn(u2 * u2, cos2, c2) - y2
-            k3 = k_off + eta_tau * turn(u3 * u3, cos3, c3) - y3
-            phi = turn(ue * ue, cos_e, ce)
+        for j in range(i, len(todo), 2):
+            row = todo[j][-1]
+            (_, ue, d1, d2, d3, de, cos1, cos2, cos3, je, sin_e, cos_e, hw,
+             dj1, dj2, dj3, dje, y1, c1, y2, c2, y3, c3, ye, ce) = row
+            k1 = k_off + eta_tau * turn(d1, cos1, c1) - y1
+            k2 = k_off + eta_tau * turn(d2, cos2, c2) - y2
+            k3 = k_off + eta_tau * turn(d3, cos3, c3) - y3
+            phi = turn(de, cos_e, ce)
             ke = k_off + eta_tau * phi - ye
             if k1 <= 0.0 or k2 <= 0.0 or k3 <= 0.0 or ke <= 0.0:
                 return j, s if back is None else end0(t, *back), None
@@ -507,9 +543,9 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             v = c_v * pe
             kr = ratio(sin_e, cos_e)
             be = dje / v
-            tn = t + h120 * (11.0 * (b + be)
-                             + (81.0 * (dj1 / sqrt(k1) + dj3 / sqrt(k3))
-                                - 64.0 * dj2 / sqrt(k2)) / c_v)
+            tn = t + hw * (w_end * (b + be)
+                           + (w_side * (dj1 / sqrt(k1) + dj3 / sqrt(k3))
+                              + w_mid * dj2 / sqrt(k2)) / c_v)
             om = kr * v / je
             if not om <= w_break or tn > t_max:
                 return (j, s if back is None else end0(t, *back),
@@ -521,8 +557,9 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         return len(todo), end0(t, *back), None
 
     def exact(s: tuple, row: tuple) -> tuple:
-        """The state at row's end on piece 0, by walk0 over the one row."""
-        j, start, end = walk0((row,), 0, s, False)
+        """The state at the end of the piece-0 step row (_row0), by walk0
+        over that one step."""
+        j, start, end = walk0(((row,),), 0, s, False)
         if j:
             return start
         if end is None:
@@ -546,7 +583,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
 
     def exact1(s: tuple, row: tuple) -> tuple:
         """The state at row's end on piece 1 (state1)."""
-        return state1(s, row[1], row[14], row[15], row[16], row[31][3][0])
+        return state1(s, row[1], row[14], row[15], row[16], row[31])
 
     def walk1(i: int, s: tuple) -> tuple[int, tuple, tuple]:
         """Piece 1 from grid row i, whose start is the state s: the rows
@@ -560,7 +597,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         j = i
         while j < n - 1:
             row = rows[j]
-            ye = row[31][3][0]
+            ye = row[31]
             if ye >= y_t:
                 break
             c = row[14] / (c_v * ratio(row[15], row[16]))
@@ -571,7 +608,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             new = exact1(anchor, rows[j - 1])
             if record:
                 for row in rows[i:j - 1]:
-                    s = sample1(s, row[1], row[31][3][0])
+                    s = sample1(s, row[1], row[31])
                     trajectory.append(snapshot(s))
                 trajectory.append(snapshot(new))
             s = new
@@ -583,7 +620,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         p, t, w, (a1, b1, c1, _) = s[1:5]
         (_, ue, u1, u2, u3, j1, sin1, cos1, j2, sin2, cos2, j3, sin3, cos3,
          je, sin_e, cos_e, h, h120, d1, d2, d3, de, dj1, dj2, dj3, dje,
-         g1, g2, g3, ge, _) = row
+         g1, g2, g3, ge, _, _) = row
         k1, k2, k3, ke = (ratio(sin1, cos1), ratio(sin2, cos2),
                           ratio(sin3, cos3), ratio(sin_e, cos_e))
         # Only p feeds back into the stages; t and w_motor are quadratures
@@ -667,8 +704,9 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         and 1, and piece 1 reads only the end of a row (node1)."""
         if piece == 1:
             return state1(s, ue, *node1(ue))
-        row = _row(s[0], ue, q2_init, jfac, mg, th_off, piece < 2)
-        return exact(s, row) if piece == 0 else advance(s, row)
+        if piece == 0:
+            return exact(s, _row0(s[0], ue, q2_init, jfac, mg, th_off))
+        return advance(s, _row(s[0], ue, q2_init, jfac, mg, th_off))
 
     def locate(s: tuple, end: tuple, phi, tol: float, probe=None) -> tuple:
         """The first state past the root of phi on the step from s to end,
@@ -725,7 +763,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         is a lower bound, which stands in where it lies past the cap's Y:
         no row reaches tm."""
         low = y_a + eta_power * (tm - t_a) - max(gap, 0.0) * (a + p_a)
-        if low >= rows[-1][31][3][0]:
+        if low >= rows[-1][31]:
             return low
         tau = (tm - t_a) / c_t
         z = max(tau + gap, 0.0) / a
@@ -792,8 +830,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             if not lo < mid < hi:
                 break
             try:
-                trial = advance(s, _row(s[0], mid, q2_init, jfac, mg, th_off,
-                                        False))
+                trial = advance(s, _row(s[0], mid, q2_init, jfac, mg, th_off))
             except _Stall:
                 hi, stalled = mid, True
                 continue
@@ -853,14 +890,19 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         # walk takes the rows that stay on the piece and short of t_max,
         # and gives the start and end of the first row that may leave
         # (walk1 reads only the rows' ends, and so does its test here).
-        walk = state[0] == (rows[i - 1][1] if piece == 1 else rows[i][0])
+        # Piece 0 steps over pairs of rows, so its walks start at even rows.
+        if piece == 1:
+            walk = state[0] == rows[i - 1][1]
+        else:
+            walk = state[0] == rows[i][0] and not (piece == 0 and i & 1)
         if walk:
             i, state, new = (walk0(rows, i, state, record) if piece == 0 else
                              walk1(i, state) if piece == 1 else
                              walk2(i, state))
             if i == n:
                 return finish(state, Termination.ANGLE_CAP)
-        ue = rows[i][1]
+        # On piece 0 a step ends where the pair that holds row i ends.
+        ue = rows[i][-1][1] if piece == 0 else rows[i][1]
         ended = None
         try:
             if not walk:
@@ -913,7 +955,9 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         state = new
         if ended is not None:
             return finish(state, ended)
-        if state[0] == ue:
+        # Row i becomes the one that holds the state: past the end of a
+        # pair, or past a kink located in a pair's second row.
+        while state[0] >= rows[i][1]:
             i += 1
             if i == n:
                 return finish(state, Termination.ANGLE_CAP)

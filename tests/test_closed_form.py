@@ -36,10 +36,14 @@ from scipy.optimize import brentq
 
 from vrrjump import (FrrParams, SimConfig, Termination, VrrParams,
                      simulate_jump)
+from conftest import motor_variant
 
 K_REL = 5e-13
 W_REL = 5e-13
-T_REL = 2e-10
+T_REL = 6e-12
+# Piece 0 on 5 and 6 u-steps, and on a graded start (see their tests).
+T_FEW_REL = 4e-6
+T_GRADED_REL = 2e-14
 # Piece 1: every sample past the crossing, and W and t at the cap.
 K1_REL = 4e-15
 W1_REL = 4e-15
@@ -90,14 +94,15 @@ def piece0(leg, motor, mech, q2_init):
     return state
 
 
-@pytest.mark.parametrize("mech", MECHS,
-                         ids=["vrr47-150", "vrr50-100", "vrr36-200", "frr23"])
-@pytest.mark.parametrize("angle", ANGLES)
-def test_piece0_matches_closed_form(leg, motor, mech, angle):
-    """K, w_motor and t of every sample before the first omega_break
-    crossing. K and w_motor differ by rounding, mostly of q2 - q2_init;
-    t carries the error of the kernel's order-6 quadrature."""
-    res = simulate_jump(leg, motor, mech, SimConfig(q2_init=angle))
+def check_piece0(leg, motor, mech, cfg, t_rel, position=False) -> int:
+    """Check K, w_motor and t of every sample before the first omega_break
+    crossing against the closed form, t within t_rel; return how many were
+    checked. K and w_motor differ by rounding, mostly of q2 - q2_init; t
+    carries the error of the kernel's quadrature. A sample gives its place
+    only as q2 = q2_init + u^2, which holds d = q2 - q2_init to ulp(q2)/d;
+    with position, every bound admits that term too."""
+    res = simulate_jump(leg, motor, mech, cfg)
+    angle = cfg.q2_init
     state = piece0(leg, motor, mech, angle)
     m = leg.total_mass()
     start, *rest = res.trajectory
@@ -112,11 +117,48 @@ def test_piece0_matches_closed_form(leg, motor, mech, angle):
                   epsrel=1e-13, limit=200)[0]
         u = x
         k, w, _ = state(d)
-        assert 0.5 * m * s.dy_com ** 2 == pytest.approx(k, rel=K_REL, abs=0)
-        assert s.w_motor == pytest.approx(w, rel=W_REL, abs=0)
-        assert s.t == pytest.approx(t, rel=T_REL, abs=0)
+        slack = math.ulp(s.q2) / d if position else 0.0
+        assert 0.5 * m * s.dy_com ** 2 == pytest.approx(
+            k, rel=K_REL + slack, abs=0)
+        assert s.w_motor == pytest.approx(w, rel=W_REL + slack, abs=0)
+        assert s.t == pytest.approx(t, rel=t_rel + slack, abs=0)
         checked += 1
-    assert checked >= 10
+    return checked
+
+
+@pytest.mark.parametrize("mech", MECHS,
+                         ids=["vrr47-150", "vrr50-100", "vrr36-200", "frr23"])
+@pytest.mark.parametrize("angle", ANGLES)
+def test_piece0_matches_closed_form(leg, motor, mech, angle):
+    """Every sample before the first omega_break crossing: one per pair of
+    u-steps, where t carries the Lobatto rule's error."""
+    assert check_piece0(leg, motor, mech, SimConfig(q2_init=angle),
+                        T_REL) >= 10
+
+
+@pytest.mark.parametrize("u_steps", [5, 6])
+def test_piece0_on_few_steps(leg, motor, u_steps):
+    """A motor whose omega_break is 480 rad/s keeps (41, 150) mm at -2.618
+    on piece 0 up to the cap, whose sample is the end of the last pair:
+    rows 4 and 5 of 6, or on 5 u-steps row 4, the odd row left alone."""
+    fast = motor_variant(motor, p_peak=motor.tau_peak * 480.0)
+    cfg = SimConfig(q2_init=-2.618, u_steps=u_steps)
+    mech = VrrParams(0.041, 0.150)
+    res = simulate_jump(leg, fast, mech, cfg, record=False)
+    assert res.terminated_by is Termination.ANGLE_CAP
+    assert check_piece0(leg, fast, mech, cfg, T_FEW_REL) == 3
+
+
+def test_piece0_graded_start(leg, motor):
+    """(34, 175) mm at -2.618 starts graded (lift margin 0.004) and times
+    out still moving on piece 0: its pairs are graded rows, and its first
+    samples lie near d = 1e-8 rad, where ulp(q2)/d is 1.5e-8, so the bounds
+    admit that term."""
+    mech, cfg = VrrParams(0.034, 0.175), SimConfig(q2_init=-2.618)
+    res = simulate_jump(leg, motor, mech, cfg, record=False)
+    assert res.terminated_by is Termination.TIMEOUT
+    assert check_piece0(leg, motor, mech, cfg, T_GRADED_REL,
+                        position=True) >= 90
 
 
 def rise(leg, q2_init, d):

@@ -82,16 +82,39 @@ def test_trajectory_channels_consistent(leg, motor, mech_opt, deep_crouch):
     assert all(b >= a for a, b in zip(work, work[1:]))
 
 
+def _contract_length(res, cfg, motor) -> int:
+    """The length of a recorded run on uniform u-steps that leaves piece 0
+    once and never comes back: the start, the end of each pair of u-steps
+    before the first kink, the end of each u-step from the one that holds
+    it to the last before the cap or the event, and one sample at each kink
+    crossed, contact-force zero included."""
+    speeds = (motor.omega_break, motor.omega_hpl, motor.omega_max)
+    n = cfg.u_steps
+    u_cap = math.sqrt(cfg.q2_takeoff_cap - cfg.q2_init)
+
+    def step_of(s):
+        return math.floor(math.sqrt(s.q2 - cfg.q2_init) / u_cap * n)
+    kinks = [s for s in res.trajectory
+             if any(abs(s.omega_m - w) <= KINK_REL * w for w in speeds)]
+    first = step_of(kinks[0])
+    last = (n if res.terminated_by is Termination.ANGLE_CAP
+            else step_of(res.trajectory[-1]))
+    return 1 + first // 2 + (last - first) + len(kinks)
+
+
 @pytest.mark.parametrize("angle", [-2.618, -2.2689, -1.9199])
 def test_samples_are_the_model_functions_bitwise(leg, motor, angle):
     """The kernel evaluates the leg, mechanism and motor definitions
     themselves, so every recorded sample equals them exactly."""
     cfg = SimConfig(q2_init=angle)
-    for mech in (FrrParams(23.0), VrrParams(0.047, 0.150),
-                 VrrParams(0.050, 0.100, delta_theta=math.radians(2.0))):
+    for mech, length in zip(
+            (FrrParams(23.0), VrrParams(0.047, 0.150),
+             VrrParams(0.050, 0.100, delta_theta=math.radians(2.0))),
+            {-2.618: (48, 61, 63), -2.2689: (48, 63, 65),
+             -1.9199: (48, 64, 66)}[angle]):
         res = simulate_jump(leg, motor, mech, cfg)
-        # k = 23 reaches omega_max at about 85 % of the u-range.
-        assert len(res.trajectory) > 0.8 * sim.U_STEPS
+        assert len(res.trajectory) == _contract_length(res, cfg, motor) \
+            == length
         for s in res.trajectory:
             assert s.tau_m == max_torque(motor, s.omega_m)
             assert s.tau_j == s.tau_m * reduction_ratio(mech, s.q2) * motor.eta_j
@@ -462,11 +485,36 @@ def test_piece1_solves_stay_under_their_cap(tmp_path, monkeypatch):
 
 
 def test_trajectory_has_one_row_per_u_step(leg, motor, mech_opt, deep_crouch):
-    """Plus the start and one row at each envelope kink crossed."""
+    """One row per pair of u-steps on piece 0 and per u-step after it, plus
+    the start and one row at each envelope kink crossed. The reference
+    design at -2.618 crosses omega_break in step 33 of 75, after 16 pairs,
+    and omega_hpl in step 67: 1 + 16 + 1 + 42 + 1 rows. Every row before
+    the first kink lies at the end of a pair."""
     res = simulate_jump(leg, motor, mech_opt, deep_crouch)
-    assert sim.U_STEPS + 1 < len(res.trajectory) <= sim.U_STEPS + 1 + 6
+    assert len(res.trajectory) == _contract_length(res, deep_crouch, motor) \
+        == 61
+    u_cap = math.sqrt(deep_crouch.q2_takeoff_cap - deep_crouch.q2_init)
+    for j, s in enumerate(res.trajectory[:17]):
+        u = u_cap * 2 * j / sim.U_STEPS
+        assert s.q2 == deep_crouch.q2_init + u * u
+    assert res.trajectory[17].omega_m == pytest.approx(
+        motor.omega_break, rel=KINK_REL)
     ts = [s.t for s in res.trajectory]
     assert all(b > a for a, b in zip(ts, ts[1:]))
+
+
+def test_lobatto_rule_is_exact_to_degree_7():
+    """walk0's t rule integrates x^0 to x^7 on [0, 1] to rounding and
+    overshoots x^8 by n (n-1)^3 ((n-2)!)^4 8! / ((2n-1) ((2n-2)!)^3) =
+    1/35280 for n = 5 nodes (Abramowitz & Stegun 25.4.32, on [0, 1]): a
+    wrong digit in a node or a weight fails."""
+    def rule(k):
+        return sum(w * x ** k for x, w in zip(sim.LOBATTO_NODES,
+                                              sim.LOBATTO_WEIGHTS)) / 180.0
+    assert sum(sim.LOBATTO_WEIGHTS) == 180.0
+    for k in range(8):
+        assert rule(k) == pytest.approx(1.0 / (k + 1), rel=1e-15, abs=0)
+    assert rule(8) - 1.0 / 9.0 == pytest.approx(1.0 / 35280.0, rel=1e-9)
 
 
 def test_coincident_kinks_add_no_duplicate_row(leg, motor):
