@@ -330,17 +330,17 @@ FULL_BOX_SHA256 = {
     "summary.txt":
         "1d4284bf7fe3b570786c636b8f6fcbe3047032c527739bfe3da0eac35cea7964",
     "trajectory_evrr_-1.9199.csv":
-        "23acdfcfa29c9c44d070da2f1d33d4d4ca8bf29bd0528af4aafa73bd2a9efae0",
+        "41cbe71010709a1c0701d5c0fc1d720bdee48c50929c84af45f11f62866ccd01",
     "trajectory_evrr_-2.2689.csv":
-        "2f7a1ff509ea6136f56ed4c76c25c4024e1c8fb14431f6d27ca874cc4f41c62c",
+        "a0f9d5df84db47f525baf1f577a86176168b31dff13d47c009c428b79e6ba4d4",
     "trajectory_evrr_-2.6180.csv":
-        "409426ed7a2e2493132fd38a51e8a73a128ef1ce74a9dc0601400f84271ccb74",
+        "018ee7c1ec7ea5af90b9d495d5d797d8cbd684762235bb690984fe499f5a75df",
     "trajectory_frr_-1.9199.csv":
-        "b627b089d2986b3de5376ccc54de1866c4d4cddc4a6b2fece99b07cb55531feb",
+        "18e46aff267f83ba04048a13e13ec53202835178ef7556116d4f17e811da91d1",
     "trajectory_frr_-2.2689.csv":
-        "f66dba9d2184b563e9556fbe3c3aef936ef8d304ddde4eef1358e1f401e70ec9",
+        "156203b29a3a6d92f98910dc1d5cd43c4d3e125f89639e0074fa94bdb9a11804",
     "trajectory_frr_-2.6180.csv":
-        "1c59fb733ed45de6d0aa934f62198a94f1f531cce0e6f3503d2567df576f9fae",
+        "0f8e037e33212c52d5ee6d8b677dde4b2faa56b746bc34c073e361b3776edac0",
 }
 """sha256 of every file but metadata.json that `vrrjump compare --dump-grid`
 writes for fullscale.json's full box (the report's metadata carries no

@@ -99,13 +99,13 @@ def test_row_format_renders_none_empty():
 
 SINGLE_DESIGN_SHA256 = {
     "trajectory_-2.6180.csv":
-        "8742ec2f24c94721ee6e76ee10a0035d2a52b467554021951fa3fde0ed48e6f0",
+        "02102f28da8138b9dcd2ce56481efacced730990afd11eee920d8ebc554742ac",
     "trajectory_-2.2689.csv":
-        "ec0cd9c9fdc60b0feff6e63a0bbf6006ccc7cc2d9fa521d65e8d9242abee89f3",
+        "06ec8daa22c9cff6f237b87d7069929a429fcf99375a150a8949da772a9f3065",
     "trajectory_-1.9199.csv":
-        "16b0cf6da35824b87518ebfbee2b8778c55fa531f20e7ae72279d40860890ac3",
+        "72678e3feb6d4db557a148c0258275133827886ce6622970a3a442c8446bb169",
     "trajectory_frr23_-2.6180.csv":
-        "1c59fb733ed45de6d0aa934f62198a94f1f531cce0e6f3503d2567df576f9fae",
+        "0f8e037e33212c52d5ee6d8b677dde4b2faa56b746bc34c073e361b3776edac0",
     "ratio_curve_default.csv":
         "7814a52a8e1fe8097bba684c8b73a15b0655c61d7f4f70275e86f14dbecfd653",
     "ratio_curve_-3.1_-0.02_n57.csv":
