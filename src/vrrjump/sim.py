@@ -48,10 +48,13 @@ phi(q2) since the anchor a (mechanism.turn_law, the integral of k),
     K       = K_a + eta_j tau_peak (phi - phi_a) - m g (y - y_a)
 
 where a is the start, or the state where the run re-enters the piece from
-above. There walk0 replaces the stages: it takes K and w_motor in closed
-form at each node of the step's row and t by the method's own quadrature,
-whose weights at the nodes 0, 1/3, 1/2, 2/3 and 1 are (11, 81, -64, 81,
-11)/120.
+above. There walk0 replaces the stages and steps over pairs of u-steps: it
+takes K and w_motor in closed form at each node of a pair, and t by the
+5-point Gauss-Lobatto rule (Abramowitz & Stegun 25.4.32), whose weights at
+the nodes 0, 1/2 - sqrt(21)/14, 1/2, 1/2 + sqrt(21)/14 and 1 of the pair
+are (9, 49, 64, 49, 9)/180 (LOBATTO_NODES, LOBATTO_WEIGHTS). The rule has
+order 8, and it takes four new evaluations per pair, where the method's
+own quadrature would take four per u-step.
 
 On the second piece the motor holds the power p_peak, so dK/dY =
 eta_j p_peak / v - 1 in Y = m g (y - y_init), whatever the ratio. In
@@ -75,10 +78,11 @@ last two pieces run the Runge-Kutta method from the exact states.
 
 From a grid point each piece walks its rows in one loop, and every walk
 gives the same thing: the state at the start and at the end of the first
-row that may leave the piece or pass t_max, or the state at the cap. walk0
-keeps only t, dt/du and omega_m of each row and builds a state (p,
-w_motor, rhs) only where it stops, or for a recorded sample; exact, its
-one-row case, serves the steps that start off the grid. walk1 tests the
+row (on piece 0, pair of rows) that may leave the piece or pass t_max, or
+the state at the cap. walk0 keeps only t, dt/du and omega_m of each pair
+and builds a state (p, w_motor, rhs) only where it stops, or for a
+recorded sample; exact, its one-step case, serves the steps that start off
+the grid, which end where the pair that holds them ends. walk1 tests the
 rows as above, at one ratio and at most two log1p each, takes the start
 of the first row that fails, or of the last row, by one newton from the
 anchor, and its end by exact1 from there; a recorded run samples the rows
@@ -123,18 +127,21 @@ k depends on r and S0. A row holds the rest: the step's nodes, h = ue - u
 and h/120, and at each stage node x (1/3, 1/2, 2/3 and 1 of the step) the
 Jacobian J, sin(theta) and cos(theta) for the crank angle
 theta = q2 + (pi - delta_theta), rhs's products 2x, 2x J and m g J, and,
-for walk0 and exact1, m g (y - y_init) and cos(theta_init) - cos(theta),
-each written so that no digits cancel near the start (leg.rise,
-mechanism.cos_drop).
+for walk1 and exact1, m g (y - y_init) at the step's end. Last it holds the
+piece-0 step of its pair (_row0): at the pair's Lobatto nodes x, x^2, cos
+theta, 2x J, m g (y - y_init) and cos(theta_init) - cos(theta), each
+written so that no digits cancel near the start (leg.rise,
+mechanism.cos_drop), and J and sin theta at the pair's end.
 _u_grid tabulates one row per step, once per (q2_init, cap, u_steps,
-Jacobian scale, m g, delta_theta, graded), through the same _row the kernel
-uses off the grid, in a bounded cache that each process (each pool worker
-too) fills on first use. A full grid step reads its row and computes only k
-from it, at the four nodes, and a row that walk1 tests computes k at its
-end; the fixed-ratio kernel's k is constant. A step
-that starts off the grid (after a kink or event split, and the trial steps
-of event location and stall bisection) computes its row from u, on piece 1
-only the row's end, which is all exact1 reads. Either way
+Jacobian scale, m g, delta_theta, graded), through the same _row and _row0
+the kernel uses off the grid, in a bounded cache that each process (each
+pool worker too) fills on first use. A full grid step reads its row and
+computes only k from it: at the four nodes of a Runge-Kutta step, at the
+end of a pair on piece 0, and at the end of a row that walk1 tests; the
+fixed-ratio kernel's k is constant. A step that starts off the grid (after
+a kink or event split, and the trial steps of event location and stall
+bisection) computes its row from u, on piece 1 only the row's end, which
+is all exact1 reads. Either way
 the results are bit for bit those of computing everything per step, and a
 candidate's result does not depend on the others in its grid.
 
@@ -157,8 +164,9 @@ Every other run ends at t_max, and the kernel names how:
 * Timeout -- the knee is still moving at t_max, located to 1e-14 t_max
   past it, or to 1e-12 relative in u.
 
-A recorded trajectory holds one sample per u-step (graded steps included)
-plus one at each kink and event.
+A recorded trajectory holds one sample per pair of u-steps on piece 0 and
+one per u-step on the other pieces (graded steps included), plus one at
+each kink and event.
 """
 
 from __future__ import annotations
@@ -175,7 +183,8 @@ from .mechanism import (FrrParams, VrrParams, check_working_range,
 from .motor import MotorParams, envelope_pieces
 
 U_STEPS = 75
-"""SimConfig.u_steps default: order-6 u-steps before kink and event splits."""
+"""SimConfig.u_steps default: u-steps before kink and event splits, of
+order 6, and on piece 0 walked in pairs with an order-8 t rule."""
 
 NEWTON_CAP = 8
 """Most Newton iterations for the state at one node of piece 1."""
@@ -306,8 +315,10 @@ class Termination(str, Enum):
 class SimConfig:
     """Initial pose, step size, horizon, takeoff rule and u-step count.
 
-    simulate_jump takes u_steps steps in u and has one takeoff rule, so dt
-    and takeoff_rule are still validated but not read; perfbench passes both.
+    simulate_jump takes u_steps steps in u, in pairs on the constant-torque
+    piece (the last step alone when u_steps is odd), and has one takeoff
+    rule, so dt and takeoff_rule are still validated but not read; perfbench
+    passes both.
     """
 
     q2_init: float
@@ -519,9 +530,9 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
 
     def walk0(todo: tuple, i: int, s: tuple, log: bool) -> tuple:
         """Piece 0 over the pairs of rows from todo[i], whose start is the
-        state s: each step is the _row0 held last by todo[j], j = i, i + 2,
-        .... K and w_motor are closed-form, and t comes from the Lobatto rule
-        on each pair, whose nodes carry exact states. Gives (j, the state at
+        state s: each step is the _row0 that todo[j] holds last, for j = i,
+        i + 2 and so on. K and w_motor are closed-form, and t comes from the
+        Lobatto rule on each pair, whose nodes carry exact states. Gives (j, the state at
         the start of todo[j], the state at the end of its pair) for the
         first pair whose end leaves the piece or passes t_max, with None for
         the end where K <= 0 at a node of the pair, or (len(todo), the state
