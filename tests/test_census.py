@@ -50,6 +50,8 @@ def test_census_classes_are_the_kernels(tmp_path, capsys, monkeypatch):
     counts = {c: row["count"] for c, row in result["rows"].items()}
     assert counts == {c: kernel[c] for c in census.CLASSES}
     assert census.failures(result) == []
+    # The bits digests see every W: the cap runs move between n and 16n.
+    assert result["bits"][0] != result["bits"][1]
     # The pooled path (with two or more CPUs) and the in-process path agree.
     with monkeypatch.context() as patch:
         patch.setattr(optimize, "usable_cpus", lambda: 1)
@@ -69,3 +71,6 @@ def test_census_classes_are_the_kernels(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert f"| static_hold ({kernel['static_hold']}) |" in out
     assert f"| timeout ({kernel['timeout']}) |" in out
+    for steps, digest in zip((cfg.sim.u_steps, 16 * cfg.sim.u_steps),
+                             result["bits"]):
+        assert f"bits at {steps} steps: sha256 {digest}\n" in out

@@ -5,7 +5,9 @@ angle with the SimConfig's u_steps and with 16 times as many, in one
 optimize._run_grids call on optimize.usable_cpus() workers, and each outcome
 class gets the largest relative error in W and in t against the 16n run. A
 flip is a candidate whose W prints differently at the grid CSVs' 9
-significant digits.
+significant digits. The bits digest is a SHA-256 of every candidate's exact
+W and t (float.hex) and ending, in grid order, one at n and one at 16n:
+two kernels that print the same digests gave the same bits on the whole box.
 
     PYTHONPATH=src python tools/census.py --angle -2.618 [--check]
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import importlib.resources
 import sys
 
@@ -36,9 +39,26 @@ BOUND = {"angle_cap": (1e-10, 1e-10), "contact_force_zero": (1e-10, 1e-10),
          "stall": (1e-8, 1e-10), "timeout": (1e-10, 1e-10)}
 
 
+def ending(rec) -> str:
+    """A candidate's class: its Termination value, or range_fail."""
+    return rec.terminated_by.value if rec.feasible else "range_fail"
+
+
+def bits(results) -> str:
+    """The SHA-256 of the exact W, t and ending of every candidate of the
+    grid results, in order."""
+    digest = hashlib.sha256()
+    for result in results:
+        for rec in result.evaluations:
+            digest.update(f"{rec.w_takeoff.hex()} {rec.t_takeoff.hex()} "
+                          f"{ending(rec)}\n".encode())
+    return digest.hexdigest()
+
+
 def census(cfg) -> dict:
-    """Per class: count, max W error, max t error and flips; plus the
-    candidates that change class and the grids whose optimum moves."""
+    """Per class: count, max W error, max t error and flips; the candidates
+    that change class and the grids whose optimum moves; and the bits
+    digests at n and 16n."""
     n = cfg.sim.u_steps
     sims = [dataclasses.replace(cfg.sim, u_steps=s) for s in (n, REFINE * n)]
     grids = [(sim, mechs) for mechs in (_vrr_candidates(cfg.search),
@@ -52,8 +72,7 @@ def census(cfg) -> dict:
     moved_class, moved_best = [], []
     for coarse, fine in zip(results[0::2], results[1::2]):
         for rec, ref in zip(coarse.evaluations, fine.evaluations):
-            how, how_ref = (r.terminated_by.value if r.feasible
-                            else "range_fail" for r in (rec, ref))
+            how, how_ref = ending(rec), ending(ref)
             if how != how_ref:
                 moved_class.append((rec.params, how, how_ref))
             row = rows[how_ref]
@@ -67,7 +86,8 @@ def census(cfg) -> dict:
             row["flips"] += fmt(w) != fmt(w_ref)
         if coarse.best_params != fine.best_params:
             moved_best.append((coarse.best_params, fine.best_params))
-    return {"rows": rows, "moved_class": moved_class, "moved_best": moved_best}
+    return {"rows": rows, "moved_class": moved_class, "moved_best": moved_best,
+            "bits": (bits(results[0::2]), bits(results[1::2]))}
 
 
 def failures(result: dict) -> list[str]:
@@ -108,6 +128,8 @@ def main(argv=None) -> int:
                   f"| {row['flips']} |")
     print(f"class changes: {len(result['moved_class'])}; "
           f"optima moved: {len(result['moved_best'])}")
+    for steps, digest in zip((n, REFINE * n), result["bits"]):
+        print(f"bits at {steps} steps: sha256 {digest}")
     bad = failures(result)
     for line in bad:
         print("FAIL:", line)
