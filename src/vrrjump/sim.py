@@ -215,14 +215,6 @@ def _geometry(q2: float, jfac: float,
     return jacobian(jfac, q2), math.sin(th), math.cos(th)
 
 
-def _rise_drop(x: float, q2_init: float, jfac: float, mg: float,
-               th_off: float) -> tuple[float, float]:
-    """(m g (y - y_init), cos_drop(theta_init, d)) at u = x, d = x^2: what
-    piece 0's closed form reads there besides the geometry."""
-    d = x * x
-    return mg * rise(jfac, q2_init, d), cos_drop(q2_init + th_off, d)
-
-
 def _row(u: float, ue: float, q2_init: float, jfac: float, mg: float,
          th_off: float, pair: tuple | None = None) -> tuple:
     """One order-6 step from u to ue with every value of it that no design
@@ -249,20 +241,23 @@ def _row0(u: float, ue: float, q2_init: float, jfac: float, mg: float,
     """One piece-0 step from u to ue, what walk0 reads of it: (u, ue, then
     d = x^2 at the interior LOBATTO_NODES x and at ue, cos theta at the
     interior nodes, J, sin theta and cos theta at ue, h / 180 for h = ue -
-    u, 2x J at the interior nodes and at ue, and last _rise_drop at the
-    interior nodes and at ue, flat)."""
+    u, 2x J at the interior nodes and at ue, and last m g (y - y_init) and
+    cos_drop(theta_init, d) at the interior nodes and at ue, flat: what
+    piece 0's closed form reads there besides the geometry)."""
     h = ue - u
     _, c1, c2, c3, _ = LOBATTO_NODES
     x1, x2, x3 = u + c1 * h, u + c2 * h, u + c3 * h
-    j1, _, cos1 = _geometry(q2_init + x1 * x1, jfac, th_off)
-    j2, _, cos2 = _geometry(q2_init + x2 * x2, jfac, th_off)
-    j3, _, cos3 = _geometry(q2_init + x3 * x3, jfac, th_off)
-    je, sin_e, cos_e = _geometry(q2_init + ue * ue, jfac, th_off)
-    return (u, ue, x1 * x1, x2 * x2, x3 * x3, ue * ue, cos1, cos2, cos3,
-            je, sin_e, cos_e, h / sum(LOBATTO_WEIGHTS), 2.0 * x1 * j1,
-            2.0 * x2 * j2, 2.0 * x3 * j3, 2.0 * ue * je,
-            *(v for x in (x1, x2, x3, ue)
-              for v in _rise_drop(x, q2_init, jfac, mg, th_off)))
+    d1, d2, d3, de = x1 * x1, x2 * x2, x3 * x3, ue * ue
+    j1, _, cos1 = _geometry(q2_init + d1, jfac, th_off)
+    j2, _, cos2 = _geometry(q2_init + d2, jfac, th_off)
+    j3, _, cos3 = _geometry(q2_init + d3, jfac, th_off)
+    je, sin_e, cos_e = _geometry(q2_init + de, jfac, th_off)
+    return (u, ue, d1, d2, d3, de, cos1, cos2, cos3, je, sin_e, cos_e,
+            h / sum(LOBATTO_WEIGHTS), 2.0 * x1 * j1, 2.0 * x2 * j2,
+            2.0 * x3 * j3, 2.0 * ue * je,
+            *(v for d in (d1, d2, d3, de)
+              for v in (mg * rise(jfac, q2_init, d),
+                        cos_drop(q2_init + th_off, d))))
 
 
 @functools.lru_cache(maxsize=64)
@@ -442,10 +437,16 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
 
     def node1(x: float) -> tuple[float, float, float, float]:
         """(J, sin theta, cos theta, m g (y - y_init)) at u = x, off the
-        grid: all that piece 1 reads of a node, and all that a change of
-        piece reads of the kink."""
+        grid: all that piece 1 reads of a node, all that a change of piece
+        reads of the kink, and, with turn_at, all that piece 0 reads of a
+        node."""
         jj, sin_th, cos_th = _geometry(q2_init + x * x, jfac, th_off)
         return jj, sin_th, cos_th, mg * rise(jfac, q2_init, x * x)
+
+    def turn_at(x: float, cos_th: float) -> float:
+        """The motor's turn since the start at u = x off the grid, where
+        cos theta is cos_th (node1), by the expressions _row0 uses."""
+        return turn(x * x, cos_th, cos_drop(q2_init + th_off, x * x))
 
     def unsolved(what: str, residual: str) -> VrrJumpError:
         """The error of a piece-1 solve that NEWTON_CAP iterations did not
@@ -470,6 +471,8 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         xx = 2.0 * x * x
         x += (a - x) / xx * dy / (1.0 - dy * (x - two_a) / (2.0 * x * xx))
         for _ in range(NEWTON_CAP):
+            # Y(p) - Y_a (module docstring), written out here, in probe1
+            # and in past: a call for it costs measurable time in each.
             d = x - p_a
             lg = log1p(-d / gap)
             res = ye - y_a + d * (x + p_a + two_a) + two_aa * lg
@@ -487,10 +490,10 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
 
     def probe0(s: tuple, x: float, level: float) -> float:
         """omega_m - level at u = x on piece 0, in closed form."""
-        jj, sin_th, cos_th = _geometry(q2_init + x * x, jfac, th_off)
-        rise_x, drop = _rise_drop(x, q2_init, jfac, mg, th_off)
-        p = sqrt(max(k_off + eta_tau * turn(x * x, cos_th, drop) - rise_x,
-                     0.0))
+        jj, sin_th, cos_th, rise_x = node1(x)
+        # K on piece 0, written out as at walk0's nodes and inverted in the
+        # re-entry's k_off.
+        p = sqrt(max(k_off + eta_tau * turn_at(x, cos_th) - rise_x, 0.0))
         return ratio(sin_th, cos_th) * (c_v * p) / jj - level
 
     def probe1(s: tuple, x: float, level: float) -> float:
@@ -508,6 +511,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         pb = level * jj / (c_v * kr)
         d = pb - p_a
         if d * gap > 0.0 and (a - pb) * gap > 0.0:
+            # Y(p) - Y_a, written out as in newton and past.
             dy_a, dy_p = ye - y_a, d * (pb + p_a + two_a)
             dy_l = two_aa * log1p(-d / gap)
             slope = 2.0 * pb * pb / (a - pb)
@@ -543,6 +547,8 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             row = todo[j][-1]
             (_, ue, d1, d2, d3, de, cos1, cos2, cos3, je, sin_e, cos_e, hw,
              dj1, dj2, dj3, dje, y1, c1, y2, c2, y3, c3, ye, ce) = row
+            # K at the four nodes, written out as in probe0 and inverted in
+            # the re-entry's k_off: a call per node costs measurable time.
             k1 = k_off + eta_tau * turn(d1, cos1, c1) - y1
             k2 = k_off + eta_tau * turn(d2, cos2, c2) - y2
             k3 = k_off + eta_tau * turn(d3, cos3, c3) - y3
@@ -566,16 +572,6 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                                             w_off + tau_peak * phi)))
             t, b, back = tn, be, (row, pe, phi, kr)
         return len(todo), end0(t, *back), None
-
-    def exact(s: tuple, row: tuple) -> tuple:
-        """The state at the end of the piece-0 step row (_row0), by walk0
-        over that one step."""
-        j, start, end = walk0(((row,),), 0, s, False)
-        if j:
-            return start
-        if end is None:
-            raise _Stall
-        return end
 
     def sample1(s: tuple, ue: float, ye: float) -> tuple:
         """The state at u = ue on piece 1, where m g (y - y_init) = ye, with
@@ -712,11 +708,16 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     def step(s: tuple, ue: float) -> tuple:
         """The state at ue by one step from s, with its row computed from u:
         for steps that do not start on a grid point. It is exact on pieces 0
-        and 1, and piece 1 reads only the end of a row (node1)."""
+        and 1: on piece 0 it is walk0 over the one pair _row0(s[0], ue), and
+        piece 1 reads only the end of a row (node1)."""
         if piece == 1:
             return state1(s, ue, *node1(ue))
         if piece == 0:
-            return exact(s, _row0(s[0], ue, q2_init, jfac, mg, th_off))
+            j, start, end = walk0(((_row0(s[0], ue, q2_init, jfac, mg,
+                                          th_off),),), 0, s, False)
+            if end is None and not j:
+                raise _Stall
+            return start if j else end
         return advance(s, _row(s[0], ue, q2_init, jfac, mg, th_off))
 
     def locate(s: tuple, end: tuple, phi, tol: float, probe=None) -> tuple:
@@ -798,6 +799,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             return True
         if (a - pb) * gap <= 0.0:
             return False
+        # Y(pb) - Y_a, written out as in newton and probe1.
         d = pb - p_a
         return ye > y_a - d * (pb + p_a + two_a) - two_aa * log1p(-d / gap)
 
@@ -947,9 +949,9 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                 new = (*new[:4], rhs(x, new[1], ratio(sin_th, cos_th), jj),
                        rise_a)
                 if piece == 0:
-                    # Re-entry: K and w_motor continue from here.
-                    phi = turn(x * x, cos_th,
-                               cos_drop(q2_init + th_off, x * x))
+                    # Re-entry: K and w_motor continue from here (K as
+                    # walk0 and probe0 write it, inverted).
+                    phi = turn_at(x, cos_th)
                     k_off = new[1] * new[1] - eta_tau * phi + rise_a
                     w_off = new[3] - tau_peak * phi
                 elif piece == 1:
