@@ -892,6 +892,8 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     # m g (y - y_init) where t reaches t_max.
     anchor = None
     p_a = y_a = t_a = w_a = gap = y_t = 0.0
+    # The u and the piece of the last change of piece.
+    came = None
     # With a small lift margin f0 is small against the growth of f, and K
     # bends within the first uniform step: those runs start graded.
     graded = 1.0 - mg * j0 / lift < GRADED_MARGIN
@@ -941,6 +943,15 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                              1e-14 * t_max)
                 ended = Termination.TIMEOUT
             if now != piece and ended is None:
+                if (new[0], now) == came:
+                    # A kink located at the state itself, back to the piece
+                    # the run left there: the two would alternate forever.
+                    raise VrrJumpError(
+                        f"{mech} at q2_init={q2_init}: the kink at omega_m = "
+                        f"{level!r} rad/s turns the run back from piece "
+                        f"{piece} to piece {now} at u = {new[0]!r}, where it "
+                        "left that piece")
+                came = new[0], piece
                 # The next step starts on the piece past the kink.
                 piece = now
                 tau = pieces[piece]

@@ -3,6 +3,7 @@ import hashlib
 import importlib.resources
 import json
 import math
+import signal
 
 import pytest
 
@@ -374,23 +375,27 @@ def test_u_grid_key_holds_the_weight(leg, motor, deep_crouch, mech):
         assert {model: w(model) for model in order} == dict(zip(legs, cold))
 
 
-@pytest.mark.parametrize("mech,angle", [
-    pytest.param(VrrParams(0.047, 0.150), -2.618, id="mech0"),
+@pytest.mark.parametrize("mech,angle,u_steps", [
+    pytest.param(VrrParams(0.047, 0.150), -2.618, sim.U_STEPS, id="mech0"),
     pytest.param(VrrParams(0.040, 0.140, math.radians(2.0)), -2.618,
-                 id="mech1"),
-    pytest.param(VrrParams(0.035, 0.240), -2.618, id="mech2"),
-    pytest.param(FrrParams(23.0), -2.618, id="mech3"),
+                 sim.U_STEPS, id="mech1"),
+    pytest.param(VrrParams(0.035, 0.240), -2.618, sim.U_STEPS, id="mech2"),
+    pytest.param(FrrParams(23.0), -2.618, sim.U_STEPS, id="mech3"),
     # The stall of test_stall_holds_the_stall_pose (weak motor): off the
-    # grid the stalling step is exact's, which meets K <= 0 at a node.
+    # grid the stalling step is step's walk0 over one pair, which meets
+    # K <= 0 at a node.
     pytest.param(VrrParams(0.047, 0.150, math.radians(-2.5)), -0.3,
-                 id="stall"),
+                 sim.U_STEPS, id="stall"),
+    # A stall on piece 2, through walk2 on the grid. It is an artefact of
+    # the four coarse steps: on 75 the run ends at contact-force zero.
+    pytest.param(FrrParams(34.0), -2.618, 4, id="stall-piece2"),
 ])
 def test_u_grid_table_matches_geometry_from_u(leg, motor, monkeypatch, mech,
-                                              angle):
+                                              angle, u_steps):
     """A table whose start points never match sends every step down the
     off-grid path, which computes the geometry from u; the results agree
     bit for bit. (The piece-1 row test and its jump read the rows' ends.)"""
-    cfg = SimConfig(q2_init=angle)
+    cfg = SimConfig(q2_init=angle, u_steps=u_steps)
     if angle == -0.3:
         motor = motor_variant(motor, tau_peak=3.0, p_peak=3.0 * 160.0)
     table = sim._u_grid
@@ -401,6 +406,8 @@ def test_u_grid_table_matches_geometry_from_u(leg, motor, monkeypatch, mech,
     expected = [_outcome(simulate_jump(leg, motor, mech, cfg, record))
                 for record in (False, True)]
     monkeypatch.setattr(sim, "_u_grid", unmatched)
+    if u_steps != sim.U_STEPS:
+        assert expected[0][4] is Termination.STALL
     for record, want in zip((False, True), expected):
         got = _outcome(simulate_jump(leg, motor, mech, cfg, record))
         assert got == want
@@ -528,6 +535,31 @@ def test_coincident_kinks_add_no_duplicate_row(leg, motor):
         assert all(b > a for a, b in zip(ts, ts[1:]))
         assert dataclasses.replace(res, trajectory=[]) == simulate_jump(
             leg, motor, mech, cfg, record=False)
+
+
+def test_kink_that_turns_the_run_back_raises(leg, motor):
+    """On two u-steps (65, 150) mm at -2.618 reaches omega_hpl exactly, at
+    u = 0.95397...: the piece-1 step from there ends above the kink and the
+    piece-2 step below it, so each kink is located at the state itself and
+    the run would alternate between the two pieces forever. It raises
+    instead; the timer fails a kernel that loops, within a second."""
+    def hung(*_):
+        raise TimeoutError("simulate_jump looped for 1 s")
+
+    cfg = SimConfig(q2_init=-2.618, u_steps=2)
+    handler = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        for record in (False, True):
+            with pytest.raises(VrrJumpError, match=(
+                    r"^VrrParams\(r=0\.065, s0=0\.15, .* at q2_init=-2\.618: "
+                    r"the kink at omega_m = 376\.99\d* rad/s turns the run "
+                    r"back from piece 2 to piece 1 at u = 0\.95397")):
+                simulate_jump(leg, motor, VrrParams(0.065, 0.150), cfg,
+                              record)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, handler)
 
 
 KINK_REL = 1e-9
