@@ -36,9 +36,9 @@ At u = 0 the knee is at rest (p = 0) and the derivatives take their limits
 dp/du = sqrt(f0) and dt/du = 2 J0 / (sqrt(2/m) sqrt(f0)), so the square-root
 singularity of the start never enters a step, and the 1/J growth of dq2 near
 full extension does not shrink the steps. advance writes rhs out for stages
-2 to 7 and for the derivative at the step's end, in rhs's order of
-operations and with its products read from the step's row (below), so each
-is rhs's bit for bit; every other state takes its derivative from rhs.
+2 to 7, in rhs's order of operations and with its products read from the
+step's row (below), so each is rhs's bit for bit; the step's end, like
+every other state, takes its derivative from rhs.
 
 On the first envelope piece, below omega_break, the motor holds tau_peak,
 and work and energy solve the state exactly: with the motor's turn
@@ -645,8 +645,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                           ratio(sin3, cos3), ratio(sin_e, cos_e))
         # Only p feeds back into the stages; t and w_motor are quadratures
         # that take the same weights b = (11, 0, 81, 81, -32, -32, 11)/120.
-        # Stages 2 to 7 and the derivative at the end are rhs written out
-        # (see the module docstring).
+        # Stages 2 to 7 are rhs written out (see the module docstring).
         x = p + h * a1 / 3.0
         if x <= 0.0:
             raise _Stall
@@ -686,17 +685,12 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         a7, b7, c7 = ue * (eta * tk - ge) / x, dje / v, de * tk
         pe = p + h120 * (11.0 * (a1 + a7) + 81.0 * (a3 + a4)
                          - 32.0 * (a5 + a6))
-        if pe <= 0.0:
-            raise _Stall
-        v = c_v * pe
-        om = ke * v / je
-        tk = tau(om) * ke
         return (ue, pe,
                 t + h120 * (11.0 * (b1 + b7) + 81.0 * (b3 + b4)
                             - 32.0 * (b5 + b6)),
                 w + h120 * (11.0 * (c1 + c7) + 81.0 * (c3 + c4)
                             - 32.0 * (c5 + c6)),
-                (ue * (eta * tk - ge) / pe, dje / v, de * tk, om))
+                rhs(ue, pe, ke, je))
 
     def walk2(i: int, s: tuple) -> tuple:
         """Piece 2 over the rows from grid row i, whose start is the state
