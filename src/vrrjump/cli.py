@@ -83,6 +83,14 @@ def _finite(text: str) -> float:
     return value
 
 
+def _directory(text: str) -> str:
+    """argparse type: a directory path, not empty: Path("") would be the
+    working directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("must be a directory path, got ''")
+    return text
+
+
 def _add_common(parser: argparse.ArgumentParser, config_required: bool = True,
                 workers: bool = False, leg: bool = True,
                 out_help: str = "output directory (default: config output_dir)") -> None:
@@ -90,7 +98,7 @@ def _add_common(parser: argparse.ArgumentParser, config_required: bool = True,
     search a grid and --jacobian-mode for those that build a leg."""
     parser.add_argument("--config", required=config_required,
                         help="path to the JSON run configuration")
-    parser.add_argument("--out", default=None, help=out_help)
+    parser.add_argument("--out", type=_directory, default=None, help=out_help)
     if workers:
         parser.add_argument("--workers", type=_int_in(1), default=1,
                             help="parallel candidate evaluations (default 1)")
@@ -215,7 +223,7 @@ def cmd_sweep_ratio(args) -> int:
 
 def cmd_envelope(args) -> int:
     motor = _load(args).motor if args.config else default_motor()
-    path = _out_dir(args, None) / "envelope.csv" if args.out else None
+    path = _out_dir(args, None) / "envelope.csv" if args.out is not None else None
     write_envelope_csv(path, envelope_table(motor, args.n))
     if path is not None:
         print(path)

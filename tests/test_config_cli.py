@@ -848,6 +848,29 @@ def test_unusable_output_directory_exits_2_before_work(
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("simulate", []), ("optimize", ["--dump-grid"]), ("optimize", []),
+    ("compare", []), ("sweep-ratio", []), ("envelope", [])])
+def test_empty_out_exits_2_before_work(tmp_path, capsys, monkeypatch,
+                                       command, extra):
+    """--out "" is no directory: Path("") would be the working directory,
+    and envelope would print to standard output. It exits 2 naming --out,
+    before any work, with nothing written."""
+    refuse_work(monkeypatch)
+    cfg = tiny_search(tmp_path)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, *extra, "--out", ""])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert "argument --out: must be a directory path, got ''" in err
+    assert out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "cwd"]
+    assert not any(cwd.iterdir())
+
+
 # A config the parser or the OS cannot take exits 2 naming the file or the
 # key, with no traceback.
 
