@@ -287,8 +287,9 @@ def _u_grid(q2_init: float, cap: float, n: int, jfac: float, mg: float,
     the others. The table depends on no design parameter but the crank
     offset th_off, and on the leg only through its Jacobian scale jfac and
     weight mg, so every candidate of a grid at one angle shares it. 64
-    tables hold the default box's 8 offsets, graded and uniform, at three
-    angles or at a census angle's n and 16n.
+    tables hold the default box's 7 offsets (the fixed ratio shares
+    delta_theta = 0's, pi), graded and uniform, at three angles or at a
+    census angle's n and 16n.
     """
     u_cap = math.sqrt(cap - q2_init)
     nodes = [u_cap * i / n for i in range(n)] + [u_cap]
@@ -913,6 +914,11 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         # and gives the start and end of the first row that may leave
         # (walk1 reads only the rows' ends, and so does its test here).
         # Piece 0 steps over pairs of rows, so its walks start at even rows.
+        # On a real table rows[i - 1][1] is rows[i][0] (_u_grid shares its
+        # nodes), but piece 1 tests the end: a table whose starts never
+        # match (test_u_grid_table_matches_geometry_from_u) still walks
+        # piece 1, and off the grid newton chained from each state would
+        # give other bits than walk1's one newton from the anchor.
         if piece == 1:
             walk = state[0] == rows[i - 1][1]
         else:

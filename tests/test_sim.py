@@ -375,6 +375,29 @@ def test_u_grid_key_holds_the_weight(leg, motor, deep_crouch, mech):
         assert {model: w(model) for model in order} == dict(zip(legs, cold))
 
 
+@pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
+@pytest.mark.parametrize("n", [1, 2, 5, 21, 22, 75])
+def test_u_grid_shares_its_nodes(leg, n, graded):
+    """Each row starts, bit for bit, where the row before ends, and the last
+    ends at u_cap; rows 2k and 2k + 1 hold one _row0 object, which runs
+    from row 2k's start to row 2k + 1's end (row 2k's, for a last row
+    alone). The piece-1 walk trigger reads a row's end for its start."""
+    q2_init, cap = -2.618, -0.05
+    rows = sim._u_grid.__wrapped__(q2_init, cap, n, leg.jacobian_scale,
+                                   leg.total_mass() * leg.g, math.pi, graded)
+    count = len(rows)
+    assert count > n if graded else count == n
+    assert rows[0][0] == 0.0
+    assert rows[-1][1] == math.sqrt(cap - q2_init)
+    for i in range(1, count):
+        assert rows[i][0] == rows[i - 1][1]
+    for k in range(0, count, 2):
+        pair = rows[k][-1]
+        assert pair[0] == rows[k][0]
+        assert pair[1] == rows[min(k + 1, count - 1)][1]
+        assert rows[min(k + 1, count - 1)][-1] is pair
+
+
 @pytest.mark.parametrize("mech,angle,u_steps", [
     pytest.param(VrrParams(0.047, 0.150), -2.618, sim.U_STEPS, id="mech0"),
     pytest.param(VrrParams(0.040, 0.140, math.radians(2.0)), -2.618,
