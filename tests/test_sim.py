@@ -210,26 +210,34 @@ def _golden_box_run(tmp_path):
     return load_config(path)
 
 
+class _Digest:
+    """A SHA-256 over lines of exact values: floats as float.hex."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def add(self, *values):
+        self.sha.update(" ".join(v.hex() if isinstance(v, float) else str(v)
+                                 for v in values).encode() + b"\n")
+
+
 def test_kernel_bits_pinned(tmp_path, leg, motor, mech_opt, deep_crouch):
     """One digest over the exact W, t and q2 at takeoff and the ending of
     every candidate of the golden box at the three angles, of the stall, the
-    moving timeout and the t_max = 0.05 run, and over every field of the
-    reference design's recorded trajectory. A rewrite of the kernel that is
-    meant to keep its arithmetic must leave this digest as it is."""
+    moving timeout and the t_max = 0.05 run. A rewrite of the kernel that is
+    meant to keep its arithmetic must leave this digest as it is; one that
+    only changes which samples a recorded run keeps moves
+    test_trajectory_bits_pinned alone."""
     run = _golden_box_run(tmp_path)
-    digest = hashlib.sha256()
-
-    def add(*values):
-        digest.update(" ".join(v.hex() if isinstance(v, float) else str(v)
-                               for v in values).encode() + b"\n")
+    digest = _Digest()
 
     def pin(leg, motor, mech, cfg):
         try:
             res = simulate_jump(leg, motor, mech, cfg, record=False)
         except MechanismRangeError:
-            return add("range")
-        add(res.w_takeoff, res.t_takeoff, res.q2_at_takeoff,
-            res.terminated_by.value)
+            return digest.add("range")
+        digest.add(res.w_takeoff, res.t_takeoff, res.q2_at_takeoff,
+                   res.terminated_by.value)
 
     mechs = _vrr_candidates(run.search) + _frr_candidates(run.search)
     for angle in run.angles:
@@ -241,10 +249,18 @@ def test_kernel_bits_pinned(tmp_path, leg, motor, mech_opt, deep_crouch):
         SimConfig(q2_init=-0.3))
     pin(leg, motor, VrrParams(0.035, 0.240), deep_crouch)
     pin(leg, motor, mech_opt, SimConfig(q2_init=-2.618, t_max=0.05))
+    assert digest.sha.hexdigest() == (
+        "87ab74e2327ab32be01df6b8ef56224e551d79ecccb323140da7fc1bb628e0ae")
+
+
+def test_trajectory_bits_pinned(leg, motor, mech_opt, deep_crouch):
+    """One digest over every field of every sample of the reference
+    design's recorded trajectory at -2.618."""
+    digest = _Digest()
     for s in simulate_jump(leg, motor, mech_opt, deep_crouch).trajectory:
-        add(*dataclasses.astuple(s))
-    assert digest.hexdigest() == (
-        "25c820008d4c22afaa27315c3fb4f92c98b7c62d07a5e58004920810802b0fc0")
+        digest.add(*dataclasses.astuple(s))
+    assert digest.sha.hexdigest() == (
+        "21f6a69425d42f2b73b16ede0261b83ae6092cecdf6db3e6d2471640bf99c140")
 
 
 VRR_OPTIMA = {-2.618: VrrParams(0.050, 0.100), -2.2689: VrrParams(0.053, 0.100),
