@@ -82,13 +82,14 @@ row (on piece 0, pair of rows) that may leave the piece or pass t_max, or
 the state at the cap. walk0 keeps only t, dt/du and omega_m of each pair
 and builds a state (p, w_motor, rhs) only where it stops, or for a
 recorded sample; a step that starts off the grid is walk0 over one pair,
-_row0 from the state to where the pair that holds it ends. walk1 tests the
-rows as above, at one ratio and at most two log1p each, takes the start
-of the first row that fails, or of the last row, by one newton from the
-anchor, and its end by exact1 from there; a recorded run samples the rows
-between, each from the sample before. walk2 steps each row by advance
-while omega_hpl < omega_m < omega_max. An end of None is a stall inside
-the row.
+_row0 from the state to where the pair that holds it ends. walk1 tests
+rows as above, at one ratio and at most two log1p each: the ends of pairs
+counted from the row it starts on, and in the first pair that fails its
+first row too. It takes the start of the first row that fails, or of the
+last row, by one newton from the anchor, and its end by exact1 from there;
+a recorded run samples the rows between, each from the sample before.
+walk2 steps each row by advance while omega_hpl < omega_m < omega_max. An
+end of None is a stall inside the row.
 
 The closed forms of the two exact pieces are written where the loops that
 read them run. Piece 0's K = k_off + eta_j tau_peak phi - m g (y - y_init)
@@ -606,24 +607,32 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         """The state at row's end on piece 1 (state1)."""
         return state1(s, row[1], row[14], row[15], row[16], row[31])
 
+    def stays(row: tuple) -> bool:
+        """Whether row's end stays on piece 1 and short of t_max: p there
+        lies past exactly one of the p of omega_break, J omega_break / (k
+        sqrt(2/m)), and that of omega_hpl."""
+        ye = row[31]
+        if ye >= y_t:
+            return False
+        c = row[14] / (c_v * ratio(row[15], row[16]))
+        return past(w_break * c, ye) != past(w_hpl * c, ye)
+
     def walk1(i: int, s: tuple) -> tuple[int, tuple, tuple]:
         """Piece 1 from grid row i, whose start is the state s: the rows
         whose ends stay on the piece and short of t_max need no state.
         Gives (j, the state at the start of row j, exact1's state at its
-        end) for the first row j that may leave, or the last row. A row's
-        end stays on the piece when p there lies past exactly one of the p
-        of omega_break, J omega_break / (k sqrt(2/m)), and that of
-        omega_hpl. The start of row j is one newton from the anchor; with
-        record, each row between is sampled from the sample before."""
-        j = i
-        while j < n - 1:
-            row = rows[j]
-            ye = row[31]
-            if ye >= y_t:
-                break
-            c = row[14] / (c_v * ratio(row[15], row[16]))
-            if past(w_break * c, ye) == past(w_hpl * c, ye):
-                break
+        end) for the first row j that may leave, or the last row. The test
+        reads the ends of rows i + 1, i + 3 and so on, the ends of pairs
+        counted from row i, and in the first pair that fails its first row
+        too: a run that left the piece inside a pair and came back by its
+        end would walk on. The start of row j is one newton from the
+        anchor; with record, each row between is sampled from the sample
+        before."""
+        j = i + 1
+        while j < n - 1 and stays(rows[j]):
+            j += 2
+        j -= 1
+        if j < n - 1 and stays(rows[j]):
             j += 1
         if j > i:
             new = exact1(anchor, rows[j - 1])
