@@ -87,9 +87,10 @@ rows as above, at one ratio and at most two log1p each: the ends of pairs
 counted from the row it starts on, and in the first pair that fails its
 first row too. It takes the start of the first row that fails, or of the
 last row, by one newton from the anchor, and its end by exact1 from there;
-a recorded run samples the rows between, each from the sample before.
-walk2 steps each row by advance while omega_hpl < omega_m < omega_max. An
-end of None is a stall inside the row.
+a recorded run samples the pair ends it tested on the way and that start,
+each from the sample before. walk2 steps each row by advance while
+omega_hpl < omega_m < omega_max. An end of None is a stall inside the
+row.
 
 The closed forms of the two exact pieces are written where the loops that
 read them run. Piece 0's K = k_off + eta_j tau_peak phi - m g (y - y_init)
@@ -178,9 +179,11 @@ Every other run ends at t_max, and the kernel names how:
 * Timeout -- the knee is still moving at t_max, located to 1e-14 t_max
   past it, or to 1e-12 relative in u.
 
-A recorded trajectory holds one sample per pair of u-steps on piece 0 and
-one per u-step on the other pieces (graded steps included), plus one at
-each kink and event.
+A recorded trajectory holds one sample per pair of u-steps on pieces 0 and
+1 and one per u-step on the others (graded steps included), plus one at
+each kink and event. Piece 1 counts its pairs from the grid point where
+its walk starts, and also records where the walk stops: the start of the
+row that may leave the piece.
 """
 
 from __future__ import annotations
@@ -198,7 +201,8 @@ from .motor import MotorParams, envelope_pieces
 
 U_STEPS = 75
 """SimConfig.u_steps default: u-steps before kink and event splits, of
-order 6, and on piece 0 walked in pairs with an order-8 t rule."""
+order 6, on piece 0 walked in pairs with an order-8 t rule, and on piece 1
+tested and recorded in pairs."""
 
 NEWTON_CAP = 8
 """Most Newton iterations for the state at one node of piece 1."""
@@ -626,8 +630,8 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         counted from row i, and in the first pair that fails its first row
         too: a run that left the piece inside a pair and came back by its
         end would walk on. The start of row j is one newton from the
-        anchor; with record, each row between is sampled from the sample
-        before."""
+        anchor. With record, the pair ends tested before row j - 1 are
+        sampled, each from the sample before, and then row j - 1's end."""
         j = i + 1
         while j < n - 1 and stays(rows[j]):
             j += 2
@@ -637,7 +641,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         if j > i:
             new = exact1(anchor, rows[j - 1])
             if record:
-                for row in rows[i:j - 1]:
+                for row in rows[i + 1:j - 1:2]:
                     s = sample1(s, row[1], row[31])
                     trajectory.append(snapshot(s))
                 trajectory.append(snapshot(new))

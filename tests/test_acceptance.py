@@ -330,17 +330,17 @@ FULL_BOX_SHA256 = {
     "summary.txt":
         "1d4284bf7fe3b570786c636b8f6fcbe3047032c527739bfe3da0eac35cea7964",
     "trajectory_evrr_-1.9199.csv":
-        "41cbe71010709a1c0701d5c0fc1d720bdee48c50929c84af45f11f62866ccd01",
+        "1f9fd82e17833af5d757485801e73ddf5c15ae8cb7ee8a92bddee9ce4a2f5b99",
     "trajectory_evrr_-2.2689.csv":
-        "a0f9d5df84db47f525baf1f577a86176168b31dff13d47c009c428b79e6ba4d4",
+        "b68fcf2727d9c2871ce1ff7d1bb6b88bf98d4212edc2ef48d1c4e7ad4a38699c",
     "trajectory_evrr_-2.6180.csv":
-        "018ee7c1ec7ea5af90b9d495d5d797d8cbd684762235bb690984fe499f5a75df",
+        "b5ac6b9ca2a08d82fa30fae9e6422a8f9364d93e5579388919f3d3df66b113a4",
     "trajectory_frr_-1.9199.csv":
-        "18e46aff267f83ba04048a13e13ec53202835178ef7556116d4f17e811da91d1",
+        "29fcd00d8279059b15923366b7b03cb36a16e6eef40235c7b0a1a2d01d02332e",
     "trajectory_frr_-2.2689.csv":
-        "156203b29a3a6d92f98910dc1d5cd43c4d3e125f89639e0074fa94bdb9a11804",
+        "93b074f3c7e0db32869c979216016531b72a2aed490580ffc1972114fea4310d",
     "trajectory_frr_-2.6180.csv":
-        "0f8e037e33212c52d5ee6d8b677dde4b2faa56b746bc34c073e361b3776edac0",
+        "b90f7d36d3cf7d2aaf1fd10b2da01e7d9c12a42e86b21d747ebd28cff959de31",
 }
 """sha256 of every file but metadata.json that `vrrjump compare --dump-grid`
 writes for fullscale.json's full box (the report's metadata carries no

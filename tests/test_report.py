@@ -99,13 +99,13 @@ def test_row_format_renders_none_empty():
 
 SINGLE_DESIGN_SHA256 = {
     "trajectory_-2.6180.csv":
-        "02102f28da8138b9dcd2ce56481efacced730990afd11eee920d8ebc554742ac",
+        "cae1ee84a0d755de2689c06290b90dd646aeb1f71ac9ecd93133c4d85f64cc87",
     "trajectory_-2.2689.csv":
-        "06ec8daa22c9cff6f237b87d7069929a429fcf99375a150a8949da772a9f3065",
+        "4ae8cd165d25bcfa6722c83b62a1230ba19bd624fb57409aec302531ad483655",
     "trajectory_-1.9199.csv":
-        "72678e3feb6d4db557a148c0258275133827886ce6622970a3a442c8446bb169",
+        "690c51ee9d7681fa287845bd3911468d0c98aeb59da0625d902c8ebe0ada0c95",
     "trajectory_frr23_-2.6180.csv":
-        "0f8e037e33212c52d5ee6d8b677dde4b2faa56b746bc34c073e361b3776edac0",
+        "b90f7d36d3cf7d2aaf1fd10b2da01e7d9c12a42e86b21d747ebd28cff959de31",
     "ratio_curve_default.csv":
         "7814a52a8e1fe8097bba684c8b73a15b0655c61d7f4f70275e86f14dbecfd653",
     "ratio_curve_-3.1_-0.02_n57.csv":

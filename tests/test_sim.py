@@ -87,8 +87,11 @@ def _contract_length(res, cfg, motor) -> int:
     """The length of a recorded run on uniform u-steps that leaves piece 0
     once and never comes back: the start, the end of each pair of u-steps
     before the first kink, the end of each u-step from the one that holds
-    it to the last before the cap or the event, and one sample at each kink
-    crossed, contact-force zero included."""
+    it to the last before the cap or the event, but for every other one
+    that piece 1 walks, and one sample at each kink crossed, contact-force
+    zero included. Piece 1 walks the u-steps after the one that holds the
+    first kink and before the one that holds the second, or before the last
+    u-step, and records the end of each pair of them and of the last."""
     speeds = (motor.omega_break, motor.omega_hpl, motor.omega_max)
     n = cfg.u_steps
     u_cap = math.sqrt(cfg.q2_takeoff_cap - cfg.q2_init)
@@ -100,7 +103,9 @@ def _contract_length(res, cfg, motor) -> int:
     first = step_of(kinks[0])
     last = (n if res.terminated_by is Termination.ANGLE_CAP
             else step_of(res.trajectory[-1]))
-    return 1 + first // 2 + (last - first) + len(kinks)
+    second = step_of(kinks[1]) if len(kinks) > 1 else n - 1
+    walked = max(second - first - 1, 0)
+    return (1 + first // 2 + (last - first) - walked // 2 + len(kinks))
 
 
 @pytest.mark.parametrize("angle", [-2.618, -2.2689, -1.9199])
@@ -111,8 +116,8 @@ def test_samples_are_the_model_functions_bitwise(leg, motor, angle):
     for mech, length in zip(
             (FrrParams(23.0), VrrParams(0.047, 0.150),
              VrrParams(0.050, 0.100, delta_theta=math.radians(2.0))),
-            {-2.618: (48, 61, 63), -2.2689: (48, 63, 65),
-             -1.9199: (48, 64, 66)}[angle]):
+            {-2.618: (38, 45, 48), -2.2689: (39, 41, 46),
+             -1.9199: (38, 40, 44)}[angle]):
         res = simulate_jump(leg, motor, mech, cfg)
         assert len(res.trajectory) == _contract_length(res, cfg, motor) \
             == length
@@ -260,7 +265,7 @@ def test_trajectory_bits_pinned(leg, motor, mech_opt, deep_crouch):
     for s in simulate_jump(leg, motor, mech_opt, deep_crouch).trajectory:
         digest.add(*dataclasses.astuple(s))
     assert digest.sha.hexdigest() == (
-        "21f6a69425d42f2b73b16ede0261b83ae6092cecdf6db3e6d2471640bf99c140")
+        "f5609bae4807f131fbe0764834b68ed378c5aef4a5874ba969d0018161ffe506")
 
 
 VRR_OPTIMA = {-2.618: VrrParams(0.050, 0.100), -2.2689: VrrParams(0.053, 0.100),
@@ -517,34 +522,48 @@ def test_unsolved_piece1_state_raises(leg, motor, mech_opt, monkeypatch,
 
 def test_piece1_solves_stay_under_their_cap(tmp_path, monkeypatch):
     """Every piece-1 solve of the golden box at the three angles, the anchor
-    solves among them, ends in fewer than NEWTON_CAP iterations."""
+    solves among them, ends in fewer than NEWTON_CAP iterations; so does
+    each sample of a recorded run, which solves from the sample a pair of
+    u-steps before."""
     monkeypatch.setattr(sim, "NEWTON_CAP", sim.NEWTON_CAP - 1)
     run = _golden_box_run(tmp_path)
     mechs = _vrr_candidates(run.search) + _frr_candidates(run.search)
     for angle in run.angles:
         cfg = dataclasses.replace(run.sim, q2_init=angle)
         for mech in mechs:
-            try:
-                simulate_jump(run.leg, run.motor, mech, cfg, record=False)
-            except MechanismRangeError:
-                pass
+            for record in (False, True):
+                try:
+                    simulate_jump(run.leg, run.motor, mech, cfg, record)
+                except MechanismRangeError:
+                    pass
 
 
-def test_trajectory_has_one_row_per_u_step(leg, motor, mech_opt, deep_crouch):
-    """One row per pair of u-steps on piece 0 and per u-step after it, plus
-    the start and one row at each envelope kink crossed. The reference
-    design at -2.618 crosses omega_break in step 33 of 75, after 16 pairs,
-    and omega_hpl in step 67: 1 + 16 + 1 + 42 + 1 rows. Every row before
-    the first kink lies at the end of a pair."""
+def test_trajectory_has_one_row_per_pair_on_exact_pieces(
+        leg, motor, mech_opt, deep_crouch):
+    """One row per pair of u-steps on pieces 0 and 1 and per u-step after
+    them, plus the start and one row at each envelope kink crossed. The
+    reference design at -2.618 crosses omega_break between nodes 33 and 34
+    of the 75-step u-grid, after 16 pairs, and omega_hpl between nodes 67
+    and 68. Piece 1 records node 34, the start of its walk, the 16 pair
+    ends 36 to 66 counted from there, and node 67, the end of the row
+    before the kink's: 1 + 16 + 1 + 18 + 1 + 8 rows. Every row before a
+    kink lies on its node bit for bit."""
     res = simulate_jump(leg, motor, mech_opt, deep_crouch)
     assert len(res.trajectory) == _contract_length(res, deep_crouch, motor) \
-        == 61
+        == 45
     u_cap = math.sqrt(deep_crouch.q2_takeoff_cap - deep_crouch.q2_init)
-    for j, s in enumerate(res.trajectory[:17]):
-        u = u_cap * 2 * j / sim.U_STEPS
-        assert s.q2 == deep_crouch.q2_init + u * u
+
+    def q2_at(node):
+        u = u_cap * node / sim.U_STEPS
+        return deep_crouch.q2_init + u * u
+    nodes = [*range(0, 34, 2), None, *range(34, 67, 2), 67, None]
+    for s, node in zip(res.trajectory, nodes):
+        if node is not None:
+            assert s.q2 == q2_at(node)
     assert res.trajectory[17].omega_m == pytest.approx(
         motor.omega_break, rel=KINK_REL)
+    assert res.trajectory[36].omega_m == pytest.approx(
+        motor.omega_hpl, rel=KINK_REL)
     ts = [s.t for s in res.trajectory]
     assert all(b > a for a, b in zip(ts, ts[1:]))
 
