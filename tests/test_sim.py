@@ -105,7 +105,7 @@ def _contract_length(res, cfg, motor) -> int:
             else step_of(res.trajectory[-1]))
     second = step_of(kinks[1]) if len(kinks) > 1 else n - 1
     walked = max(second - first - 1, 0)
-    return (1 + first // 2 + (last - first) - walked // 2 + len(kinks))
+    return 1 + first // 2 + (last - first) - walked // 2 + len(kinks)
 
 
 @pytest.mark.parametrize("angle", [-2.618, -2.2689, -1.9199])
@@ -215,15 +215,14 @@ def _golden_box_run(tmp_path):
     return load_config(path)
 
 
-class _Digest:
-    """A SHA-256 over lines of exact values: floats as float.hex."""
-
-    def __init__(self):
-        self.sha = hashlib.sha256()
-
-    def add(self, *values):
-        self.sha.update(" ".join(v.hex() if isinstance(v, float) else str(v)
-                                 for v in values).encode() + b"\n")
+def _sha256_of(rows) -> str:
+    """The SHA-256 over one line of exact values per row: floats as
+    float.hex, the rest as str."""
+    digest = hashlib.sha256()
+    for values in rows:
+        digest.update(" ".join(v.hex() if isinstance(v, float) else str(v)
+                               for v in values).encode() + b"\n")
+    return digest.hexdigest()
 
 
 def test_kernel_bits_pinned(tmp_path, leg, motor, mech_opt, deep_crouch):
@@ -234,15 +233,15 @@ def test_kernel_bits_pinned(tmp_path, leg, motor, mech_opt, deep_crouch):
     only changes which samples a recorded run keeps moves
     test_trajectory_bits_pinned alone."""
     run = _golden_box_run(tmp_path)
-    digest = _Digest()
+    rows = []
 
     def pin(leg, motor, mech, cfg):
         try:
             res = simulate_jump(leg, motor, mech, cfg, record=False)
         except MechanismRangeError:
-            return digest.add("range")
-        digest.add(res.w_takeoff, res.t_takeoff, res.q2_at_takeoff,
-                   res.terminated_by.value)
+            return rows.append(("range",))
+        rows.append((res.w_takeoff, res.t_takeoff, res.q2_at_takeoff,
+                     res.terminated_by.value))
 
     mechs = _vrr_candidates(run.search) + _frr_candidates(run.search)
     for angle in run.angles:
@@ -254,17 +253,15 @@ def test_kernel_bits_pinned(tmp_path, leg, motor, mech_opt, deep_crouch):
         SimConfig(q2_init=-0.3))
     pin(leg, motor, VrrParams(0.035, 0.240), deep_crouch)
     pin(leg, motor, mech_opt, SimConfig(q2_init=-2.618, t_max=0.05))
-    assert digest.sha.hexdigest() == (
+    assert _sha256_of(rows) == (
         "87ab74e2327ab32be01df6b8ef56224e551d79ecccb323140da7fc1bb628e0ae")
 
 
 def test_trajectory_bits_pinned(leg, motor, mech_opt, deep_crouch):
     """One digest over every field of every sample of the reference
     design's recorded trajectory at -2.618."""
-    digest = _Digest()
-    for s in simulate_jump(leg, motor, mech_opt, deep_crouch).trajectory:
-        digest.add(*dataclasses.astuple(s))
-    assert digest.sha.hexdigest() == (
+    res = simulate_jump(leg, motor, mech_opt, deep_crouch)
+    assert _sha256_of(dataclasses.astuple(s) for s in res.trajectory) == (
         "f5609bae4807f131fbe0764834b68ed378c5aef4a5874ba969d0018161ffe506")
 
 
