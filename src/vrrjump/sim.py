@@ -37,8 +37,11 @@ dp/du = sqrt(f0) and dt/du = 2 J0 / (sqrt(2/m) sqrt(f0)), so the square-root
 singularity of the start never enters a step, and the 1/J growth of dq2 near
 full extension does not shrink the steps. advance writes rhs out for stages
 2 to 7, in rhs's order of operations and with its products read from the
-step's row (below), so each is rhs's bit for bit; the step's end, like
-every other state, takes its derivative from rhs.
+step's row (below), so each stage at p > 0 is rhs's bit for bit. Where rhs
+stalls at p <= 0 before it divides, advance makes that test once, after
+the stages, on the p of all six, and takes the division by an exact p = 0
+on the way for the same stall; the step's end, like every other state,
+takes its derivative from rhs.
 
 On the first envelope piece, below omega_break, the motor holds tau_peak,
 and work and energy solve the state exactly: with the motor's turn
@@ -659,44 +662,42 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                           ratio(sin3, cos3), ratio(sin_e, cos_e))
         # Only p feeds back into the stages; t and w_motor are quadratures
         # that take the same weights b = (11, 0, 81, 81, -32, -32, 11)/120.
-        # Stages 2 to 7 are rhs written out (see the module docstring).
-        x = p + h * a1 / 3.0
-        if x <= 0.0:
+        # Stages 2 to 7 are rhs written out (see the module docstring). A
+        # stage at p <= 0 stalls the step, and the test is made once, after
+        # the stages. The stages after such a stage are discarded; all they
+        # can raise is division by zero, at an exact p = 0, since J > 0,
+        # k > 0 and the envelope divides only by omega.
+        try:
+            x2 = p + h * a1 / 3.0
+            v = c_v * x2
+            tk = tau(k1 * v / j1) * k1
+            a2, b2, c2 = u1 * (eta * tk - g1) / x2, dj1 / v, d1 * tk
+            x3 = p + h * 2.0 * a2 / 3.0
+            v = c_v * x3
+            tk = tau(k3 * v / j3) * k3
+            a3, b3, c3 = u3 * (eta * tk - g3) / x3, dj3 / v, d3 * tk
+            x4 = p + h * (a1 + 4.0 * a2 - a3) / 12.0
+            v = c_v * x4
+            tk = tau(k1 * v / j1) * k1
+            a4, b4, c4 = u1 * (eta * tk - g1) / x4, dj1 / v, d1 * tk
+            x5 = p + h * (18.0 * a2 - a1 - 3.0 * a3 - 6.0 * a4) / 16.0
+            v = c_v * x5
+            tk = tau(k2 * v / j2) * k2
+            a5, b5, c5 = u2 * (eta * tk - g2) / x5, dj2 / v, d2 * tk
+            x6 = p + h * (9.0 * a2 - 3.0 * a3 - 6.0 * a4 + 4.0 * a5) / 8.0
+            v = c_v * x6
+            tk = tau(k2 * v / j2) * k2
+            a6, b6, c6 = u2 * (eta * tk - g2) / x6, dj2 / v, d2 * tk
+            x7 = p + h * (9.0 * a1 - 36.0 * a2 + 63.0 * a3 + 72.0 * a4
+                          - 64.0 * a6) / 44.0
+            v = c_v * x7
+            tk = tau(ke * v / je) * ke
+            a7, b7, c7 = ue * (eta * tk - ge) / x7, dje / v, de * tk
+        except ZeroDivisionError:
+            raise _Stall from None
+        if (x2 <= 0.0 or x3 <= 0.0 or x4 <= 0.0 or x5 <= 0.0 or x6 <= 0.0
+                or x7 <= 0.0):
             raise _Stall
-        v = c_v * x
-        tk = tau(k1 * v / j1) * k1
-        a2, b2, c2 = u1 * (eta * tk - g1) / x, dj1 / v, d1 * tk
-        x = p + h * 2.0 * a2 / 3.0
-        if x <= 0.0:
-            raise _Stall
-        v = c_v * x
-        tk = tau(k3 * v / j3) * k3
-        a3, b3, c3 = u3 * (eta * tk - g3) / x, dj3 / v, d3 * tk
-        x = p + h * (a1 + 4.0 * a2 - a3) / 12.0
-        if x <= 0.0:
-            raise _Stall
-        v = c_v * x
-        tk = tau(k1 * v / j1) * k1
-        a4, b4, c4 = u1 * (eta * tk - g1) / x, dj1 / v, d1 * tk
-        x = p + h * (18.0 * a2 - a1 - 3.0 * a3 - 6.0 * a4) / 16.0
-        if x <= 0.0:
-            raise _Stall
-        v = c_v * x
-        tk = tau(k2 * v / j2) * k2
-        a5, b5, c5 = u2 * (eta * tk - g2) / x, dj2 / v, d2 * tk
-        x = p + h * (9.0 * a2 - 3.0 * a3 - 6.0 * a4 + 4.0 * a5) / 8.0
-        if x <= 0.0:
-            raise _Stall
-        v = c_v * x
-        tk = tau(k2 * v / j2) * k2
-        a6, b6, c6 = u2 * (eta * tk - g2) / x, dj2 / v, d2 * tk
-        x = p + h * (9.0 * a1 - 36.0 * a2 + 63.0 * a3 + 72.0 * a4
-                     - 64.0 * a6) / 44.0
-        if x <= 0.0:
-            raise _Stall
-        v = c_v * x
-        tk = tau(ke * v / je) * ke
-        a7, b7, c7 = ue * (eta * tk - ge) / x, dje / v, de * tk
         pe = p + h120 * (11.0 * (a1 + a7) + 81.0 * (a3 + a4)
                          - 32.0 * (a5 + a6))
         return (ue, pe,
