@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 import vrrjump
-from vrrjump import (ConfigError, FrrParams, JacobianMode, SimConfig,
-                     VrrParams, default_motor, load_config,
-                     loss_balance_c_iron2, power_loss)
+from vrrjump import (ConfigError, DomainError, FrrParams, JacobianMode,
+                     SimConfig, VrrJumpError, VrrParams, default_motor,
+                     load_config, loss_balance_c_iron2, power_loss)
 from vrrjump import cli, optimize
 from vrrjump.cli import main
 from vrrjump.report import fmt
@@ -527,6 +527,50 @@ def test_exit_code_infeasible(tmp_path, capsys):
     cfg = tiny_search(tmp_path, **{"search.delta_theta_deg": [-3.0, -3.0, 1.0]})
     assert main(["optimize", "--config", cfg]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,overrides,message", [
+    ("simulate", {"mechanism": None},
+     "simulate requires a 'mechanism' section in the config"),
+    ("sweep-ratio", {"mechanism": {"type": "frr", "k_fixed": 22.0}},
+     "sweep-ratio requires a variable-ratio 'mechanism' section"),
+    ("simulate", {"motor": 5}, "motor: expected an object, got int"),
+    ("simulate", {"leg": None}, "missing required section 'leg'"),
+    ("simulate", {"mechanism.type": "xyz"},
+     "'mechanism.type': expected 'vrr' or 'frr', got 'xyz'"),
+    ("simulate", {"output_dir": ""},
+     "'output_dir': expected a non-empty string, got ''"),
+    ("simulate", {"output_dir": 5},
+     "'output_dir': expected a non-empty string, got 5"),
+    ("simulate", {"motor.r_phase_ohm": -0.01},
+     "motor: loss coefficients must be nonnegative"),
+], ids=["simulate-no-mechanism", "sweep-frr", "section-not-object", "no-leg",
+        "mechanism-type", "output-dir-empty", "output-dir-number",
+        "negative-loss"])
+def test_config_fault_exits_2_naming_the_key(tmp_path, capsys, monkeypatch,
+                                            command, overrides, message):
+    """A config the command cannot run exits 2, naming the section or key,
+    before any work."""
+    refuse_work(monkeypatch)
+    cfg = write_config(tmp_path, **overrides)
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("exc,code,message", [
+    (DomainError("omega=-1 must be nonnegative"), 2,
+     "invalid parameter: omega=-1 must be nonnegative"),
+    (VrrJumpError("the kernel failed"), 4, "error: the kernel failed"),
+], ids=["domain", "other"])
+def test_package_error_exit_codes(tmp_path, capsys, monkeypatch, exc, code,
+                                  message):
+    """A DomainError that no key names exits 2 as an invalid parameter, and
+    any other package error exits 4."""
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli, "optimize_vrr", fail)
+    assert main(["optimize", "--config", tiny_search(tmp_path)]) == code
+    assert capsys.readouterr().err == message + "\n"
 
 
 @pytest.mark.parametrize("argv,overrides,message", [
