@@ -31,14 +31,10 @@ class MechanismRangeError(DomainError):
 
 
 class SimulationRangeError(VrrJumpError):
-    """The integrated state left the valid range mid-flight, carrying the
-    last valid simulator state. No code in the package raises it; it stays
-    defined and exported because perfbench imports it.
+    """The integrated state left the valid range mid-flight. No code in the
+    package raises it; it stays defined and exported because perfbench
+    imports it.
     """
-
-    def __init__(self, message: str, last_state=None):
-        self.last_state = last_state
-        super().__init__(message)
 
 
 class NoFeasibleDesignError(VrrJumpError):
