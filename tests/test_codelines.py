@@ -37,3 +37,14 @@ def test_main_prints_each_file(tmp_path, capsys):
     assert codelines.main([str(path)]) == 0
     assert capsys.readouterr().out == (
         f"{path}: 14 lines, 6 code, 4 docstring\n")
+
+
+def test_main_prints_the_total_of_several_files(tmp_path, capsys):
+    one, two = tmp_path / "a.py", tmp_path / "b.py"
+    one.write_text(SOURCE)
+    two.write_text("X = 1\n")
+    assert codelines.main([str(one), str(two)]) == 0
+    assert capsys.readouterr().out == (
+        f"{one}: 14 lines, 6 code, 4 docstring\n"
+        f"{two}: 1 lines, 1 code, 0 docstring\n"
+        "total: 15 lines, 7 code, 4 docstring\n")

@@ -9,7 +9,8 @@ string that is an operand count, as every line of its token does.
 
     python tools/codelines.py src/vrrjump/sim.py [more.py ...]
 
-prints, for each file, its lines, code lines and docstring lines.
+prints, for each file, its lines, code lines and docstring lines, and,
+for more than one file, their total.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import ast
 import io
 import sys
 import tokenize
+from collections import Counter
 from pathlib import Path
 
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -51,10 +53,14 @@ def main(argv=None) -> int:
     if not paths:
         print(__doc__.split("\n\n")[2].strip(), file=sys.stderr)
         return 2
+    line = "{}: {lines} lines, {code} code, {docstring} docstring"
+    total = Counter()
     for path in paths:
         c = count(Path(path).read_text())
-        print(f"{path}: {c['lines']} lines, {c['code']} code, "
-              f"{c['docstring']} docstring")
+        print(line.format(path, **c))
+        total.update(c)
+    if len(paths) > 1:
+        print(line.format("total", **total))
     return 0
 
 
