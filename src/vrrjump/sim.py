@@ -37,11 +37,11 @@ dp/du = sqrt(f0) and dt/du = 2 J0 / (sqrt(2/m) sqrt(f0)), so the square-root
 singularity of the start never enters a step, and the 1/J growth of dq2 near
 full extension does not shrink the steps. advance writes rhs out for stages
 2 to 7, in rhs's order of operations and with its products read from the
-step's row (below), so each stage at p > 0 is rhs's bit for bit. Where rhs
-stalls at p <= 0 before it divides, advance makes that test once, after
-the stages, on the p of all six, and takes the division by an exact p = 0
-on the way for the same stall; the step's end, like every other state,
-takes its derivative from rhs.
+step's row (below), so each stage at p > 0 is rhs's bit for bit. rhs
+stalls at p <= 0 before it divides; advance tests the p of its six stages
+once, after them, and takes a division by an exact p = 0 on the way for
+the same stall. The step's end, like every other state, takes its
+derivative from rhs.
 
 On the first envelope piece, below omega_break, the motor holds tau_peak,
 and work and energy solve the state exactly: with the motor's turn
