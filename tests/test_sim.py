@@ -228,10 +228,12 @@ def _sha256_of(rows) -> str:
 def test_kernel_bits_pinned(tmp_path, leg, motor, mech_opt, deep_crouch):
     """One digest over the exact W, t and q2 at takeoff and the ending of
     every candidate of the golden box at the three angles, of the stall, the
-    moving timeout and the t_max = 0.05 run. A rewrite of the kernel that is
-    meant to keep its arithmetic must leave this digest as it is; one that
-    only changes which samples a recorded run keeps moves
-    test_trajectory_bits_pinned alone."""
+    moving timeout and the t_max = 0.05 run, and of six moving timeouts
+    inside the rows that piece 1's walk skips: the reference design and
+    k = 23 at each angle, with t_max in the middle of the run's span on
+    piece 1. A rewrite of the kernel that is meant to keep its arithmetic
+    must leave this digest as it is; one that only changes which samples a
+    recorded run keeps moves test_trajectory_bits_pinned alone."""
     run = _golden_box_run(tmp_path)
     rows = []
 
@@ -253,8 +255,13 @@ def test_kernel_bits_pinned(tmp_path, leg, motor, mech_opt, deep_crouch):
         SimConfig(q2_init=-0.3))
     pin(leg, motor, VrrParams(0.035, 0.240), deep_crouch)
     pin(leg, motor, mech_opt, SimConfig(q2_init=-2.618, t_max=0.05))
+    for angle, t_ref, t_frr in ((-2.618, 0.311, 0.287),
+                                (-2.2689, 0.197, 0.230),
+                                (-1.9199, 0.145, 0.176)):
+        pin(leg, motor, mech_opt, SimConfig(q2_init=angle, t_max=t_ref))
+        pin(leg, motor, FrrParams(23.0), SimConfig(q2_init=angle, t_max=t_frr))
     assert _sha256_of(rows) == (
-        "87ab74e2327ab32be01df6b8ef56224e551d79ecccb323140da7fc1bb628e0ae")
+        "498ec837d59c3396edd8c77d61eb79dba8d9262d2b82e874e4c887e4a66e0da6")
 
 
 def test_trajectory_bits_pinned(leg, motor, mech_opt, deep_crouch):
