@@ -72,12 +72,12 @@ from the anchor, the state where the run last entered the piece, from
 below or above. There exact1 replaces the stages: it takes Y at the step's
 end from the row, newton solves the first line for p, and K never reaches
 zero. Most rows of the piece need no state at all. Y(p) is monotone on
-the anchor's side of a, since dY/dp = 2 p^2 / (a - p), and t rises with
-Y, so a row's end stays on the piece and short of t_max exactly when its
-Y lies between Y(p) at the p of omega_break, J omega_break / (k
-sqrt(2/m)), and at that of omega_hpl (a p that the run cannot reach
-bounds nothing), and short of Y at t_max (y_at, once per anchor). The
-last two pieces run the Runge-Kutta method from the exact states.
+the anchor's side of a, since dY/dp = 2 p^2 / (a - p), so a row's end
+stays on the piece exactly when its Y lies between Y(p) at the p of
+omega_break, J omega_break / (k sqrt(2/m)), and at that of omega_hpl (a
+p that the run cannot reach bounds nothing). t rises along the piece, so
+the first of those rows whose end passes t_max is found by bisection on
+t. The last two pieces run the Runge-Kutta method from the exact states.
 
 From a grid point each piece walks its rows in one loop, and every walk
 gives the same thing: the state at the start and at the end of the first
@@ -90,21 +90,22 @@ rows as above, at one ratio and at most two log1p each: the ends of pairs
 counted from the row it starts on, and in the first pair that fails its
 first row too. It takes the start of the first row that fails, or of the
 last row, by one newton from the anchor, and its end by exact1 from there;
-a recorded run samples the pair ends it tested on the way and that start,
-each from the sample before. walk2 steps each row by advance while
-omega_hpl < omega_m < omega_max. An end of None is a stall inside the
-row.
+where that start lies past t_max, it takes the first row whose end does,
+bisecting on the row ends, each one newton from the anchor. A recorded run
+samples the pair ends it tested on the way and that start, each from the
+sample before. walk2 steps each row by advance while omega_hpl < omega_m
+< omega_max. An end of None is a stall inside the row.
 
 The closed forms of the two exact pieces are written where the loops that
 read them run. Piece 0's K = k_off + eta_j tau_peak phi - m g (y - y_init)
 is written out at walk0's four nodes and in probe0, and inverted in the
 re-entry's k_off; piece 1's Y(p) - Y_a in newton's residual, in probe1 and
-in past; its t - t_a in sample1 and, in z = -L, in y_at. Each copy of K
-and of Y(p) has a comment that names the others. A closure for either in
-their place measured 2.8 to 5.5 % slower, on grid work or on recorded
-runs, so the copies stay, the way advance keeps rhs's. The geometry is
-written once on the grid, in _row and _row0, and once off it, in node1
-and turn_at (the motor's turn, from node1's cos theta).
+in past; its t - t_a in sample1. Each copy of K and of Y(p) has a comment
+that names the others. A closure for either in their place measured 2.8
+to 5.5 % slower, on grid work or on recorded runs, so the copies stay, the
+way advance keeps rhs's. The geometry is written once on the grid, in _row
+and _row0, and once off it, in node1 and turn_at (the motor's turn, from
+node1's cos theta).
 
 The envelope has kinks, and a method of order 6 keeps its order only on a
 smooth right-hand side. One motor.envelope_pieces call gives the kernel the
@@ -191,6 +192,7 @@ row that may leave the piece.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -437,11 +439,9 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     # A fixed ratio reads only J, so it shares the delta_theta = 0 table.
     th_off = crank_offset(mech) if vrr else math.pi
     turn = turn_law(mech, q2_init + th_off)
-    eta_tau, sqrt, log1p, exp = (eta * tau_peak, math.sqrt, math.log1p,
-                                 math.exp)
+    eta_tau, sqrt, log1p = eta * tau_peak, math.sqrt, math.log1p
     # Piece 1's terminal p = sqrt(K), a, and constants (module docstring).
-    eta_power = eta * motor.p_peak
-    a = eta_power / (mg * c_v)
+    a = eta * motor.p_peak / (mg * c_v)
     two_a, two_aa, c_t = 2.0 * a, 2.0 * a * a, 2.0 / (mg * c_v)
     w_break, w_hpl, w_max = kinks
 
@@ -470,20 +470,13 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         cos theta is cos_th (node1), by the expressions _row0 uses."""
         return turn(x * x, cos_th, cos_drop(q2_init + th_off, x * x))
 
-    def unsolved(what: str, residual: str) -> VrrJumpError:
-        """The error of a piece-1 solve that NEWTON_CAP iterations did not
-        end: a grid marks its row instead of printing a wrong W."""
-        return VrrJumpError(
-            f"{mech} at q2_init={q2_init}: {what} on the constant-power piece "
-            f"not solved in {NEWTON_CAP} Newton iterations (residual "
-            f"{residual})")
-
     def newton(s: tuple, ye: float) -> tuple[float, float]:
         """(p, L) on piece 1 where m g (y - y_init) = ye, L = log1p(-(p - p_a)
         / (a - p_a)): Newton on Y(p), dY/dp = 2 p^2 / (a - p), from a
         second-order step off the state s, for at most NEWTON_CAP iterations.
         A step under 1e-8 |a - p| ends it: the next would be under rounding.
-        A solve that does not end so raises VrrJumpError."""
+        A solve that does not end so raises VrrJumpError, so that a grid
+        marks its row instead of printing a wrong W."""
         if gap == 0.0:
             # K stays at a^2, and Y grows as m g sqrt(2/m) a t.
             return a, (y_a - ye) / two_aa
@@ -506,7 +499,10 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             if abs(dx) <= 1e-8 * abs(a - x):
                 break
         else:
-            raise unsolved(f"p at m g (y - y_init) = {ye!r} J", f"{res:.3g} J")
+            raise VrrJumpError(
+                f"{mech} at q2_init={q2_init}: p at m g (y - y_init) = {ye!r} "
+                f"J on the constant-power piece not solved in {NEWTON_CAP} "
+                f"Newton iterations (residual {res:.3g} J)")
         # log1p at the last iterate, carried to x to first order.
         return x, lg - dx / (a - x + dx)
 
@@ -615,12 +611,10 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         return state1(s, row[1], row[14], row[15], row[16], row[31])
 
     def stays(row: tuple) -> bool:
-        """Whether row's end stays on piece 1 and short of t_max: p there
-        lies past exactly one of the p of omega_break, J omega_break / (k
-        sqrt(2/m)), and that of omega_hpl."""
+        """Whether row's end stays on piece 1: p there lies past exactly
+        one of the p of omega_break, J omega_break / (k sqrt(2/m)), and that
+        of omega_hpl."""
         ye = row[31]
-        if ye >= y_t:
-            return False
         c = row[14] / (c_v * ratio(row[15], row[16]))
         return past(w_break * c, ye) != past(w_hpl * c, ye)
 
@@ -628,28 +622,34 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
         """Piece 1 from grid row i, whose start is the state s: the rows
         whose ends stay on the piece and short of t_max need no state.
         Gives (j, the state at the start of row j, exact1's state at its
-        end) for the first row j that may leave, or the last row. The test
-        reads the ends of rows i + 1, i + 3 and so on, the ends of pairs
-        counted from row i, and in the first pair that fails its first row
-        too: a run that left the piece inside a pair and came back by its
-        end would walk on. The start of row j is one newton from the
-        anchor. With record, the pair ends tested before row j - 1 are
-        sampled, each from the sample before, and then row j - 1's end."""
+        end) for the first row j that may leave or pass t_max, or the last
+        row. The test reads the ends of rows i + 1, i + 3 and so on, the
+        ends of pairs counted from row i, and in the first pair that fails
+        its first row too: a run that left the piece inside a pair and came
+        back by its end would walk on. The start of row j is one newton from
+        the anchor. Where its t passes t_max, j becomes the first row whose
+        end does, by bisection on the rows' ends, each one newton from the
+        anchor: t rises along the piece. With record, the pair ends tested
+        before row j - 1 are sampled, each from the sample before, and then
+        row j - 1's end."""
         j = i + 1
         while j < n - 1 and stays(rows[j]):
             j += 2
         j -= 1
         if j < n - 1 and stays(rows[j]):
             j += 1
-        if j > i:
-            new = exact1(anchor, rows[j - 1])
-            if record:
-                for row in rows[i + 1:j - 1:2]:
-                    s = sample1(s, row[1], row[31])
-                    trajectory.append(snapshot(s))
-                trajectory.append(snapshot(new))
-            s = new
-        return j, s, exact1(s, rows[j])
+        new = exact1(anchor, rows[j - 1]) if j > i else s
+        if new[2] > t_max:
+            j = i + bisect.bisect_right(
+                range(i, j - 1), t_max,
+                key=lambda r: sample1(anchor, rows[r][1], rows[r][31])[2])
+            new = exact1(anchor, rows[j - 1]) if j > i else s
+        if record and j > i:
+            for row in rows[i + 1:j - 1:2]:
+                s = sample1(s, row[1], row[31])
+                trajectory.append(snapshot(s))
+            trajectory.append(snapshot(new))
+        return j, new, exact1(new, rows[j])
 
     def advance(s: tuple, row: tuple) -> tuple:
         """One step of Butcher's 7-stage order-6 Runge-Kutta method from
@@ -787,31 +787,6 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             return best
         return step(s, best)
 
-    def y_at(tm: float) -> float:
-        """m g (y - y_init) on piece 1 where t = tm >= t_a. In z = -L,
-        p = a - (a - p_a) e^-z and t - t_a = c_t (a z - (a - p_a)(1 - e^-z)),
-        which rises with z, convex for p_a < a and concave above: Newton
-        from z >= 0 on the side of the root it bends toward converges
-        monotonely. Then Y - Y_a = eta p_peak (t - t_a) - (K - K_a). As K
-        stays under max(a, p_a)^2, the Y this gives with K = max(a, p_a)^2
-        is a lower bound, which stands in where it lies past the cap's Y:
-        no row reaches tm."""
-        low = y_a + eta_power * (tm - t_a) - max(gap, 0.0) * (a + p_a)
-        if low >= rows[-1][31]:
-            return low
-        tau = (tm - t_a) / c_t
-        z = max(tau + gap, 0.0) / a
-        for _ in range(NEWTON_CAP):
-            e = exp(-z)
-            dz = (a * z - gap * (1.0 - e) - tau) / (a - gap * e)
-            z -= dz
-            if abs(dz) <= 1e-12:
-                break
-        else:
-            raise unsolved(f"Y at t = {tm!r} s", f"{dz:.3g} in z")
-        p = a - gap * exp(-z)
-        return y_a + eta_power * (tm - t_a) - (p - p_a) * (p + p_a)
-
     def past(pb: float, ye: float) -> bool:
         """Whether p on piece 1 at m g (y - y_init) = ye > y_a lies past pb,
         seen from the anchor: Y(p) is monotone on the anchor's side of a,
@@ -910,10 +885,9 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
     # the run re-entered piece 0 (work and energy).
     k_off = w_off = 0.0
     # On piece 1, the anchor: the state where the run last entered the
-    # piece, its p, m g (y - y_init), t and w_motor, and a - p_a; and the
-    # m g (y - y_init) where t reaches t_max.
+    # piece, its p, m g (y - y_init), t and w_motor, and a - p_a.
     anchor = None
-    p_a = y_a = t_a = w_a = gap = y_t = 0.0
+    p_a = y_a = t_a = w_a = gap = 0.0
     # The u and the piece of the last change of piece.
     came = None
     # With a small lift margin f0 is small against the growth of f, and K
@@ -997,7 +971,6 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
                     anchor = new
                     p_a, y_a, t_a, w_a = new[1], rise_a, new[2], new[3]
                     gap = a - p_a
-                    y_t = y_at(t_max)
         except _Stall:
             return stall(state, ue)
         # A kink located at the state itself adds no row.
