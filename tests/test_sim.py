@@ -467,14 +467,6 @@ def test_dt_is_not_read(leg, motor, mech_opt):
     assert a == b
 
 
-def test_record_flag_matches_scalar_outputs(leg, motor, mech_opt, deep_crouch):
-    a = simulate_jump(leg, motor, mech_opt, deep_crouch, record=True)
-    b = simulate_jump(leg, motor, mech_opt, deep_crouch, record=False)
-    assert b.trajectory == []
-    assert a.w_takeoff == b.w_takeoff
-    assert a.t_takeoff == b.t_takeoff
-
-
 @pytest.mark.parametrize("mech,angle,t_max", [
     pytest.param(VrrParams(0.047, 0.150), -2.618, 1.0, id="mech0-1.0"),
     pytest.param(FrrParams(22.0), -2.618, 1.0, id="mech1-1.0"),
