@@ -640,9 +640,9 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             j += 1
         new = exact1(anchor, rows[j - 1]) if j > i else s
         if new[2] > t_max:
-            j = i + bisect.bisect_right(
-                range(i, j - 1), t_max,
-                key=lambda r: sample1(anchor, rows[r][1], rows[r][31])[2])
+            j = bisect.bisect_right(
+                rows, t_max, i, j - 1,
+                key=lambda row: sample1(anchor, row[1], row[31])[2])
             new = exact1(anchor, rows[j - 1]) if j > i else s
         if record and j > i:
             for row in rows[i + 1:j - 1:2]:
