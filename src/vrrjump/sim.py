@@ -179,7 +179,8 @@ Every other run ends at t_max, and the kernel names how:
   crouch posture is assumed supported, which also keeps under-actuated
   optimizer candidates well defined.
 * Stall -- the kinetic energy falls to zero mid-stroke, and the knee is
-  held at the stall pose with dq2 = 0 by the same reasoning.
+  held with dq2 = 0, by the same reasoning, at the last state the stall
+  bisection finds before it.
 * Timeout -- the knee is still moving at t_max, located to 1e-14 t_max
   past it, or to 1e-12 relative in u.
 
@@ -831,8 +832,8 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
 
         Bisection finds the last state before the stall or t_max, whichever
         comes first, with Runge-Kutta trial steps on every piece. After a
-        stall the knee holds its pose until t_max, as in a static hold; K
-        falls linearly to zero at the stall pose.
+        stall the knee holds that state's pose until t_max, as in a static
+        hold.
         """
         lo, hi, last, stalled = s[0], ue, s, True
         while True:
@@ -852,10 +853,7 @@ def simulate_jump(leg: LegModel, motor: MotorParams,
             trajectory.append(snapshot(last))
         if not stalled:
             return finish(last, Termination.TIMEOUT)
-        u, p = last[0], last[1]
-        f = last[4][0] * p / u if u > 0.0 else 0.0
-        u_stop = min(math.sqrt(u * u + p * p / -f), hi) if f < 0.0 else u
-        stop = (u_stop, 0.0, t_max, last[3], None)
+        stop = (last[0], 0.0, t_max, last[3], None)
         if record:
             trajectory.append(snapshot(stop))
         return finish(stop, Termination.STALL)

@@ -65,6 +65,10 @@ def test_census_classes_are_the_kernels(tmp_path, capsys, monkeypatch):
     slow = copy.deepcopy(result)
     slow["rows"]["timeout"]["t"] = 2e-10
     assert census.failures(slow) == ["timeout: max t error 2e-10 > 1e-10"]
+    # A stall's W error has the same bound as every other class's.
+    stalled = copy.deepcopy(result)
+    stalled["rows"]["stall"]["w"] = 2e-10
+    assert census.failures(stalled) == ["stall: max W error 2e-10 > 1e-10"]
 
     assert census.main(["--config", str(path), "--angle", str(ANGLE),
                         "--check"]) == 0

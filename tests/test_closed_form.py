@@ -65,9 +65,8 @@ def ratio(mech, q2):
             / math.sqrt(a_sq - a_cos * math.cos(th)))
 
 
-def piece0(leg, motor, mech, q2_init):
-    """d -> (K, w_motor, dt/dx at x = sqrt(d)) on piece 0, from rest at
-    q2_init."""
+def energy0(leg, motor, mech, q2_init):
+    """d -> (K, w_motor) on piece 0, from rest at q2_init."""
     m, f = leg.total_mass(), leg.jacobian_scale
     if isinstance(mech, FrrParams):
         def motor_angle(d):
@@ -84,11 +83,22 @@ def piece0(leg, motor, mech, q2_init):
             s = math.sqrt(a_sq - a_cos * math.cos(th0 + d))
             return 2.0 * math.pi / mech.lead * ds2 / (s + s_init)
 
-    def state(d):
+    def energy(d):
         w = motor.tau_peak * motor_angle(d)
         # y(q2_init + d) - y(q2_init)
         dy = -4.0 * f * math.sin(0.5 * q2_init + 0.25 * d) * math.sin(0.25 * d)
-        k = motor.eta_j * w - m * leg.g * dy
+        return motor.eta_j * w - m * leg.g * dy, w
+    return energy
+
+
+def piece0(leg, motor, mech, q2_init):
+    """d -> (K, w_motor, dt/dx at x = sqrt(d)) on piece 0, from rest at
+    q2_init."""
+    m, f = leg.total_mass(), leg.jacobian_scale
+    energy = energy0(leg, motor, mech, q2_init)
+
+    def state(d):
+        k, w = energy(d)
         jj = f * abs(math.sin(0.5 * (q2_init + d)))
         return k, w, 2.0 * math.sqrt(d) * jj / math.sqrt(2.0 * k / m)
     return state

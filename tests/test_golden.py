@@ -57,8 +57,8 @@ def diff(want: Path, got: Path) -> str | None:
     differing cells and the largest relative difference."""
     if not got.exists():
         return f"{want.name}: not written"
-    a = list(csv.reader(want.open(newline="")))
-    b = list(csv.reader(got.open(newline="")))
+    with want.open(newline="") as fa, got.open(newline="") as fb:
+        a, b = list(csv.reader(fa)), list(csv.reader(fb))
     if len(a) != len(b) or any(len(x) != len(y) for x, y in zip(a, b)):
         return (f"{want.name}: shape differs ({len(a)} rows golden, "
                 f"{len(b)} written)")

@@ -6,6 +6,7 @@ import math
 import signal
 
 import pytest
+from scipy.optimize import brentq
 
 from vrrjump import (DomainError, FrrParams, MechanismRangeError, SearchBox,
                      SimConfig, Termination, VrrJumpError, VrrParams,
@@ -15,6 +16,7 @@ from vrrjump import (DomainError, FrrParams, MechanismRangeError, SearchBox,
 from vrrjump import sim
 from vrrjump.optimize import _frr_candidates, _vrr_candidates
 from conftest import motor_variant
+from test_closed_form import energy0
 from test_golden import BOX as GOLDEN_BOX
 
 
@@ -130,13 +132,6 @@ def test_samples_are_the_model_functions_bitwise(leg, motor, angle):
             assert s.k == reduction_ratio(mech, s.q2)
 
 
-def test_energy_bookkeeping(leg, motor, mech_opt, deep_crouch):
-    res = simulate_jump(leg, motor, mech_opt, deep_crouch)
-    m, g = leg.total_mass(), leg.g
-    lhs = res.trajectory[-1].w_motor * motor.eta_j + m * g * com_height(leg, -2.618)
-    assert abs(lhs - res.w_takeoff) / res.w_takeoff < 5e-3
-
-
 def test_determinism_bitwise(leg, motor, mech_opt, deep_crouch):
     a = simulate_jump(leg, motor, mech_opt, deep_crouch)
     b = simulate_jump(leg, motor, mech_opt, deep_crouch)
@@ -162,14 +157,6 @@ def test_monotone_in_peak_power(leg, motor, mech_opt, deep_crouch):
                             deep_crouch, record=False)
         heights.append(res.h_jump)
     assert heights[0] < heights[1] < heights[2]
-
-
-def test_step_halving_convergence(leg, motor, mech_opt):
-    cfg = SimConfig(q2_init=-2.6180)
-    h1 = simulate_jump(leg, motor, mech_opt, cfg, record=False).h_jump
-    h2 = _refined(leg, motor, mech_opt, cfg, 2).h_jump
-    assert h1 != h2
-    assert abs(h1 - h2) <= 1e-6
 
 
 @pytest.mark.parametrize("bad", [0, -3, 2.5, True])
@@ -677,8 +664,11 @@ def test_stall_holds_the_stall_pose(leg, motor):
     res = simulate_jump(leg, weak, mech, cfg)
     assert res.terminated_by is Termination.STALL
     assert res.t_takeoff == cfg.t_max
-    # RK45 in time at rtol 1e-12 stops the knee at q2 = -0.2355195 rad.
-    assert res.q2_at_takeoff == pytest.approx(-0.2355195, abs=1e-4)
+    # The stall is on piece 0, where K is closed-form; its root is the
+    # stall pose, -0.2355194586 rad.
+    energy = energy0(leg, weak, mech, cfg.q2_init)
+    pose = brentq(lambda q2: energy(q2 - cfg.q2_init)[0], -0.25, -0.22)
+    assert res.q2_at_takeoff == pytest.approx(pose, abs=1e-5)
     assert res.w_takeoff == leg.total_mass() * leg.g * com_height(
         leg, res.q2_at_takeoff)
     last = res.trajectory[-1]

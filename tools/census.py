@@ -11,12 +11,10 @@ two kernels that print the same digests gave the same bits on the whole box.
 
     PYTHONPATH=src python tools/census.py --angle -2.618 [--check]
 
-With --check the exit status is 1 when an angle-cap, contact-force-zero or
-moving-timeout W error exceeds 1e-10, a stall's exceeds 1e-8, any class's t
-error exceeds 1e-10, a candidate changes class between n and 16n, an optimum
-moves, or no angle-cap W differs between n and 16n (the refined count did
-not reach the kernel). The classes are the kernel's Termination values and
-range_fail.
+With --check the exit status is 1 when any class's W or t error exceeds
+1e-10, a candidate changes class between n and 16n, an optimum moves, or no
+angle-cap W differs between n and 16n (the refined count did not reach the
+kernel). The classes are the kernel's Termination values and range_fail.
 """
 
 from __future__ import annotations
@@ -34,9 +32,8 @@ from vrrjump.report import fmt
 
 REFINE = 16
 CLASSES = (*(how.value for how in Termination), "range_fail")
-# (W, t) error bounds per class; a static hold is exact.
-BOUND = {"angle_cap": (1e-10, 1e-10), "contact_force_zero": (1e-10, 1e-10),
-         "stall": (1e-8, 1e-10), "timeout": (1e-10, 1e-10)}
+# The bound on every class's relative W and t error.
+BOUND = 1e-10
 
 
 def ending(rec) -> str:
@@ -91,10 +88,9 @@ def census(cfg) -> dict:
 
 
 def failures(result: dict) -> list[str]:
-    out = [f"{c}: max {q} error {result['rows'][c][key]:.3g} > {bound:g}"
-           for c, bounds in BOUND.items()
-           for q, key, bound in zip("Wt", "wt", bounds)
-           if result["rows"][c][key] > bound]
+    out = [f"{c}: max {q} error {row[key]:.3g} > {BOUND:g}"
+           for c, row in result["rows"].items()
+           for q, key in zip("Wt", "wt") if row[key] > BOUND]
     out += [f"{m} is {a} at n and {b} at {REFINE}n"
             for m, a, b in result["moved_class"]]
     out += [f"optimum {a} at n, {b} at {REFINE}n"
